@@ -576,6 +576,58 @@ mod tests {
     }
 
     #[test]
+    fn tree_is_invariant_to_threads_and_machines() {
+        let ps = generators::uniform_cube(256, 8, 256, 13);
+        let mut trees = Vec::new();
+        for threads in [1, 2] {
+            for machines in [Some(1), Some(13), None] {
+                let mut b = PipelineConfig::builder().threads(threads);
+                if let Some(m) = machines {
+                    b = b.capacity_words(1 << 16).machines(m);
+                }
+                let report = run(&ps, &b.build()).unwrap();
+                if let Some(m) = machines {
+                    assert_eq!(report.machines, m);
+                }
+                trees.push((threads, machines, report.embedding.tree.to_json()));
+            }
+        }
+        for (threads, machines, json) in &trees[1..] {
+            assert!(
+                *json == trees[0].2,
+                "threads {threads}, machines {machines:?}: tree differs"
+            );
+        }
+    }
+
+    #[test]
+    fn auto_sized_runtime_spreads_points_evenly() {
+        let ps = generators::uniform_cube(2048, 16, 1 << 10, 5);
+        let cfg = PipelineConfig::default();
+        let mut rt = Runtime::builder()
+            .config(size_mpc_config(&ps, &cfg))
+            .build();
+        let r = crate::params::pipeline_r(ps.len(), ps.dim());
+        let params =
+            HybridParams::for_dataset_with_sep(&ps, r, cfg.min_sep, cfg.fail_prob).unwrap();
+        let full = crate::mpc_embed::embed_mpc_full(&mut rt, &ps, &params, cfg.seed).unwrap();
+        let loads: Vec<usize> = full
+            .paths
+            .parts()
+            .iter()
+            .map(Vec::len)
+            .filter(|&n| n > 0)
+            .collect();
+        let max = *loads.iter().max().unwrap() as f64;
+        let mean = ps.len() as f64 / loads.len() as f64;
+        assert!(loads.len() > 1, "every point on one machine");
+        assert!(
+            max / mean <= 1.1,
+            "max {max} vs mean {mean} points per machine"
+        );
+    }
+
+    #[test]
     fn report_metrics_clone_matches_scalar_summaries() {
         let ps = generators::uniform_cube(32, 8, 256, 9);
         let report = run(&ps, &quick_cfg()).unwrap();

@@ -1,7 +1,6 @@
 //! Incremental and edge-list construction of [`Hst`]s, with validation.
 
 use crate::tree::{Hst, Node, NodeId, PointId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors raised while assembling a tree.
@@ -162,44 +161,50 @@ pub fn from_edge_list(edges: &[EdgeRec], n_points: usize) -> Result<Hst, HstErro
     }
     let root_key = root_key.ok_or(HstError::NoRoot)?;
 
-    // Group children under parents.
-    let mut children: HashMap<u64, Vec<&EdgeRec>> = HashMap::new();
-    let mut known: HashMap<u64, &EdgeRec> = HashMap::new();
-    for e in edges {
-        if known.insert(e.node, e).is_some() {
-            // Duplicate node keys are tolerated only if identical (the
-            // dedup step upstream should have removed them).
-            continue;
-        }
-        if e.parent != e.node {
-            children.entry(e.parent).or_default().push(e);
-        }
-    }
-    for e in edges {
-        if e.parent != e.node && !known.contains_key(&e.parent) {
-            return Err(HstError::MissingParent(e.parent));
-        }
+    // One record per node key, the first in edge-list order winning (the
+    // dedup step upstream should have removed any repeats).
+    let mut known: Vec<(u64, usize)> = edges.iter().enumerate().map(|(i, e)| (e.node, i)).collect();
+    known.sort_unstable();
+    known.dedup_by_key(|k| k.0);
+    let is_known = |key: u64| known.binary_search_by_key(&key, |k| k.0).is_ok();
+    if let Some(e) = edges
+        .iter()
+        .find(|e| e.parent != e.node && !is_known(e.parent))
+    {
+        return Err(HstError::MissingParent(e.parent));
     }
 
-    // BFS from the root, building the arena.
-    let mut b = HstBuilder::new();
-    let root_id = b.add_root();
-    let mut queue: std::collections::VecDeque<(u64, NodeId)> = std::collections::VecDeque::new();
-    queue.push_back((root_key, root_id));
-    let mut placed = 1usize;
-    while let Some((key, arena)) = queue.pop_front() {
-        if let Some(kids) = children.get(&key) {
-            // Deterministic order regardless of edge-list order.
-            let mut kids: Vec<&&EdgeRec> = kids.iter().collect();
-            kids.sort_by_key(|e| e.node);
-            for e in kids {
-                let id = b.add_child(arena, e.weight, e.point);
-                placed += 1;
-                queue.push_back((e.node, id));
-            }
+    // Children grouped under parents, each run ordered by node key, so
+    // the arena does not depend on edge-list order.
+    let mut children: Vec<(u64, u64, usize)> = known
+        .iter()
+        .map(|&(node, i)| (edges[i].parent, node, i))
+        .filter(|&(parent, node, _)| parent != node)
+        .collect();
+    children.sort_unstable();
+
+    // BFS from the root, building the arena: the arena ids are assigned
+    // in BFS order, so `keys[id]` doubles as the queue. A cycle through
+    // the root would place nodes forever; more placements than nodes
+    // stops it.
+    let mut b = HstBuilder {
+        nodes: Vec::with_capacity(known.len()),
+        ..HstBuilder::default()
+    };
+    b.add_root();
+    let mut keys: Vec<u64> = Vec::with_capacity(known.len());
+    keys.push(root_key);
+    let mut arena = 0usize;
+    while arena < keys.len() && keys.len() <= known.len() {
+        let key = keys[arena];
+        let first = children.partition_point(|c| c.0 < key);
+        for &(_, node, i) in children[first..].iter().take_while(|c| c.0 == key) {
+            b.add_child(arena, edges[i].weight, edges[i].point);
+            keys.push(node);
         }
+        arena += 1;
     }
-    if placed != known.len() {
+    if keys.len() != known.len() {
         return Err(HstError::NotATree);
     }
     let t = b.finish()?;
@@ -306,8 +311,7 @@ mod tests {
     #[test]
     fn no_root_detected() {
         let edges = vec![edge(30, 20, 1.0, Some(0)), edge(20, 30, 1.0, None)];
-        let err = from_edge_list(&edges, 1).unwrap_err();
-        assert!(matches!(err, HstError::NoRoot | HstError::NotATree));
+        assert_eq!(from_edge_list(&edges, 1).unwrap_err(), HstError::NoRoot);
     }
 
     #[test]
@@ -327,6 +331,18 @@ mod tests {
             // Island: 5 <-> 6 cycle, unreachable from root.
             edge(5, 6, 1.0, None),
             edge(6, 5, 1.0, None),
+        ];
+        assert_eq!(from_edge_list(&edges, 1).unwrap_err(), HstError::NotATree);
+    }
+
+    #[test]
+    fn cycle_through_the_root_is_not_a_tree() {
+        // The root key's first record hangs it under node 2, which hangs
+        // under the root: assembly must stop, not place nodes forever.
+        let edges = vec![
+            edge(1, 2, 1.0, None),
+            edge(1, 1, 0.0, None),
+            edge(2, 1, 1.0, Some(0)),
         ];
         assert_eq!(from_edge_list(&edges, 1).unwrap_err(), HstError::NotATree);
     }

@@ -2,6 +2,7 @@
 //! satisfy the metric axioms and aggregate identities.
 
 use proptest::prelude::*;
+use treeemb_hst::builder::{from_edge_list, EdgeRec};
 use treeemb_hst::{Hst, HstBuilder};
 
 /// Builds a random tree: `shape[i]` attaches node i+1 under one of the
@@ -29,8 +30,47 @@ fn random_tree(shape: &[(usize, f64)]) -> Hst {
     b.finish().expect("valid random tree")
 }
 
+/// The tree's edge list with node keys scrambled, so key order differs
+/// from arena order the way structural hashes do.
+fn scrambled_edges(t: &Hst) -> Vec<EdgeRec> {
+    let key = |id: u64| id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED;
+    t.to_document()
+        .edges
+        .into_iter()
+        .map(|(node, parent, weight, point)| EdgeRec {
+            node: key(node),
+            parent: key(parent),
+            weight,
+            point,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn edge_list_assembly_ignores_order_and_repeats(
+        shape in proptest::collection::vec((0usize..50, 0f64..100.0), 0..25),
+        swaps in proptest::collection::vec((0usize..1000, 0usize..1000), 0..40),
+        repeats in proptest::collection::vec((0usize..1000, 0usize..1000), 0..8),
+    ) {
+        let t = random_tree(&shape);
+        let edges = scrambled_edges(&t);
+        let want = from_edge_list(&edges, t.num_points()).unwrap().to_json();
+        let mut shuffled = edges.clone();
+        for &(a, b) in &swaps {
+            let n = shuffled.len();
+            shuffled.swap(a % n, b % n);
+        }
+        for &(from, at) in &repeats {
+            let copy = shuffled[from % shuffled.len()].clone();
+            shuffled.insert(at % (shuffled.len() + 1), copy);
+        }
+        let got = from_edge_list(&shuffled, t.num_points()).unwrap();
+        prop_assert_eq!(got.to_json(), want);
+        prop_assert_eq!(got.num_nodes(), t.num_nodes());
+    }
 
     #[test]
     fn tree_metric_axioms(

@@ -343,23 +343,46 @@ impl Runtime {
         }
     }
 
-    /// Loads host data onto the cluster, filling machines greedily in
-    /// word units. Mirrors the MPC convention that the input arrives
-    /// pre-distributed; it does not count as a round.
+    /// Loads host data onto the cluster as contiguous blocks in input
+    /// order, balanced by words. Mirrors the MPC convention that the
+    /// input arrives pre-distributed; it does not count as a round.
+    ///
+    /// Placement is *water-filled*: machine `i` gets the quota
+    /// `min(cap_i, L)`, where `cap_i` is its effective capacity and `L`
+    /// the smallest level at which the quotas add up to the input's
+    /// words. Each machine takes records until it reaches its quota and
+    /// never past its capacity; it also takes every record the machines
+    /// after it could not hold, so placement succeeds whenever any
+    /// contiguous placement exists. On a uniform cluster every shard
+    /// holds at most `⌈words/M⌉` plus one record's words.
     ///
     /// Fails if a single record exceeds every machine's capacity or the
-    /// cluster's remaining space cannot hold the input.
+    /// cluster's space cannot hold the input.
     pub fn distribute<T: Words + Send>(&mut self, items: Vec<T>) -> MpcResult<Dist<T>> {
         let mut sp = treeemb_obs::span!("mpc.distribute", "items" = items.len());
         self.note_squeeze();
         let caps = self.capacities();
         let max_cap = caps.iter().copied().max().unwrap_or(0);
         let m = self.num_machines();
+        let widths: Vec<usize> = items.iter().map(Words::words).collect();
+        let quota = water_level_quotas(&caps, widths.iter().sum());
+        // must_reach[i]: the records before this index cannot fit on
+        // machines i.. (contiguous packing from the back), so machines
+        // < i must hold them.
+        let mut must_reach = vec![widths.len(); m + 1];
+        for i in (0..m).rev() {
+            let (mut j, mut used) = (must_reach[i + 1], 0usize);
+            while j > 0 && used + widths[j - 1] <= caps[i] {
+                j -= 1;
+                used += widths[j];
+            }
+            must_reach[i] = j;
+        }
         let mut parts: Vec<Vec<T>> = (0..m).map(|_| Vec::new()).collect();
         let mut machine = 0usize;
         let mut used = 0usize;
-        for item in items {
-            let w = item.words();
+        for (j, item) in items.into_iter().enumerate() {
+            let w = widths[j];
             if w > max_cap {
                 return Err(MpcError::CapacityExceeded {
                     machine,
@@ -370,10 +393,12 @@ impl Runtime {
                     label: "distribute".into(),
                 });
             }
-            // Greedy fill; a record that does not fit the current
-            // machine moves to the next (skipping machines it exceeds
-            // outright, which only happens on heterogeneous clusters).
-            while machine < m && used + w > caps[machine] {
+            // Close machines that reached their quota (and hold what the
+            // machines after them cannot) or that cannot fit the record.
+            while machine < m
+                && (used + w > caps[machine]
+                    || (used >= quota[machine] && j >= must_reach[machine + 1]))
+            {
                 machine += 1;
                 used = 0;
             }
@@ -924,6 +949,23 @@ impl Runtime {
     }
 }
 
+/// Water-filled per-machine quotas for `total` words: `min(cap_i, L)`
+/// with `L` the smallest level whose quotas sum to at least `total`
+/// (every capacity, when even the full cluster is too small).
+fn water_level_quotas(caps: &[usize], total: usize) -> Vec<usize> {
+    let filled = |level: usize| caps.iter().map(|&c| c.min(level)).sum::<usize>();
+    let (mut lo, mut hi) = (0usize, caps.iter().copied().max().unwrap_or(0));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if filled(mid) >= total {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    caps.iter().map(|&c| c.min(lo)).collect()
+}
+
 /// SplitMix64 — the stateless mixer used to derive per-machine and
 /// per-index random streams from a shared broadcast seed.
 #[inline]
@@ -940,6 +982,7 @@ pub fn mix_seed(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_rt(cap: usize, machines: usize) -> Runtime {
         Runtime::builder()
@@ -951,15 +994,33 @@ mod tests {
     }
 
     #[test]
-    fn distribute_packs_by_words() {
+    fn distribute_balances_by_words() {
+        // 10 words over 8 machines: the water level is 2, so 5 machines
+        // hold 2 records each, in input order, and the rest stay empty.
         let mut rt = small_rt(4, 8);
         let dist = rt.distribute((0..10u64).collect()).unwrap();
-        assert_eq!(dist.total_len(), 10);
-        for p in dist.parts() {
-            assert!(p.len() <= 4);
-        }
-        // Greedy fill: machine 0 holds records 0..4.
-        assert_eq!(dist.part(0), &[0, 1, 2, 3]);
+        let lens: Vec<usize> = dist.parts().iter().map(Vec::len).collect();
+        assert_eq!(lens, [2, 2, 2, 2, 2, 0, 0, 0]);
+        assert_eq!(dist.part(0), &[0, 1]);
+        assert_eq!(dist.part(4), &[8, 9]);
+    }
+
+    #[test]
+    fn distribute_takes_what_later_machines_cannot_hold() {
+        // Capacities [10, 4, 4] and 14 words give quotas [6, 4, 4].
+        // Machine 0 reaches its quota after six 1-word records, but the
+        // 4-word machines cannot hold the trailing 3 + 3 + 2 words, so
+        // machine 0 also takes the first 3-word record.
+        let mut rt = Runtime::builder()
+            .capacity_words(4)
+            .machines(3)
+            .machine_capacity(0, 10)
+            .build();
+        let widths = [1usize, 1, 1, 1, 1, 1, 3, 3, 2];
+        let recs: Vec<Vec<u64>> = widths.iter().map(|&w| vec![7; w - 1]).collect();
+        let dist = rt.distribute(recs).unwrap();
+        let lens: Vec<usize> = dist.parts().iter().map(Vec::len).collect();
+        assert_eq!(lens, [7, 1, 1]);
     }
 
     #[test]
@@ -977,10 +1038,77 @@ mod tests {
             .machine_capacity(0, 2)
             .threads(2)
             .build();
+        // Water level 5: machine 0's quota is its 2-word capacity.
         let dist = rt.distribute((0..12u64).collect()).unwrap();
-        assert_eq!(dist.part(0).len(), 2, "machine 0 holds only 2 words");
-        assert_eq!(dist.part(1).len(), 8);
-        assert_eq!(dist.part(2).len(), 2);
+        let lens: Vec<usize> = dist.parts().iter().map(Vec::len).collect();
+        assert_eq!(lens, [2, 5, 5]);
+    }
+
+    /// Test oracle: whether filling machines greedily in input order
+    /// places every record.
+    fn greedy_fits(caps: &[usize], widths: &[usize]) -> bool {
+        let (mut machine, mut used) = (0usize, 0usize);
+        for &w in widths {
+            while machine < caps.len() && used + w > caps[machine] {
+                machine += 1;
+                used = 0;
+            }
+            if machine == caps.len() {
+                return false;
+            }
+            used += w;
+        }
+        true
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn distribute_is_contiguous_bounded_and_balanced(
+            widths in collection::vec(1usize..=8, 0..80),
+            machines in 1usize..12,
+            cap in 8usize..40,
+            overrides in collection::vec((0usize..12, 1usize..40), 0..4),
+            squeeze in (0usize..3, 0usize..12, 2usize..30),
+        ) {
+            let mut b = Runtime::builder().capacity_words(cap).machines(machines);
+            for &(machine, words) in overrides.iter().filter(|o| o.0 < machines) {
+                b = b.machine_capacity(machine, words);
+            }
+            let (kind, machine, words) = squeeze;
+            if kind > 0 {
+                let scope = (kind == 2).then_some(machine % machines);
+                b = b.fault_plan(FaultPlan::new(3).with_fault(FaultSpec::Squeeze {
+                    from_round: 0,
+                    capacity_words: words,
+                    machine: scope,
+                }));
+            }
+            let mut rt = b.build();
+            let caps: Vec<usize> = (0..machines).map(|i| rt.capacity_of(i)).collect();
+            let recs: Vec<Vec<u64>> = widths
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| vec![i as u64; w - 1])
+                .collect();
+            let greedy = greedy_fits(&caps, &widths);
+            let Ok(dist) = rt.distribute(recs.clone()) else {
+                prop_assert!(!greedy, "greedy placed {widths:?} on {caps:?}");
+                return Ok(());
+            };
+            prop_assert!(greedy, "placed {widths:?} on {caps:?}, greedy could not");
+            for (i, part) in dist.parts().iter().enumerate() {
+                prop_assert!(words::of_slice(part) <= caps[i]);
+            }
+            let shard_max = dist.max_part_words();
+            prop_assert_eq!(rt.gather(dist), recs);
+            if overrides.is_empty() && kind == 0 {
+                let total: usize = widths.iter().sum();
+                let bound = total.div_ceil(machines) + widths.iter().max().unwrap_or(&0);
+                prop_assert!(shard_max <= bound, "{shard_max} > {bound}");
+            }
+        }
     }
 
     #[test]
@@ -1179,8 +1307,8 @@ mod tests {
         let mut clean = small_rt(64, 4);
         let expected = route_round(&mut clean, values.clone()).unwrap();
 
-        // Machine 0 holds the whole greedily-packed input, so its crash
-        // loses real data.
+        // Machine 0 holds the first quarter of the balanced input, so
+        // its crash loses real data.
         let plan = FaultPlan::new(9).with_fault(FaultSpec::Crash {
             round: 0,
             attempt: 0,

@@ -228,15 +228,17 @@ where
             Vec::new()
         })?
     };
-    // Leaders derive fine splitter vectors (group_size - 1 keys).
+    // Leaders derive fine splitter vectors: one key fewer than their
+    // group's real size (the last group may be partial).
     let fine = rt.map_local(leader_samples, move |id, mut shard| {
         if id % group_size != 0 || shard.is_empty() {
             return Vec::new();
         }
         shard.sort();
-        let mut out: Vec<K> = Vec::with_capacity(group_size.saturating_sub(1));
-        for b in 1..group_size {
-            let idx = (b * shard.len()) / group_size;
+        let size = group_size.min(m - id);
+        let mut out: Vec<K> = Vec::with_capacity(size - 1);
+        for b in 1..size {
+            let idx = (b * shard.len()) / size;
             out.push(shard[idx.min(shard.len() - 1)].clone());
         }
         out
@@ -284,9 +286,7 @@ where
         let sp = &fine_parts[id];
         for rec in shard {
             let k = key(&rec);
-            let bucket = sp.partition_point(|s| *s <= k);
-            let dest = (leader + bucket).min(m - 1);
-            em.send(dest, rec);
+            em.send(leader + sp.partition_point(|s| *s <= k), rec);
         }
         Vec::new()
     })?;
@@ -489,6 +489,24 @@ mod tests {
             .build();
         let dist = rt.distribute(data).unwrap();
         let sorted = sort_by_key(&mut rt, dist, |x| *x).unwrap();
+        assert_eq!(rt.gather(sorted), expect);
+        assert_eq!(rt.metrics().violations(), 0);
+    }
+
+    #[test]
+    fn two_level_partial_last_group_keeps_its_own_machines() {
+        // 120 machines form groups of 11, the last one holding only 10.
+        // Its leader must derive 9 fine splitters: a tenth bucket would
+        // land on machine 119 on top of its own and overflow it.
+        let mut rng = StdRng::seed_from_u64(21);
+        let data: Vec<u64> = (0..3000).map(|_| rng.gen_range(0..1_000_000)).collect();
+        let mut expect = data.clone();
+        expect.sort_unstable();
+        let mut rt = Runtime::builder()
+            .config(MpcConfig::explicit(1 << 14, 128, 120).with_threads(4))
+            .build();
+        let even = Dist::from_parts(data.chunks(25).map(<[u64]>::to_vec).collect());
+        let sorted = sort_two_level(&mut rt, even, |x| *x).unwrap();
         assert_eq!(rt.gather(sorted), expect);
         assert_eq!(rt.metrics().violations(), 0);
     }
