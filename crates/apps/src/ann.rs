@@ -5,8 +5,8 @@
 //!
 //! The index stores, per level, a map from partition-chain hashes to a
 //! representative point. A query point is assigned through the *same*
-//! seeded hybrid partitionings (out-of-sample assignment is just
-//! [`HybridLevel::assign`]); the deepest level whose chain matches an
+//! seeded hybrid partitionings and the same node ids as the embedders
+//! ([`for_each_node_id`]); the deepest level whose chain matches an
 //! indexed chain yields the answer. Points that share a partition at
 //! scale `w` are within `2√r·w`, and a true nearest neighbor at
 //! distance `δ` stays un-separated from the query down to scale
@@ -21,7 +21,7 @@ use treeemb_core::seq::SeqEmbedder;
 use treeemb_geom::metrics::dist;
 use treeemb_geom::PointSet;
 use treeemb_partition::ids::StructuralHash;
-use treeemb_partition::HybridLevel;
+use treeemb_partition::{for_each_node_id, HybridLevel};
 
 /// A tree-embedding-backed approximate-nearest-neighbor index.
 pub struct AnnIndex {
@@ -47,23 +47,14 @@ impl AnnIndex {
         let levels = SeqEmbedder::new(params.clone()).build_levels(seed);
         let mut chains: Vec<HashMap<u64, usize>> = vec![HashMap::new(); levels.len()];
         for p in 0..padded.len() {
-            let mut chain = StructuralHash::root();
-            for (li, lvl) in levels.iter().enumerate() {
-                match lvl.assign(padded.point(p)) {
-                    Some(a) => {
-                        chain = a.absorb_into(chain.absorb(li as u64));
-                        chains[li].entry(chain.value()).or_insert(p);
-                    }
-                    None => {
-                        let bucket = failing_bucket(lvl, padded.point(p));
-                        return Err(EmbedError::CoverageFailure {
-                            level: li,
-                            bucket,
-                            point: p,
-                        });
-                    }
-                }
-            }
+            for_each_node_id(&levels, padded.point(p), |level, id| {
+                chains[level].entry(id).or_insert(p);
+            })
+            .map_err(|(level, bucket)| EmbedError::CoverageFailure {
+                level,
+                bucket,
+                point: p,
+            })?;
         }
         Ok(Self {
             levels,
@@ -89,16 +80,16 @@ impl AnnIndex {
         padded.resize(self.dim, 0.0);
         let mut chain = StructuralHash::root();
         let mut best = self.fallback;
+        // The step of `for_each_node_id`, taken one level at a time so
+        // the walk stops at the first level the index has never seen.
         for (li, lvl) in self.levels.iter().enumerate() {
-            match lvl.assign(&padded) {
-                Some(a) => {
-                    chain = a.absorb_into(chain.absorb(li as u64));
-                    match self.chains[li].get(&chain.value()) {
-                        Some(&rep) => best = rep,
-                        None => break, // chain diverged from every indexed point
-                    }
-                }
-                None => break, // query fell outside coverage at this level
+            let Ok(next) = lvl.absorb_assignment_into(&padded, chain.absorb(li as u64)) else {
+                break; // query fell outside coverage at this level
+            };
+            chain = next;
+            match self.chains[li].get(&chain.value()) {
+                Some(&rep) => best = rep,
+                None => break, // chain diverged from every indexed point
             }
         }
         best
@@ -119,16 +110,6 @@ impl AnnIndex {
             })
             .expect("at least one index")
     }
-}
-
-fn failing_bucket(level: &HybridLevel, p: &[f64]) -> usize {
-    let m = level.bucket_dim();
-    for (j, seq) in level.sequences().iter().enumerate() {
-        if seq.assign(&p[j * m..(j + 1) * m]).is_none() {
-            return j;
-        }
-    }
-    0
 }
 
 /// Exact nearest neighbor by linear scan (baseline).
@@ -208,6 +189,36 @@ mod tests {
         let ps = PointSet::from_rows(&[vec![0.0, 0.0], vec![10.0, 0.0], vec![0.0, 3.0]]);
         assert_eq!(exact_nearest(&ps, &[0.0, 2.0]), 2);
         assert_eq!(exact_nearest(&ps, &[9.0, 0.0]), 1);
+    }
+
+    #[test]
+    fn coverage_failure_names_first_uncovered_bucket() {
+        let ps = generators::uniform_cube(40, 8, 256, 11);
+        let mut params = HybridParams::for_dataset(&ps, 4).unwrap();
+        params.grids_per_bucket = 1;
+        let Err(err) = AnnIndex::build(&ps, &params, 3) else {
+            panic!("one grid per bucket must leave a point uncovered");
+        };
+        let EmbedError::CoverageFailure {
+            level,
+            bucket,
+            point,
+        } = err
+        else {
+            panic!("expected a coverage failure, got {err:?}");
+        };
+        let levels = SeqEmbedder::new(params.clone()).build_levels(3);
+        let p = ps.zero_pad(params.dim).point(point).to_vec();
+        assert!(levels[..level].iter().all(|l| l.assign(&p).is_some()));
+        let m = levels[level].bucket_dim();
+        let covers = |j: usize| {
+            levels[level].sequences()[j]
+                .assign(&p[j * m..(j + 1) * m])
+                .is_some()
+        };
+        assert!((0..bucket).all(covers) && !covers(bucket));
+        // Both walk points in id order, so they report the same failure.
+        assert_eq!(SeqEmbedder::new(params).embed(&ps, 3).unwrap_err(), err);
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! cargo run --release -p treeemb-bench --bin snapshot -- --trace-out trace.json
 //! ```
 //!
+//! A flag missing its value, or an unknown argument, exits with status 2
+//! without writing anything.
+//!
 //! The pairs measured:
 //!
-//! * `partition_keys` — exact `HybridLevel::assign` (materializes
-//!   per-bucket `Vec<i64>` cells) vs the allocation-free
-//!   `assign_packed` 128-bit structural-hash key;
-//! * `node_id_chain` — `assign` + `absorb_into` vs the streaming
-//!   `absorb_assignment_into` (the MPC node-id hot path);
 //! * `wht` — plain stage-by-stage butterflies vs the cache-blocked
 //!   `wht_inplace` on a large transform;
 //! * `executor_round` — a `thread::scope` spawn per round vs the
@@ -31,8 +29,6 @@ use std::time::Instant;
 use treeemb_fjlt::audit::distortion_report_parallel;
 use treeemb_geom::generators;
 use treeemb_linalg::wht::{wht_inplace, wht_stages_inplace};
-use treeemb_partition::ids::StructuralHash;
-use treeemb_partition::HybridLevel;
 
 struct Entry {
     id: String,
@@ -60,22 +56,57 @@ fn measure(id: &str, samples: usize, mut f: impl FnMut()) -> Entry {
     }
 }
 
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    quick: bool,
+    out: String,
+    trace_out: Option<String>,
+}
+
+/// Parses the command line strictly: `--out` and `--trace-out` each take
+/// a value that is not itself a flag, and any other argument is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        quick: false,
+        out: "BENCH_1.json".to_string(),
+        trace_out: None,
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--out" | "--trace-out" => {
+                let value = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} needs a value"))?
+                    .clone();
+                if arg == "--out" {
+                    parsed.out = value;
+                } else {
+                    parsed.trace_out = Some(value);
+                }
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_1.json".to_string());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        quick,
+        out,
+        trace_out,
+    } = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("snapshot: {e}\nusage: snapshot [--quick] [--out PATH] [--trace-out PATH]");
+        std::process::exit(2);
+    });
     // `--trace-out PATH` arms span collection (same effect as
     // TREEEMB_TRACE=PATH in the environment).
-    if let Some(trace) = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(trace) = &trace_out {
         treeemb_obs::set_trace_path(trace);
     }
     let samples = if quick { 5 } else { 15 };
@@ -93,74 +124,6 @@ fn main() {
         entries.push(opt);
         speedups.push((name.to_string(), s));
     };
-
-    // Partition keys: exact materialized cells vs packed hash.
-    {
-        let dim = 16;
-        let ps = generators::uniform_cube(if quick { 256 } else { 1024 }, dim, 1 << 10, 3);
-        let lvl = HybridLevel::new(dim, 4, 24.0, 64, 7);
-        let pts: Vec<&[f64]> = ps.iter().collect();
-        let base = measure("partition_keys/exact", samples, || {
-            let mut alive = 0usize;
-            for p in &pts {
-                if lvl.assign(p).is_some() {
-                    alive += 1;
-                }
-            }
-            assert!(alive > 0);
-        });
-        let opt = measure("partition_keys/packed", samples, || {
-            let mut alive = 0usize;
-            for p in &pts {
-                if lvl.assign_packed(p).is_some() {
-                    alive += 1;
-                }
-            }
-            assert!(alive > 0);
-        });
-        pair("partition_keys", base, opt, &mut entries);
-
-        // Node-id chains (the MPC path): materialize-then-absorb vs stream.
-        let h0 = StructuralHash::root().absorb(1);
-        let base = measure("node_id_chain/materialized", samples, || {
-            let mut acc = 0u64;
-            for p in &pts {
-                if let Some(a) = lvl.assign(p) {
-                    acc ^= a.absorb_into(h0).value();
-                }
-            }
-            std::hint::black_box(acc);
-        });
-        let opt = measure("node_id_chain/streamed", samples, || {
-            let mut acc = 0u64;
-            for p in &pts {
-                if let Some(h) = lvl.absorb_assignment_into(p, h0) {
-                    acc ^= h.value();
-                }
-            }
-            std::hint::black_box(acc);
-        });
-        pair("node_id_chain", base, opt, &mut entries);
-    }
-
-    // End-to-end sequential embed: exact keys (cloned per-bucket cells
-    // in the grouping hot loop) vs packed keys (copyable 16-byte keys).
-    {
-        use treeemb_core::params::HybridParams;
-        use treeemb_core::seq::SeqEmbedder;
-        let n = if quick { 256 } else { 1024 };
-        let ps = generators::uniform_cube(n, 8, 1 << 10, 11);
-        let embedder = SeqEmbedder::new(HybridParams::for_dataset(&ps, 4).unwrap());
-        let base = measure("embed_tree/exact_keys", samples, || {
-            let emb = embedder.embed_exact_keys(&ps, 5, 1).unwrap();
-            std::hint::black_box(emb.tree.num_nodes());
-        });
-        let opt = measure("embed_tree/packed_keys", samples, || {
-            let emb = embedder.embed(&ps, 5).unwrap();
-            std::hint::black_box(emb.tree.num_nodes());
-        });
-        pair("embed_tree", base, opt, &mut entries);
-    }
 
     // WHT: plain staged butterflies vs the cache-blocked transform.
     {
@@ -277,5 +240,46 @@ fn main() {
     );
     if let Some(path) = treeemb_obs::flush_trace() {
         eprintln!("wrote trace {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_parse_in_any_order() {
+        let args = parse(&["--out", "x.json", "--quick", "--trace-out", "t.json"]).unwrap();
+        assert_eq!(
+            args,
+            Args {
+                quick: true,
+                out: "x.json".to_string(),
+                trace_out: Some("t.json".to_string()),
+            }
+        );
+        assert_eq!(parse(&[]).unwrap().out, "BENCH_1.json");
+    }
+
+    #[test]
+    fn flag_without_value_is_rejected() {
+        for args in [
+            &["--out"][..],
+            &["--out", "--quick"],
+            &["--trace-out"],
+            &["--quick", "--trace-out", "--out", "x.json"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} accepted");
+        }
+    }
+
+    #[test]
+    fn unknown_argument_is_rejected() {
+        assert!(parse(&["--quik"]).is_err());
+        assert!(parse(&["x.json"]).is_err());
     }
 }

@@ -26,7 +26,7 @@ use treeemb_hst::builder::{from_edge_list, EdgeRec};
 use treeemb_mpc::primitives::{aggregate, broadcast, shuffle};
 use treeemb_mpc::{exec, Runtime, Words};
 use treeemb_partition::ids::StructuralHash;
-use treeemb_partition::HybridLevel;
+use treeemb_partition::{for_each_node_id, HybridLevel};
 
 /// A point in transit: id + padded coordinates.
 #[derive(Debug, Clone)]
@@ -195,33 +195,21 @@ pub fn embed_mpc_full(
     let path_results = rt.map_local(dist, move |_, shard| {
         let mut out: Vec<PathOrFail> = Vec::with_capacity(shard.len());
         for rec in &shard {
-            let mut chain = StructuralHash::root();
             let mut nodes = Vec::with_capacity(levels_for_paths.len());
-            let mut failed = None;
-            for (level, lvl) in levels_for_paths.iter().enumerate() {
-                // Streams the assignment tokens straight into the chain —
-                // the same digest `assign(..).absorb_into(..)` produces,
-                // without materializing per-bucket lattice cells.
-                match lvl.absorb_assignment_into(&rec.coords, chain.absorb(level as u64)) {
-                    Some(next) => {
-                        chain = next;
-                        nodes.push((chain.value(), params_paths.edge_weight(level), level as u32));
-                    }
-                    None => {
-                        let bucket = failing_bucket(lvl, &rec.coords);
-                        failed = Some(PathOrFail::Fail {
-                            point: rec.id,
-                            level: level as u32,
-                            bucket: bucket as u32,
-                        });
-                        break;
-                    }
-                }
-            }
-            out.push(failed.unwrap_or(PathOrFail::Path(PointPath {
-                point: rec.id,
-                nodes,
-            })));
+            let walked = for_each_node_id(&levels_for_paths, &rec.coords, |level, id| {
+                nodes.push((id, params_paths.edge_weight(level), level as u32));
+            });
+            out.push(match walked {
+                Ok(()) => PathOrFail::Path(PointPath {
+                    point: rec.id,
+                    nodes,
+                }),
+                Err((level, bucket)) => PathOrFail::Fail {
+                    point: rec.id,
+                    level: level as u32,
+                    bucket: bucket as u32,
+                },
+            });
         }
         out
     })?;
@@ -329,16 +317,6 @@ impl Words for EdgeMsg {
     fn words(&self) -> usize {
         4
     }
-}
-
-fn failing_bucket(level: &HybridLevel, p: &[f64]) -> usize {
-    let m = level.bucket_dim();
-    for (j, seq) in level.sequences().iter().enumerate() {
-        if seq.first_covering(&p[j * m..(j + 1) * m]).is_none() {
-            return j;
-        }
-    }
-    0
 }
 
 #[cfg(test)]

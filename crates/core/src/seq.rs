@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use treeemb_geom::PointSet;
 use treeemb_hst::{Hst, HstBuilder};
 use treeemb_linalg::random::mix3;
-use treeemb_partition::{grid::ShiftedGrid, HybridLevel, LevelAssignment, PackedLevelKey};
+use treeemb_partition::{for_each_node_id, grid::ShiftedGrid, HybridLevel};
 
 /// Domain tag for hybrid-level seeds (shared with the MPC embedder so
 /// both derive identical grids).
@@ -170,12 +170,9 @@ impl SeqEmbedder {
         seed: u64,
         threads: usize,
     ) -> Result<Embedding, EmbedError> {
-        if exact_keys_requested() {
-            return self.embed_exact_keys(ps, seed, threads);
-        }
         let padded = ps.zero_pad(self.params.dim);
         let levels = self.build_levels(seed);
-        let tree = self.packed_hierarchy(&padded, &levels, threads)?;
+        let tree = self.hierarchy(&padded, &levels, threads)?;
         Ok(Embedding {
             tree,
             method: "hybrid",
@@ -183,135 +180,38 @@ impl SeqEmbedder {
         })
     }
 
-    /// [`Self::embed`] via the exact-key verification path: partitions
-    /// are grouped by the materialized per-bucket lattice cells instead
-    /// of packed 128-bit hashes. Produces the identical tree (unless a
-    /// ~2⁻¹²⁸-probability hash collision separates the paths); kept
-    /// callable for verification and for the kernel snapshot bench.
-    /// Setting `TREEEMB_EXACT_KEYS=1` routes [`Self::embed`] here too.
-    pub fn embed_exact_keys(
+    /// Computes every point's root-to-leaf node ids in parallel (one
+    /// flat `n × levels` table) and groups by them. These are the ids
+    /// the MPC embedder's machines emit, so both build the same tree.
+    fn hierarchy(
         &self,
-        ps: &PointSet,
-        seed: u64,
+        padded: &PointSet,
+        levels: &[HybridLevel],
         threads: usize,
-    ) -> Result<Embedding, EmbedError> {
-        let padded = ps.zero_pad(self.params.dim);
-        let levels = self.build_levels(seed);
-        let tree = self.exact_hierarchy(&padded, &levels, threads)?;
-        Ok(Embedding {
-            tree,
-            method: "hybrid",
-            seed,
+    ) -> Result<Hst, EmbedError> {
+        let num_levels = levels.len();
+        let mut ids = vec![0u64; padded.len() * num_levels];
+        // `max(1)`: a schedule without levels has no ids to fill.
+        let rows: Vec<&mut [u64]> = ids.chunks_mut(num_levels.max(1)).collect();
+        treeemb_mpc::exec::par_map_indexed(rows, threads, |p, row| {
+            for_each_node_id(levels, padded.point(p), |level, id| row[level] = id).map_err(
+                |(level, bucket)| EmbedError::CoverageFailure {
+                    level,
+                    bucket,
+                    point: p,
+                },
+            )
         })
-    }
-
-    /// The default hot path: every (point, level) assignment is hashed
-    /// into a copyable 128-bit [`PackedLevelKey`] in parallel, so
-    /// grouping never clones per-bucket lattice cells. The resulting
-    /// tree equals the exact path's whp (packed keys collide with
-    /// probability ~2^-128 per pair; see the partition proptests).
-    fn packed_hierarchy(
-        &self,
-        padded: &PointSet,
-        levels: &[HybridLevel],
-        threads: usize,
-    ) -> Result<treeemb_hst::Hst, EmbedError> {
-        let per_point: Vec<Result<Vec<PackedLevelKey>, EmbedError>> =
-            treeemb_mpc::exec::par_map_indexed(
-                (0..padded.len()).collect::<Vec<usize>>(),
-                threads,
-                |_, p| {
-                    levels
-                        .iter()
-                        .enumerate()
-                        .map(|(level, lvl)| {
-                            lvl.assign_packed(padded.point(p)).ok_or_else(|| {
-                                let bucket = failing_bucket(lvl, padded.point(p));
-                                EmbedError::CoverageFailure {
-                                    level,
-                                    bucket,
-                                    point: p,
-                                }
-                            })
-                        })
-                        .collect()
-                },
-            );
-        let mut keys = Vec::with_capacity(per_point.len());
-        for r in per_point {
-            keys.push(r?);
-        }
+        .into_iter()
+        .collect::<Result<(), EmbedError>>()?;
         build_hierarchy(
             padded.len(),
-            levels.len(),
-            |level, p| Ok(keys[p][level]),
+            num_levels,
+            |level, p| Ok(ids[p * num_levels + level]),
             |level| self.params.edge_weight(level),
             |level| self.params.tail_weight(level),
         )
     }
-
-    /// The exact-key verification path (`TREEEMB_EXACT_KEYS=1`): groups
-    /// by the materialized per-bucket lattice cells instead of packed
-    /// hashes. Kept for debugging hash-collision suspicions; the
-    /// `exact_and_packed_paths_build_identical_trees` test pins the two
-    /// paths together.
-    fn exact_hierarchy(
-        &self,
-        padded: &PointSet,
-        levels: &[HybridLevel],
-        threads: usize,
-    ) -> Result<treeemb_hst::Hst, EmbedError> {
-        let per_point: Vec<Result<Vec<LevelAssignment>, EmbedError>> =
-            treeemb_mpc::exec::par_map_indexed(
-                (0..padded.len()).collect::<Vec<usize>>(),
-                threads,
-                |_, p| {
-                    levels
-                        .iter()
-                        .enumerate()
-                        .map(|(level, lvl)| {
-                            lvl.assign(padded.point(p)).ok_or_else(|| {
-                                let bucket = failing_bucket(lvl, padded.point(p));
-                                EmbedError::CoverageFailure {
-                                    level,
-                                    bucket,
-                                    point: p,
-                                }
-                            })
-                        })
-                        .collect()
-                },
-            );
-        let mut assignments = Vec::with_capacity(per_point.len());
-        for r in per_point {
-            assignments.push(r?);
-        }
-        build_hierarchy(
-            padded.len(),
-            levels.len(),
-            |level, p| Ok(assignments[p][level].clone()),
-            |level| self.params.edge_weight(level),
-            |level| self.params.tail_weight(level),
-        )
-    }
-}
-
-/// True when `TREEEMB_EXACT_KEYS` selects the exact-key verification
-/// path (any value other than `0`; parsed through the single
-/// [`treeemb_mpc::config::from_env`] override layer).
-fn exact_keys_requested() -> bool {
-    treeemb_mpc::config::from_env().exact_keys.unwrap_or(false)
-}
-
-/// Which bucket failed to cover `p` (diagnostic for coverage errors).
-fn failing_bucket(level: &HybridLevel, p: &[f64]) -> usize {
-    let m = level.bucket_dim();
-    for (j, seq) in level.sequences().iter().enumerate() {
-        if seq.first_covering(&p[j * m..(j + 1) * m]).is_none() {
-            return j;
-        }
-    }
-    0
 }
 
 /// The Arora random-shifted-grid embedder (the `O(log² n)`-distortion
@@ -454,25 +354,88 @@ mod tests {
         }
     }
 
+    /// Test oracle: the hierarchy grouped by materialized
+    /// `LevelAssignment`s (Algorithm 1 read literally).
+    fn materialized_tree(e: &SeqEmbedder, ps: &PointSet, seed: u64) -> Hst {
+        let padded = ps.zero_pad(e.params.dim);
+        let levels = e.build_levels(seed);
+        build_hierarchy(
+            padded.len(),
+            levels.len(),
+            |level, p| Ok(levels[level].assign(padded.point(p)).expect("covered")),
+            |level| e.params.edge_weight(level),
+            |level| e.params.tail_weight(level),
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn exact_and_packed_paths_build_identical_trees() {
-        // The packed 128-bit keys must induce the same grouping as the
-        // materialized per-bucket cells, hence bit-identical trees.
-        let ps = small_set();
-        let params = HybridParams::for_dataset(&ps, 4).unwrap();
-        let e = SeqEmbedder::new(params);
-        for seed in [1u64, 7, 42] {
-            let padded = ps.zero_pad(e.params.dim);
-            let levels = e.build_levels(seed);
-            let packed = e.packed_hierarchy(&padded, &levels, 1).unwrap();
-            let exact = e.exact_hierarchy(&padded, &levels, 1).unwrap();
-            assert_eq!(packed.num_nodes(), exact.num_nodes(), "seed {seed}");
-            for i in 0..ps.len() {
-                for j in (i + 1)..ps.len() {
-                    assert_eq!(packed.distance(i, j), exact.distance(i, j), "({i},{j})");
-                }
+    fn node_id_grouping_matches_materialized_assignments() {
+        let mut clustered = generators::gaussian_clusters(60, 8, 3, 4.0, 512, 6);
+        for i in 0..10 {
+            let dup = clustered.point(i * 5).to_vec();
+            clustered.push(&dup);
+        }
+        for ps in [small_set(), clustered] {
+            let e = SeqEmbedder::new(HybridParams::for_dataset(&ps, 4).unwrap());
+            for seed in [1u64, 7, 42] {
+                let tree = e.embed(&ps, seed).unwrap().tree;
+                // Debug prints every node's parent, children, point and
+                // exact weight, so equal strings mean identical trees.
+                assert_eq!(
+                    format!("{tree:?}"),
+                    format!("{:?}", materialized_tree(&e, &ps, seed)),
+                    "seed {seed}"
+                );
             }
         }
+    }
+
+    /// Asserts that `err` names a point's first uncovered (level,
+    /// bucket) under `levels`.
+    fn assert_first_uncovered(levels: &[HybridLevel], ps: &PointSet, err: &EmbedError) {
+        let &EmbedError::CoverageFailure {
+            level,
+            bucket,
+            point,
+        } = err
+        else {
+            panic!("expected a coverage failure, got {err:?}");
+        };
+        let p = ps.point(point);
+        for lvl in &levels[..level] {
+            assert!(
+                lvl.assign(p).is_some(),
+                "point {point} covered above {level}"
+            );
+        }
+        let m = levels[level].bucket_dim();
+        let covers = |j: usize| {
+            levels[level].sequences()[j]
+                .assign(&p[j * m..(j + 1) * m])
+                .is_some()
+        };
+        assert!((0..bucket).all(covers), "an earlier bucket fails too");
+        assert!(!covers(bucket), "bucket {bucket} covers point {point}");
+    }
+
+    #[test]
+    fn coverage_failure_names_first_uncovered_bucket() {
+        let ps = small_set();
+        let mut params = HybridParams::for_dataset(&ps, 4).unwrap();
+        params.grids_per_bucket = 1;
+        let e = SeqEmbedder::new(params);
+        let levels = e.build_levels(3);
+        let padded = ps.zero_pad(e.params.dim);
+        let err = e.embed(&ps, 3).unwrap_err();
+        assert_first_uncovered(&levels, &padded, &err);
+        let par = e.embed_parallel(&ps, 3, 4).unwrap_err();
+        assert_eq!(par, err);
+        let mut rt = treeemb_mpc::Runtime::builder()
+            .config(treeemb_mpc::MpcConfig::explicit(1 << 16, 1 << 15, 8).with_threads(2))
+            .build();
+        let mpc = crate::mpc_embed::embed_mpc(&mut rt, &ps, e.params(), 3).unwrap_err();
+        assert_first_uncovered(&levels, &padded, &mpc);
     }
 
     #[test]

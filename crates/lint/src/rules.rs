@@ -35,7 +35,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "deprecated-shim",
-        summary: "resurrecting deleted deprecated APIs (Runtime::new, set_fault_plan, clear_fault_plan)",
+        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys)",
     },
     RuleInfo {
         id: "config-literal",
@@ -428,6 +428,20 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 format!(
                     "`{}` was removed: attach fault plans at construction via \
                      Runtime::builder().fault_plan(plan)",
+                    tok.text
+                ),
+            );
+        }
+        if matches!(
+            tok.text.as_str(),
+            "assign_packed" | "PackedLevelKey" | "PackedHasher" | "embed_exact_keys"
+        ) {
+            push(
+                tok,
+                "deprecated-shim",
+                format!(
+                    "`{}` was removed: every embedder groups points by the node ids of \
+                     treeemb_partition::for_each_node_id",
                     tok.text
                 ),
             );

@@ -1,11 +1,23 @@
 // lint-fixture: crates/apps/src/violations.rs
-// The deprecated construction/mutation shims were deleted; the lint
-// keeps them from coming back — even in test code.
+// The deprecated construction/mutation shims and the second and third
+// partition-key paths were deleted; the lint keeps them from coming
+// back — even in test code.
 
 fn resurrect() {
     let mut rt = Runtime::new(cfg()); //~ DENY deprecated-shim
     rt.set_fault_plan(plan()); //~ DENY deprecated-shim
     rt.clear_fault_plan(); //~ DENY deprecated-shim
+}
+
+fn resurrect_partition_keys(lvl: &HybridLevel, p: &[f64]) {
+    let key: Option<PackedLevelKey> = None; //~ DENY deprecated-shim
+    let _ = lvl.assign_packed(p); //~ DENY deprecated-shim
+    let mut h = PackedHasher::new(); //~ DENY deprecated-shim
+    let _ = SeqEmbedder::new(params()).embed_exact_keys(&ps(), 1, 1); //~ DENY deprecated-shim
+}
+
+fn sanctioned_node_ids(levels: &[HybridLevel], p: &[f64]) {
+    let _ = for_each_node_id(levels, p, |_, _| {});
 }
 
 fn sanctioned() {

@@ -1,16 +1,17 @@
-//! Fuzz harness for the packed-key vs exact-key partition parity
-//! contract (the `TREEEMB_EXACT_KEYS` verification path).
+//! Fuzz harness for the node-id chain contract: the streamed hash chain
+//! every embedder groups by must equal the chain over the materialized
+//! assignment.
 //!
-//! [`check_packed_vs_exact`] decodes an arbitrary byte string into a
-//! hybrid-level geometry plus a batch of points and asserts, at the bit
-//! level, that the allocation-free [`HybridLevel::assign_packed`] /
-//! [`HybridLevel::absorb_assignment_into`] hot paths agree with the
-//! materialized [`HybridLevel::assign`] exact path. Any disagreement
-//! panics, which the fuzzer (and the corpus replay test in
+//! [`check_chain_vs_materialized`] decodes an arbitrary byte string into
+//! a hybrid-level geometry plus a batch of points and asserts, at the bit
+//! level, that the allocation-free
+//! [`HybridLevel::absorb_assignment_into`] / [`for_each_node_id`] path
+//! agrees with the materialized [`HybridLevel::assign`] reference. Any
+//! disagreement panics, which the fuzzer (and the corpus replay test in
 //! `tests/fuzz_corpus.rs`) reports as a failure.
 //!
-//! The same function backs the `packed_vs_exact` cargo-fuzz target
-//! (`fuzz/fuzz_targets/packed_vs_exact.rs`) and the in-tree corpus
+//! The same function backs the `chain_vs_materialized` cargo-fuzz target
+//! (`fuzz/fuzz_targets/chain_vs_materialized.rs`) and the in-tree corpus
 //! replay, so tier-1 CI exercises every checked-in corpus entry even on
 //! machines without a fuzzer toolchain.
 //!
@@ -26,10 +27,10 @@
 //!
 //! Trailing bytes that do not complete a `dim`-dimensional point are
 //! ignored; inputs shorter than the 12-byte header are skipped. The
-//! ranges mirror the `packed_and_exact_keys_induce_identical_partitions`
+//! ranges mirror the `chain_and_materialized_assignments_induce_identical_partitions`
 //! proptest family, whose generator seeds the initial corpus.
 
-use crate::hybrid::HybridLevel;
+use crate::hybrid::{for_each_node_id, HybridLevel};
 use crate::ids::StructuralHash;
 
 /// Max points decoded per input: enough for all-pairs grouping checks,
@@ -84,53 +85,71 @@ pub fn decode(data: &[u8]) -> Option<FuzzCase> {
     })
 }
 
-/// The parity oracle: panics iff the packed hot paths disagree with the
-/// exact path on the decoded case. Returns the number of points checked
-/// (0 when the input is too short), so replay harnesses can assert the
-/// corpus actually exercises the oracle.
-pub fn check_packed_vs_exact(data: &[u8]) -> usize {
+/// The parity oracle: panics iff the streamed node-id chain disagrees
+/// with the materialized assignment on the decoded case. Returns the
+/// number of points checked (0 when the input is too short), so replay
+/// harnesses can assert the corpus actually exercises the oracle.
+pub fn check_chain_vs_materialized(data: &[u8]) -> usize {
     let Some(case) = decode(data) else {
         return 0;
     };
     let dim = case.r * case.bucket_dim;
     let lvl = HybridLevel::new(dim, case.r, case.w, 40, case.seed);
-    let exact: Vec<_> = case.points.iter().map(|p| lvl.assign(p)).collect();
-    let packed: Vec<_> = case.points.iter().map(|p| lvl.assign_packed(p)).collect();
-    for (i, (e, k)) in exact.iter().zip(&packed).enumerate() {
-        // Covering decisions must agree exactly.
-        assert_eq!(
-            e.is_some(),
-            k.is_some(),
-            "point {i}: exact and packed disagree on coverage"
-        );
-        let (Some(e), Some(k)) = (e, k) else { continue };
-        // The packed key's low lane IS the structural chain over the
-        // exact assignment's token stream — bit-identical, not merely
-        // collision-free.
-        let chain = e.absorb_into(StructuralHash::root());
-        assert_eq!(
-            k.lo,
-            chain.value(),
-            "point {i}: packed low lane diverged from the exact chain"
-        );
-        // And the streaming node-id fold must produce the same chain.
-        let folded = lvl
-            .absorb_assignment_into(&case.points[i], StructuralHash::root())
-            .expect("covered point must fold");
-        assert_eq!(
-            folded.value(),
-            chain.value(),
-            "point {i}: absorb_assignment_into diverged from the exact chain"
-        );
+    let levels = std::slice::from_ref(&lvl);
+    let materialized: Vec<_> = case.points.iter().map(|p| lvl.assign(p)).collect();
+    let chains: Vec<_> = case
+        .points
+        .iter()
+        .map(|p| lvl.absorb_assignment_into(p, StructuralHash::root()))
+        .collect();
+    for (i, (p, (e, c))) in case
+        .points
+        .iter()
+        .zip(materialized.iter().zip(&chains))
+        .enumerate()
+    {
+        let mut node_id = None;
+        let walked = for_each_node_id(levels, p, |_, id| node_id = Some(id));
+        match (e, c) {
+            // The streamed chain IS the chain over the materialized
+            // assignment's token stream: bit-identical, not merely
+            // collision-free. Likewise for the level-0 node id.
+            (Some(e), Ok(c)) => {
+                assert_eq!(
+                    *c,
+                    e.absorb_into(StructuralHash::root()),
+                    "point {i}: streamed chain diverged from the materialized one"
+                );
+                assert_eq!(
+                    node_id,
+                    Some(e.absorb_into(StructuralHash::root().absorb(0)).value()),
+                    "point {i}: node id diverged from the materialized chain"
+                );
+            }
+            // A failure names the first bucket whose sequence misses
+            // the point's projection.
+            (None, Err(bucket)) => {
+                let m = case.bucket_dim;
+                let first = (0..case.r)
+                    .find(|&j| lvl.sequences()[j].assign(&p[j * m..(j + 1) * m]).is_none());
+                assert_eq!(Some(*bucket), first, "point {i}: wrong failing bucket");
+                assert_eq!(
+                    walked,
+                    Err((0, *bucket)),
+                    "point {i}: node-id walk disagrees"
+                );
+            }
+            _ => panic!("point {i}: streamed and materialized paths disagree on coverage"),
+        }
     }
-    // Grouping parity: packed keys partition the batch exactly as the
-    // materialized assignments do.
+    // Grouping parity: chain equality holds exactly when assignment
+    // equality does.
     for i in 0..case.points.len() {
         for j in (i + 1)..case.points.len() {
-            if exact[i].is_some() && exact[j].is_some() {
+            if materialized[i].is_some() && materialized[j].is_some() {
                 assert_eq!(
-                    exact[i] == exact[j],
-                    packed[i] == packed[j],
+                    materialized[i] == materialized[j],
+                    chains[i] == chains[j],
                     "points {i},{j}: grouping parity violated"
                 );
             }
@@ -145,13 +164,13 @@ mod tests {
 
     #[test]
     fn short_input_is_skipped() {
-        assert_eq!(check_packed_vs_exact(&[]), 0);
-        assert_eq!(check_packed_vs_exact(&[1; 11]), 0);
+        assert_eq!(check_chain_vs_materialized(&[]), 0);
+        assert_eq!(check_chain_vs_materialized(&[1; 11]), 0);
     }
 
     #[test]
     fn header_only_input_checks_zero_points() {
-        assert_eq!(check_packed_vs_exact(&[0; 12]), 0);
+        assert_eq!(check_chain_vs_materialized(&[0; 12]), 0);
     }
 
     #[test]
@@ -181,6 +200,6 @@ mod tests {
         }
         data[0] = 0;
         data[1] = 0;
-        assert_eq!(check_packed_vs_exact(&data), 16);
+        assert_eq!(check_chain_vs_materialized(&data), 16);
     }
 }

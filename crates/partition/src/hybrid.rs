@@ -8,7 +8,7 @@
 //! `ℓ/2`).
 
 use crate::ball::{BallAssignment, BallGrid, GridSequence};
-use crate::ids::{PackedHasher, PackedLevelKey, StructuralHash};
+use crate::ids::StructuralHash;
 use treeemb_linalg::random::mix2;
 
 /// One scale ("level") of hybrid partitioning over `R^d`.
@@ -45,8 +45,9 @@ pub struct LevelAssignment {
 }
 
 impl LevelAssignment {
-    /// Folds this assignment into a structural hash chain (used to form
-    /// tree-node ids in the MPC embedding).
+    /// Folds this assignment into a structural hash chain: the
+    /// reference that [`HybridLevel::absorb_assignment_into`] streams
+    /// bit for bit.
     pub fn absorb_into(&self, mut h: StructuralHash) -> StructuralHash {
         for a in &self.buckets {
             h = h.absorb_assignment(a);
@@ -141,10 +142,10 @@ impl HybridLevel {
     /// Assigns a point to its hybrid partition, or `None` if some
     /// bucket's grid sequence fails to cover it.
     ///
-    /// This is the exact-key path: it materializes the per-bucket
-    /// lattice cells. The hot loops should prefer [`Self::assign_packed`]
-    /// (grouping) or [`Self::absorb_assignment_into`] (node-id chains),
-    /// which make the identical covering decisions without allocating.
+    /// This materializes the per-bucket lattice cells; it is the
+    /// reference the embedders' node ids are tested against. The
+    /// embedders themselves use [`for_each_node_id`], which makes the
+    /// identical covering decisions without allocating.
     pub fn assign(&self, p: &[f64]) -> Option<LevelAssignment> {
         assert_eq!(p.len(), self.dim, "point dimension mismatch");
         let mut buckets = Vec::with_capacity(self.r);
@@ -156,43 +157,27 @@ impl HybridLevel {
         Some(LevelAssignment { buckets })
     }
 
-    /// Allocation-free partition key: hashes the exact token stream of
-    /// `assign(p)`'s [`LevelAssignment`] into a 128-bit
-    /// [`PackedLevelKey`]. Two points get equal keys iff (w.h.p.) their
-    /// exact assignments are equal, so grouping by the packed key
-    /// reproduces the exact grouping.
-    pub fn assign_packed(&self, p: &[f64]) -> Option<PackedLevelKey> {
-        assert_eq!(p.len(), self.dim, "point dimension mismatch");
-        let mut h = PackedHasher::new();
-        for (j, seq) in self.sequences.iter().enumerate() {
-            let lo = j * self.bucket_dim;
-            let proj = &p[lo..lo + self.bucket_dim];
-            let u = seq.first_covering(proj)?;
-            h.absorb(0xBA11);
-            h.absorb(u as u64);
-            seq.covering_cell(u, proj, |c| h.absorb_i64(c));
-            h.absorb(0xE4D);
-        }
-        Some(h.key())
-    }
-
     /// Folds `p`'s level assignment into a structural-hash chain with
-    /// exactly the token stream of
-    /// `assign(p).unwrap().absorb_into(h)` — but without materializing
-    /// the assignment. This is the MPC embedder's node-id hot path; the
-    /// resulting ids are bit-identical to the exact path's.
-    pub fn absorb_assignment_into(&self, p: &[f64], h: StructuralHash) -> Option<StructuralHash> {
+    /// exactly the token stream of `assign(p).unwrap().absorb_into(h)`,
+    /// but without materializing the assignment. On a coverage failure
+    /// returns `Err(j)`, where `j` is the first bucket whose grid
+    /// sequence does not cover `p`'s projection.
+    pub fn absorb_assignment_into(
+        &self,
+        p: &[f64],
+        h: StructuralHash,
+    ) -> Result<StructuralHash, usize> {
         assert_eq!(p.len(), self.dim, "point dimension mismatch");
         let mut cur = h;
         for (j, seq) in self.sequences.iter().enumerate() {
             let lo = j * self.bucket_dim;
             let proj = &p[lo..lo + self.bucket_dim];
-            let u = seq.first_covering(proj)?;
+            let u = seq.first_covering(proj).ok_or(j)?;
             cur = cur.absorb(0xBA11).absorb(u as u64);
             seq.covering_cell(u, proj, |c| cur = cur.absorb_i64(c));
             cur = cur.absorb(0xE4D);
         }
-        Some(cur)
+        Ok(cur)
     }
 
     /// Total words the level's grids occupy when broadcast (Lemma 8's
@@ -200,6 +185,32 @@ impl HybridLevel {
     pub fn words(&self) -> usize {
         self.sequences.iter().map(GridSequence::words).sum()
     }
+}
+
+/// Walks `p` down the hierarchy `levels` (top scale first), calling
+/// `f(level, id)` with the id of the tree node that contains `p` at each
+/// level. The id of level `i` hashes the parent's id, `i`, and `p`'s
+/// assignment at level `i`, so two points share a node exactly when they
+/// share every assignment down to it. This is the one node-id derivation:
+/// the sequential embedder groups by these ids, the MPC embedder's
+/// machines emit them as tree nodes, and the ANN index keys on them.
+///
+/// On a coverage failure returns `Err((level, bucket))` for the first
+/// level that fails and its first uncovered bucket; `f` has then been
+/// called for the levels above it only.
+pub fn for_each_node_id(
+    levels: &[HybridLevel],
+    p: &[f64],
+    mut f: impl FnMut(usize, u64),
+) -> Result<(), (usize, usize)> {
+    let mut chain = StructuralHash::root();
+    for (level, lvl) in levels.iter().enumerate() {
+        chain = lvl
+            .absorb_assignment_into(p, chain.absorb(level as u64))
+            .map_err(|bucket| (level, bucket))?;
+        f(level, chain.value());
+    }
+    Ok(())
 }
 
 /// The grid-equivalent degenerate hybrid: `r = d`, one grid per bucket,
@@ -363,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_key_equality_matches_exact_assignment_equality() {
+    fn chain_equality_matches_assignment_equality() {
         let lvl = HybridLevel::new(4, 2, 2.5, grids_needed(2, 1000, 0.001), 31);
         let points: Vec<Vec<f64>> = (0..120)
             .map(|i| {
@@ -376,16 +387,19 @@ mod tests {
             })
             .collect();
         let exact: Vec<_> = points.iter().map(|p| lvl.assign(p)).collect();
-        let packed: Vec<_> = points.iter().map(|p| lvl.assign_packed(p)).collect();
-        for (e, k) in exact.iter().zip(&packed) {
-            assert_eq!(e.is_some(), k.is_some(), "coverage must agree");
+        let chains: Vec<_> = points
+            .iter()
+            .map(|p| lvl.absorb_assignment_into(p, StructuralHash::root()).ok())
+            .collect();
+        for (e, c) in exact.iter().zip(&chains) {
+            assert_eq!(e.is_some(), c.is_some(), "coverage must agree");
         }
         for i in 0..points.len() {
             for j in (i + 1)..points.len() {
                 if exact[i].is_some() && exact[j].is_some() {
                     assert_eq!(
                         exact[i] == exact[j],
-                        packed[i] == packed[j],
+                        chains[i] == chains[j],
                         "pair ({i},{j}) grouped differently"
                     );
                 }
@@ -407,8 +421,32 @@ mod tests {
                 (i % 4) as f64,
             ];
             let exact = lvl.assign(&p).map(|a| a.absorb_into(h0));
-            let streamed = lvl.absorb_assignment_into(&p, h0);
+            let streamed = lvl.absorb_assignment_into(&p, h0).ok();
             assert_eq!(exact, streamed, "point {i}");
+        }
+    }
+
+    #[test]
+    fn node_ids_chain_the_materialized_assignments() {
+        let levels: Vec<_> = [8.0, 4.0, 2.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| HybridLevel::new(4, 2, w, grids_needed(2, 1000, 0.001), 50 + i as u64))
+            .collect();
+        for i in 0..40 {
+            let p = [i as f64 * 0.3, 1.0, (i % 6) as f64, -0.2 * i as f64];
+            let mut ids = Vec::new();
+            for_each_node_id(&levels, &p, |level, id| ids.push((level, id))).unwrap();
+            let mut chain = StructuralHash::root();
+            let mut expect = Vec::new();
+            for (level, lvl) in levels.iter().enumerate() {
+                chain = lvl
+                    .assign(&p)
+                    .unwrap()
+                    .absorb_into(chain.absorb(level as u64));
+                expect.push((level, chain.value()));
+            }
+            assert_eq!(ids, expect, "point {i}");
         }
     }
 
@@ -429,6 +467,12 @@ mod tests {
             let p = [i as f64 * 0.37, i as f64 * 0.73, i as f64 * 0.11];
             if lvl.assign(&p).is_none() {
                 missed = true;
+                assert_eq!(
+                    lvl.absorb_assignment_into(&p, StructuralHash::root()),
+                    Err(0)
+                );
+                let levels = [lvl.clone()];
+                assert_eq!(for_each_node_id(&levels, &p, |_, _| {}), Err((0, 0)));
                 break;
             }
         }

@@ -53,74 +53,6 @@ impl StructuralHash {
     }
 }
 
-/// Root constant of the second (high) lane of [`PackedLevelKey`]. Any
-/// constant other than [`StructuralHash::root`]'s works: the two SplitMix
-/// chains start from different states, so their collisions are
-/// independent for all practical purposes.
-pub const PACKED_HI_ROOT: u64 = 0x5041_434B_4C4B_4559; // "PACKLKEY"
-
-/// An allocation-free hybrid-partition key: two independent 64-bit
-/// structural-hash lanes over the same token stream, giving ~128 bits of
-/// collision resistance. Two points receive equal keys iff (w.h.p.)
-/// their exact per-bucket ball assignments are equal, so grouping by
-/// `PackedLevelKey` reproduces the exact `LevelAssignment` grouping
-/// without materializing per-bucket `Vec<i64>` cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PackedLevelKey {
-    /// Low lane: the [`StructuralHash::root`] chain.
-    pub lo: u64,
-    /// High lane: the [`PACKED_HI_ROOT`] chain.
-    pub hi: u64,
-}
-
-/// Running two-lane hasher producing a [`PackedLevelKey`]. Absorbing the
-/// same tokens as a [`StructuralHash`] chain keeps the low lane equal to
-/// that chain's digest.
-#[derive(Debug, Clone, Copy)]
-pub struct PackedHasher {
-    lo: StructuralHash,
-    hi: StructuralHash,
-}
-
-impl Default for PackedHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PackedHasher {
-    /// Seed hasher for a new key.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            lo: StructuralHash::root(),
-            hi: StructuralHash(PACKED_HI_ROOT),
-        }
-    }
-
-    /// Absorbs one 64-bit token into both lanes.
-    #[inline]
-    pub fn absorb(&mut self, token: u64) {
-        self.lo = self.lo.absorb(token);
-        self.hi = self.hi.absorb(token);
-    }
-
-    /// Absorbs a signed lattice coordinate into both lanes.
-    #[inline]
-    pub fn absorb_i64(&mut self, token: i64) {
-        self.absorb(token as u64);
-    }
-
-    /// The 128-bit digest.
-    #[must_use]
-    pub fn key(&self) -> PackedLevelKey {
-        PackedLevelKey {
-            lo: self.lo.value(),
-            hi: self.hi.value(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,29 +101,6 @@ mod tests {
         let a = StructuralHash::root().absorb_assignment(&asg(0, &[-1]));
         let b = StructuralHash::root().absorb_assignment(&asg(0, &[1]));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn packed_low_lane_tracks_structural_chain() {
-        let mut p = PackedHasher::new();
-        p.absorb(0xBA11);
-        p.absorb(7);
-        p.absorb_i64(-3);
-        p.absorb(0xE4D);
-        let single = StructuralHash::root()
-            .absorb(0xBA11)
-            .absorb(7)
-            .absorb_i64(-3)
-            .absorb(0xE4D);
-        assert_eq!(p.key().lo, single.value());
-    }
-
-    #[test]
-    fn packed_lanes_diverge() {
-        let mut p = PackedHasher::new();
-        p.absorb(1);
-        let k = p.key();
-        assert_ne!(k.lo, k.hi, "lanes must evolve independently");
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod stats;
 
 pub use ball::{BallAssignment, GridSequence};
 pub use grid::ShiftedGrid;
-pub use hybrid::{HybridLevel, LevelAssignment};
-pub use ids::{PackedHasher, PackedLevelKey, StructuralHash};
+pub use hybrid::{for_each_node_id, HybridLevel, LevelAssignment};
+pub use ids::StructuralHash;

@@ -1,16 +1,18 @@
 //! Replays the checked-in cargo-fuzz corpus (and a deterministic random
-//! byte sweep) through the packed-vs-exact parity oracle, so the fuzz
-//! harness runs on every `cargo test` even without a fuzzer toolchain.
+//! byte sweep) through the chain-vs-materialized parity oracle, so the
+//! fuzz harness runs on every `cargo test` even without a fuzzer
+//! toolchain.
 //!
-//! The corpus lives in `fuzz/corpus/packed_vs_exact/` at the workspace
-//! root; the actual fuzz target (`fuzz/fuzz_targets/packed_vs_exact.rs`)
-//! calls the same `treeemb_partition::fuzzing::check_packed_vs_exact`.
+//! The corpus lives in `fuzz/corpus/chain_vs_materialized/` at the
+//! workspace root; the actual fuzz target
+//! (`fuzz/fuzz_targets/chain_vs_materialized.rs`) calls the same
+//! `treeemb_partition::fuzzing::check_chain_vs_materialized`.
 
 use std::path::PathBuf;
-use treeemb_partition::fuzzing::check_packed_vs_exact;
+use treeemb_partition::fuzzing::check_chain_vs_materialized;
 
 fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus/packed_vs_exact")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus/chain_vs_materialized")
 }
 
 #[test]
@@ -31,7 +33,7 @@ fn checked_in_corpus_replays_clean() {
     let mut checked_points = 0usize;
     for path in &entries {
         let data = std::fs::read(path).expect("readable corpus file");
-        checked_points += check_packed_vs_exact(&data);
+        checked_points += check_chain_vs_materialized(&data);
     }
     assert!(
         checked_points >= 50,
@@ -68,6 +70,6 @@ fn random_byte_sweep_replays_clean() {
                 data[1] = ((case / 4) % 4) as u8;
             }
         }
-        check_packed_vs_exact(&data);
+        check_chain_vs_materialized(&data);
     }
 }

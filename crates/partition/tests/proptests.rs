@@ -3,14 +3,15 @@
 //!
 //! Case count defaults to 64 (fast, every CI run); set
 //! `TREEEMB_PROPTEST_CASES=2048` (or higher) for the promoted nightly
-//! sweep — in particular the packed-key vs exact-key partition parity
-//! property, which guards the `assign_packed` hot path.
+//! sweep — in particular the node-id chain vs materialized-assignment
+//! parity property, which guards the grouping every embedder uses.
 
 use proptest::prelude::*;
 use treeemb_geom::metrics::dist;
 use treeemb_partition::ball::{BallGrid, GridSequence};
 use treeemb_partition::grid::ShiftedGrid;
 use treeemb_partition::hybrid::HybridLevel;
+use treeemb_partition::StructuralHash;
 
 /// `TREEEMB_PROPTEST_CASES` override, defaulting to 64.
 fn cases() -> u32 {
@@ -115,14 +116,14 @@ proptest! {
     }
 
     #[test]
-    fn packed_and_exact_keys_induce_identical_partitions(
+    fn chain_and_materialized_assignments_induce_identical_partitions(
         seed in 0u64..100_000,
         bucket_dim in 1usize..4,
         r in 1usize..4,
         w in 0.5f64..20.0,
         probe in 0u64..1000,
     ) {
-        // The packed 128-bit key must group points exactly as the
+        // The streamed node-id chain must group points exactly as the
         // materialized per-bucket assignments do, for every geometry.
         let dim = bucket_dim * r;
         let lvl = HybridLevel::new(dim, r, w, 40, seed);
@@ -136,14 +137,17 @@ proptest! {
         };
         let pts: Vec<Vec<f64>> = (0..12).map(point).collect();
         let exact: Vec<_> = pts.iter().map(|p| lvl.assign(p)).collect();
-        let packed: Vec<_> = pts.iter().map(|p| lvl.assign_packed(p)).collect();
-        for (e, k) in exact.iter().zip(&packed) {
-            prop_assert_eq!(e.is_some(), k.is_some());
+        let chains: Vec<_> = pts
+            .iter()
+            .map(|p| lvl.absorb_assignment_into(p, StructuralHash::root()))
+            .collect();
+        for (e, c) in exact.iter().zip(&chains) {
+            prop_assert_eq!(e.is_some(), c.is_ok());
         }
         for i in 0..pts.len() {
             for j in (i + 1)..pts.len() {
                 if exact[i].is_some() && exact[j].is_some() {
-                    prop_assert_eq!(exact[i] == exact[j], packed[i] == packed[j]);
+                    prop_assert_eq!(exact[i] == exact[j], chains[i] == chains[j]);
                 }
             }
         }
