@@ -16,9 +16,7 @@
 //! * `wht` — plain stage-by-stage butterflies vs the cache-blocked
 //!   `wht_inplace` on a large transform;
 //! * `executor_round` — a `thread::scope` spawn per round vs the
-//!   persistent worker pool behind `par_map_indexed`;
-//! * `audit_pairs` — the `O(n²·d)` distortion audit at 1 thread vs all
-//!   available threads (row-partial formulation; equal results).
+//!   persistent worker pool behind `par_map_indexed`.
 //!
 //! Criterion benches also emit machine-readable lines when
 //! `CRITERION_OUTPUT_JSON` points at a file; this binary is the small,
@@ -26,8 +24,6 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use treeemb_fjlt::audit::distortion_report_parallel;
-use treeemb_geom::generators;
 use treeemb_linalg::wht::{wht_inplace, wht_stages_inplace};
 
 struct Entry {
@@ -180,25 +176,6 @@ fn main() {
             std::hint::black_box(acc);
         });
         pair("executor_round", base, opt, &mut entries);
-    }
-
-    // Audit: O(n² d) distortion sweep, 1 thread vs all threads.
-    {
-        let ps = generators::uniform_cube(if quick { 192 } else { 512 }, 16, 1 << 10, 5);
-        let scaled = {
-            let rows: Vec<Vec<f64>> = ps
-                .iter()
-                .map(|p| p.iter().map(|x| x * 1.01).collect())
-                .collect();
-            treeemb_geom::PointSet::from_rows(&rows)
-        };
-        let base = measure("audit_pairs/serial", samples, || {
-            std::hint::black_box(distortion_report_parallel(&ps, &scaled, 1));
-        });
-        let opt = measure("audit_pairs/parallel", samples, || {
-            std::hint::black_box(distortion_report_parallel(&ps, &scaled, threads));
-        });
-        pair("audit_pairs", base, opt, &mut entries);
     }
 
     // Hand-rolled JSON (the workspace builds without serde).

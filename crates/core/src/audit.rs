@@ -24,42 +24,20 @@ pub struct DominationReport {
 
 /// Checks domination of the tree metric over the Euclidean metric.
 pub fn check_domination(emb: &Embedding, ps: &PointSet) -> DominationReport {
-    check_domination_parallel(emb, ps, 1)
-}
-
-/// [`check_domination`] with the `O(n²)` pair sweep fanned out over
-/// `threads` workers, one row per work item. Partial results are folded
-/// in row order, so the report is independent of the thread count.
-pub fn check_domination_parallel(
-    emb: &Embedding,
-    ps: &PointSet,
-    threads: usize,
-) -> DominationReport {
     let _sp = treeemb_obs::span!("audit.domination", "n" = ps.len());
     let n = ps.len();
-    let rows: Vec<(f64, usize)> = treeemb_mpc::exec::par_map_indexed(
-        (0..n).collect::<Vec<usize>>(),
-        threads.max(1),
-        |_, i| {
-            let mut worst = f64::INFINITY;
-            let mut pairs = 0usize;
-            for j in (i + 1)..n {
-                let e = dist(ps.point(i), ps.point(j));
-                if e == 0.0 {
-                    continue;
-                }
-                let t = emb.tree_distance(i, j);
-                worst = worst.min(t / e);
-                pairs += 1;
-            }
-            (worst, pairs)
-        },
-    );
     let mut worst = f64::INFINITY;
     let mut pairs = 0usize;
-    for (row_worst, row_pairs) in rows {
-        worst = worst.min(row_worst);
-        pairs += row_pairs;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let e = dist(ps.point(i), ps.point(j));
+            if e == 0.0 {
+                continue;
+            }
+            let t = emb.tree_distance(i, j);
+            worst = worst.min(t / e);
+            pairs += 1;
+        }
     }
     if pairs == 0 {
         return DominationReport {
@@ -218,15 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_audits_match_serial_bitwise() {
+    fn expected_distortion_estimate_is_thread_count_invariant() {
         let ps = generators::uniform_cube(18, 8, 256, 13);
         let params = HybridParams::for_dataset(&ps, 4).unwrap();
         let embedder = SeqEmbedder::new(params);
-        let emb = embedder.embed(&ps, 6).unwrap();
-        let serial = check_domination(&emb, &ps);
-        for threads in [2, 8] {
-            assert_eq!(serial, check_domination_parallel(&emb, &ps, threads));
-        }
         let est1 =
             estimate_expected_distortion_threads(&ps, 4, 1, |s| embedder.embed(&ps, s)).unwrap();
         let est8 =

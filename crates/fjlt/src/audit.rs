@@ -25,8 +25,7 @@ impl DistortionReport {
     }
 }
 
-/// Per-row partial of the pair sweep (folded in row order so the report
-/// is independent of the thread count).
+/// Per-row partial of the pair sweep, folded in row order.
 struct RowPartial {
     max_expansion: f64,
     max_contraction: f64,
@@ -41,47 +40,32 @@ struct RowPartial {
 /// # Panics
 /// Panics if the sets disagree on cardinality.
 pub fn distortion_report(original: &PointSet, embedded: &PointSet) -> DistortionReport {
-    distortion_report_parallel(original, embedded, 1)
-}
-
-/// [`distortion_report`] with the pair sweep fanned out over `threads`
-/// workers, one row per work item. The report is identical for every
-/// thread count (per-row partials are folded in row order).
-pub fn distortion_report_parallel(
-    original: &PointSet,
-    embedded: &PointSet,
-    threads: usize,
-) -> DistortionReport {
     assert_eq!(original.len(), embedded.len(), "point count mismatch");
     let _sp = treeemb_obs::span!("audit.distortion", "n" = original.len());
     let n = original.len();
-    let rows: Vec<RowPartial> = treeemb_mpc::exec::par_map_indexed(
-        (0..n).collect::<Vec<usize>>(),
-        threads.max(1),
-        |_, i| {
-            let mut row = RowPartial {
-                max_expansion: f64::MIN,
-                max_contraction: f64::MAX,
-                sum: 0.0,
-                sum_sq_dev: 0.0,
-                pairs: 0,
-            };
-            for j in (i + 1)..n {
-                let orig = dist(original.point(i), original.point(j));
-                if orig == 0.0 {
-                    continue;
-                }
-                let emb = dist(embedded.point(i), embedded.point(j));
-                let ratio = emb / orig;
-                row.max_expansion = row.max_expansion.max(ratio);
-                row.max_contraction = row.max_contraction.min(ratio);
-                row.sum += ratio;
-                row.sum_sq_dev += (ratio - 1.0) * (ratio - 1.0);
-                row.pairs += 1;
+    let rows = (0..n).map(|i| {
+        let mut row = RowPartial {
+            max_expansion: f64::MIN,
+            max_contraction: f64::MAX,
+            sum: 0.0,
+            sum_sq_dev: 0.0,
+            pairs: 0,
+        };
+        for j in (i + 1)..n {
+            let orig = dist(original.point(i), original.point(j));
+            if orig == 0.0 {
+                continue;
             }
-            row
-        },
-    );
+            let emb = dist(embedded.point(i), embedded.point(j));
+            let ratio = emb / orig;
+            row.max_expansion = row.max_expansion.max(ratio);
+            row.max_contraction = row.max_contraction.min(ratio);
+            row.sum += ratio;
+            row.sum_sq_dev += (ratio - 1.0) * (ratio - 1.0);
+            row.pairs += 1;
+        }
+        row
+    });
     let mut max_expansion = f64::MIN;
     let mut max_contraction = f64::MAX;
     let mut sum = 0.0;
@@ -141,23 +125,6 @@ mod tests {
         let b = PointSet::from_rows(&[vec![5.0], vec![9.0], vec![6.0]]);
         let r = distortion_report(&a, &b);
         assert_eq!(r.pairs, 2);
-    }
-
-    #[test]
-    fn parallel_report_matches_serial_bitwise() {
-        let rows: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![(i % 7) as f64, (i * 3 % 11) as f64, i as f64 * 0.5])
-            .collect();
-        let emb_rows: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|r| r.iter().map(|x| x * 1.03 + 0.1).collect())
-            .collect();
-        let a = PointSet::from_rows(&rows);
-        let b = PointSet::from_rows(&emb_rows);
-        let serial = distortion_report(&a, &b);
-        for threads in [2, 8] {
-            assert_eq!(serial, distortion_report_parallel(&a, &b, threads));
-        }
     }
 
     #[test]

@@ -446,6 +446,20 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 ),
             );
         }
+        if matches!(
+            tok.text.as_str(),
+            "distortion_report_parallel" | "check_domination_parallel"
+        ) {
+            push(
+                tok,
+                "deprecated-shim",
+                format!(
+                    "`{}` was removed: the parallel pair audit measured 1.0x; call the \
+                     serial distortion_report / check_domination",
+                    tok.text
+                ),
+            );
+        }
         if tok.text == "Runtime" && t(i + 1) == "::" && t(i + 2) == "new" {
             push(
                 tok,

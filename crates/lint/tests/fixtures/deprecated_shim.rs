@@ -1,7 +1,7 @@
 // lint-fixture: crates/apps/src/violations.rs
-// The deprecated construction/mutation shims and the second and third
-// partition-key paths were deleted; the lint keeps them from coming
-// back — even in test code.
+// The deprecated construction/mutation shims, the second and third
+// partition-key paths and the parallel pair audits were deleted; the
+// lint keeps them from coming back — even in test code.
 
 fn resurrect() {
     let mut rt = Runtime::new(cfg()); //~ DENY deprecated-shim
@@ -14,6 +14,16 @@ fn resurrect_partition_keys(lvl: &HybridLevel, p: &[f64]) {
     let _ = lvl.assign_packed(p); //~ DENY deprecated-shim
     let mut h = PackedHasher::new(); //~ DENY deprecated-shim
     let _ = SeqEmbedder::new(params()).embed_exact_keys(&ps(), 1, 1); //~ DENY deprecated-shim
+}
+
+fn resurrect_parallel_audits(emb: &Embedding, ps: &PointSet) {
+    let _ = distortion_report_parallel(ps, ps, 2); //~ DENY deprecated-shim
+    let _ = check_domination_parallel(emb, ps, 2); //~ DENY deprecated-shim
+}
+
+fn sanctioned_audits(emb: &Embedding, ps: &PointSet) {
+    let _ = distortion_report(ps, ps);
+    let _ = check_domination(emb, ps);
 }
 
 fn sanctioned_node_ids(levels: &[HybridLevel], p: &[f64]) {

@@ -38,10 +38,7 @@ impl BallGrid {
 
     /// Derives the shift from a counter stream.
     pub fn from_seed(dim: usize, cell: f64, radius: f64, seed: u64) -> Self {
-        let shift = (0..dim)
-            .map(|j| random::unit_f64(seed, j as u64) * cell)
-            .collect();
-        Self::new(cell, radius, shift)
+        Self::new(cell, radius, seeded_shift(dim, cell, seed).collect())
     }
 
     /// Ball radius `w`.
@@ -90,6 +87,12 @@ impl BallGrid {
     }
 }
 
+/// The shift [`BallGrid::from_seed`] draws: component `j` is
+/// `unit_f64(seed, j)·cell`.
+fn seeded_shift(dim: usize, cell: f64, seed: u64) -> impl Iterator<Item = f64> {
+    (0..dim).map(move |j| random::unit_f64(seed, j as u64) * cell)
+}
+
 /// Assignment of a point under a grid sequence: the index of the first
 /// covering grid and the lattice coordinates of the covering ball.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -100,16 +103,28 @@ pub struct BallAssignment {
     pub cell: Vec<i64>,
 }
 
+/// Grids evaluated together by one step of [`GridSequence::first_covering`].
+const LANES: usize = 8;
+
+/// `1.5·2⁵²`: adding and subtracting it rounds any `|t| < 2⁵¹` to the
+/// nearest integer, ties to even, without a libm call.
+const RNE_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// The lane scan runs only when every `|x|/ℓ` is below this, so that
+/// every `t = (x − s)/ℓ` stays well inside `RNE_MAGIC`'s exact range.
+const LANE_GUARD: f64 = 1e15;
+
 /// An ordered sequence of independently shifted ball grids at one scale
 /// (the output of `BuildGrids`).
 ///
-/// Besides the per-grid [`BallGrid`] objects (the broadcastable form),
-/// the sequence keeps every shift in one flat structure-of-arrays buffer
-/// so the first-covering-grid scan walks memory linearly instead of
-/// chasing one heap allocation per grid.
+/// All `U` shifts live in one flat row-major buffer (grid `u` occupies
+/// `shifts[u·m .. (u+1)·m]`), so the first-covering-grid scan walks
+/// memory linearly and the sequence costs one allocation, not one per
+/// grid. [`Self::grids`] rebuilds the per-grid [`BallGrid`] form on
+/// demand.
 #[derive(Debug, Clone)]
 pub struct GridSequence {
-    grids: Vec<BallGrid>,
+    count: usize,
     dim: usize,
     cell: f64,
     inv_cell: f64,
@@ -131,6 +146,9 @@ impl GridSequence {
     /// disjoint) cover more per grid (`V_m/factor^m`) at the price of a
     /// higher ball-boundary density — the E13 ablation quantifies the
     /// trade-off.
+    ///
+    /// Grid `u`'s shift is [`BallGrid::from_seed`]'s under seed
+    /// `mix2(seed, u)`, written straight into the flat buffer.
     pub fn build_with_cell_factor(
         dim: usize,
         w: f64,
@@ -140,27 +158,26 @@ impl GridSequence {
     ) -> Self {
         assert!(count > 0, "need at least one grid");
         assert!(factor >= 2.0, "balls must stay disjoint (factor >= 2)");
-        let grids: Vec<BallGrid> = (0..count)
-            .map(|u| BallGrid::from_seed(dim, factor * w, w, random::mix2(seed, u as u64)))
-            .collect();
+        let cell = factor * w;
+        assert!(cell > 0.0 && w > 0.0, "scales must be positive");
         let mut shifts = Vec::with_capacity(count * dim);
-        for g in &grids {
-            shifts.extend_from_slice(g.shift());
+        for u in 0..count {
+            shifts.extend(seeded_shift(dim, cell, random::mix2(seed, u as u64)));
         }
         Self {
+            count,
             dim,
-            cell: grids[0].cell(),
-            inv_cell: 1.0 / grids[0].cell(),
-            radius: grids[0].radius(),
+            cell,
+            inv_cell: 1.0 / cell,
+            radius: w,
             shifts,
-            grids,
         }
     }
 
     /// Number of grids (`U`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.grids.len()
+        self.count
     }
 
     /// True when the sequence holds no grids. The constructors reject
@@ -168,7 +185,7 @@ impl GridSequence {
     /// exists to satisfy the `len`/`is_empty` API convention.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.grids.is_empty()
+        self.count == 0
     }
 
     /// Ball radius `w` of the sequence.
@@ -177,21 +194,81 @@ impl GridSequence {
         self.radius
     }
 
-    /// The grids, in priority order.
+    /// The grids, in priority order, materialized on demand from the
+    /// flat shift buffer. Tests scan them as the reference for
+    /// [`Self::first_covering`]; the scan itself never builds them.
     #[must_use]
-    pub fn grids(&self) -> &[BallGrid] {
-        &self.grids
+    pub fn grids(&self) -> Vec<BallGrid> {
+        (0..self.count)
+            .map(|u| BallGrid::new(self.cell, self.radius, self.shift(u).to_vec()))
+            .collect()
     }
 
-    /// Index of the first grid whose ball covers `p`, scanning the flat
-    /// shift buffer cache-linearly. Shares `ball_of`'s arithmetic
-    /// exactly (reciprocal multiply, same operation order), so it agrees
-    /// with [`Self::assign`] bit for bit.
+    fn shift(&self, u: usize) -> &[f64] {
+        &self.shifts[u * self.dim..(u + 1) * self.dim]
+    }
+
+    /// Index of the first grid whose ball covers `p`: the same answer,
+    /// bit for bit, as scanning [`Self::grids`] with
+    /// [`BallGrid::ball_of`].
+    ///
+    /// The scan evaluates 8 consecutive grids per step with no
+    /// data-dependent branch: each lane sums `e²` over all `m`
+    /// coordinates in `ball_of`'s order, with `e = (t − rne(t))·ℓ`,
+    /// `t = (x − s)/ℓ` and `rne(t) = (t + 1.5·2⁵²) − 1.5·2⁵²`, and the
+    /// first lane whose sum is `≤ w²` wins. This agrees with the scalar
+    /// early-exit loop because
+    /// * for `|t| < 2⁵¹`, `rne` rounds half to even; it differs from
+    ///   `t.round()` (half away from zero) only at exact ties, where
+    ///   `|t − r| = 0.5` either way, so `e²` is the same;
+    /// * a sum of non-negative terms is monotone under IEEE
+    ///   round-to-nearest, so some prefix sum exceeds `w²` exactly when
+    ///   the full sum does.
+    ///
+    /// The lane path runs only when every `|x|/ℓ < 10¹⁵` (false for NaN
+    /// and ±∞); other points, and the `U mod 8` tail grids, take the
+    /// scalar loop.
     #[must_use]
     pub fn first_covering(&self, p: &[f64]) -> Option<u32> {
         debug_assert_eq!(p.len(), self.dim);
+        let mut base = 0;
+        if p.iter().all(|x| x.abs() * self.inv_cell < LANE_GUARD) {
+            let r2 = self.radius * self.radius;
+            for block in self.shifts.chunks_exact(LANES * self.dim.max(1)) {
+                let hits = self.covered_lanes(p, block, r2);
+                if hits != 0 {
+                    return Some((base + hits.trailing_zeros() as usize) as u32);
+                }
+                base += LANES;
+            }
+        }
+        self.first_covering_scalar(p, base)
+    }
+
+    /// Bit `l` set iff grid `l` of `block` (`LANES` row-major shifts)
+    /// covers `p`; see [`Self::first_covering`] for why this matches
+    /// the scalar loop.
+    fn covered_lanes(&self, p: &[f64], block: &[f64], r2: f64) -> u32 {
+        let mut sq = [0.0f64; LANES];
+        for (acc, shift) in sq.iter_mut().zip(block.chunks_exact(self.dim)) {
+            for (x, s) in p.iter().zip(shift) {
+                let t = (x - s) * self.inv_cell;
+                let e = (t - ((t + RNE_MAGIC) - RNE_MAGIC)) * self.cell;
+                *acc += e * e;
+            }
+        }
+        sq.iter()
+            .enumerate()
+            .fold(0, |hits, (l, &acc)| hits | (u32::from(acc <= r2) << l))
+    }
+
+    /// The reference scan from grid `from` on: `ball_of`'s arithmetic
+    /// (reciprocal multiply, `round`, same operation order) with its
+    /// early exit.
+    fn first_covering_scalar(&self, p: &[f64], from: usize) -> Option<u32> {
         let r2 = self.radius * self.radius;
-        for (u, shift) in self.shifts.chunks_exact(self.dim.max(1)).enumerate() {
+        let tail = &self.shifts[from * self.dim..];
+        for (u, shift) in tail.chunks_exact(self.dim.max(1)).enumerate() {
             let mut sq = 0.0;
             let mut covered = true;
             for (x, s) in p.iter().zip(shift) {
@@ -204,7 +281,7 @@ impl GridSequence {
                 }
             }
             if covered {
-                return Some(u as u32);
+                return Some((from + u) as u32);
             }
         }
         None
@@ -212,10 +289,10 @@ impl GridSequence {
 
     /// Streams the lattice coordinates of `p`'s ball in grid `u` (as
     /// returned by [`Self::first_covering`]) without allocating. Must
-    /// only be called for a covering grid.
+    /// only be called for a covering grid. Keeps `round` (half away
+    /// from zero): node ids hash these coordinates.
     pub fn covering_cell(&self, u: u32, p: &[f64], mut emit: impl FnMut(i64)) {
-        let shift = &self.shifts[u as usize * self.dim..(u as usize + 1) * self.dim];
-        for (x, s) in p.iter().zip(shift) {
+        for (x, s) in p.iter().zip(self.shift(u as usize)) {
             let m = ((x - s) * self.inv_cell).round();
             emit(m as i64);
         }
@@ -234,11 +311,12 @@ impl GridSequence {
         })
     }
 
-    /// Words of memory this sequence occupies when broadcast in MPC
-    /// (one shift vector per grid).
+    /// Words of memory this sequence occupies when broadcast in MPC:
+    /// `U·(m+2)`, one shift vector plus cell length and radius per grid
+    /// (Lemma 8 charges every grid, however deep the scan goes).
     #[must_use]
     pub fn words(&self) -> usize {
-        self.grids.iter().map(|g| g.dim() + 2).sum()
+        self.count * (self.dim + 2)
     }
 }
 
@@ -376,6 +454,66 @@ mod tests {
                 .map(|u| u as u32);
             assert_eq!(seq.first_covering(&p), slow, "point {i}");
         }
+    }
+
+    #[test]
+    fn lane_scan_matches_ball_of_on_edge_cases() {
+        // Cell lengths 1 and 2 make `1/ℓ` exact, so a point at
+        // `s + (k + ½)·ℓ` sits on an exact rounding tie whenever the sum
+        // is exact; at factor 2 such a tie lies on the ball's boundary.
+        let mut exact_ties = 0;
+        for dim in 1..=8 {
+            for count in [1, 7, 8, 9, 65, 1039] {
+                for factor in [2.0, 4.0] {
+                    let cell = factor * 0.5;
+                    let seed = (dim * 10_000 + count) as u64;
+                    let seq = GridSequence::build_with_cell_factor(dim, 0.5, factor, count, seed);
+                    let grids = seq.grids();
+                    let check = |p: &[f64]| {
+                        let slow = grids
+                            .iter()
+                            .position(|g| g.ball_of(p).is_some())
+                            .map(|u| u as u32);
+                        assert_eq!(seq.first_covering(p), slow, "dim {dim} U {count} {p:?}");
+                    };
+                    for u in [0, count / 2, count - 1] {
+                        let s = grids[u].shift();
+                        for j0 in [0, dim - 1] {
+                            for k in [-1.0, 2.0] {
+                                let mut p = s.to_vec();
+                                p[j0] = s[j0] + (k + 0.5) * cell;
+                                if ((p[j0] - s[j0]) / cell).fract().abs() == 0.5 {
+                                    exact_ties += 1;
+                                }
+                                check(&p);
+                            }
+                        }
+                    }
+                    let stream = |i: u64, scale: f64| -> Vec<f64> {
+                        (0..dim as u64)
+                            .map(|j| (random::unit_f64(seed, i * 8 + j) - 0.5) * scale)
+                            .collect()
+                    };
+                    for i in 0..8 {
+                        check(&stream(i, 40.0));
+                        // Beyond the lane guard, and just inside it.
+                        check(&stream(i, 4e16 * cell));
+                        check(&stream(i, 1.9e15 * cell));
+                    }
+                    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                        for j in [0, dim - 1] {
+                            let mut p = stream(9, 40.0);
+                            p[j] = bad;
+                            check(&p);
+                        }
+                        // The scalar loop never exceeds `w²` on a
+                        // non-finite sum, so grid 0 "covers" the point.
+                        assert_eq!(seq.first_covering(&vec![bad; dim]), Some(0));
+                    }
+                }
+            }
+        }
+        assert!(exact_ties > 0, "no exact tie was constructed");
     }
 
     #[test]

@@ -154,6 +154,47 @@ proptest! {
     }
 
     #[test]
+    fn first_covering_matches_per_grid_ball_of_scan(
+        seed in 0u64..100_000,
+        dim in 1usize..=8,
+        count_index in 0usize..6,
+        factor_two in 0u8..2,
+        w in 0.25f64..20.0,
+        kind in 0u8..5,
+        target in 0usize..100_000,
+        lattice in -4i64..4,
+        unit in proptest::collection::vec(-1f64..1.0, 8),
+    ) {
+        // The lane scan against the scalar reference on random points,
+        // points near a chosen grid's ball centre, rounding ties,
+        // coordinates beyond the lane guard, and non-finite input.
+        let count = [1, 7, 8, 9, 65, 1039][count_index];
+        let factor = if factor_two == 1 { 2.0 } else { 4.0 };
+        let cell = factor * w;
+        let seq = GridSequence::build_with_cell_factor(dim, w, factor, count, seed);
+        let grids = seq.grids();
+        let s = grids[target % count].shift();
+        let j0 = target % dim;
+        let centre = |j: usize| s[j] + lattice as f64 * cell;
+        let p: Vec<f64> = (0..dim)
+            .map(|j| match kind {
+                0 => unit[j] * 40.0 * w,
+                1 => centre(j) + unit[j] * w,
+                2 if j == j0 => centre(j) + 0.5 * cell,
+                2 => centre(j),
+                3 => unit[j] * 1e17 * cell,
+                _ if j == j0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][target % 3],
+                _ => unit[j] * 40.0 * w,
+            })
+            .collect();
+        let slow = grids
+            .iter()
+            .position(|g| g.ball_of(&p).is_some())
+            .map(|u| u as u32);
+        prop_assert_eq!(seq.first_covering(&p), slow);
+    }
+
+    #[test]
     fn cell_factor_two_covers_dimension_one_completely(
         seed in 0u64..100_000,
         x in -1000f64..1000.0,

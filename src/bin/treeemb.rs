@@ -37,20 +37,54 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
-    let flags = parse_flags(&args[1..])?;
-    match cmd.as_str() {
-        "gen" => cmd_gen(&flags),
-        "embed" => cmd_embed(&flags),
-        "mst" => cmd_mst(&flags),
-        "emd" => cmd_emd(&flags),
-        "kmedian" => cmd_kmedian(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", HELP);
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{HELP}");
+        return Ok(());
+    }
+    let Some(&(_, values, switches, handler)) = SUBCOMMANDS.iter().find(|(name, ..)| name == cmd)
+    else {
+        return Err(format!("unknown subcommand {cmd:?}"));
+    };
+    match parse_flags(cmd, values, switches, &args[1..])? {
+        Some(flags) => handler(&flags),
+        None => {
+            println!("{HELP}");
             Ok(())
         }
-        other => Err(format!("unknown subcommand {other:?}")),
     }
 }
+
+type Handler = fn(&Flags) -> Result<(), String>;
+
+/// Each subcommand with the flags that take a value, the switches it
+/// accepts (any other flag is a usage error) and its handler.
+const SUBCOMMANDS: [(&str, &[&str], &[&str], Handler); 5] = [
+    (
+        "gen",
+        &["n", "d", "delta", "kind", "seed", "out"],
+        &[],
+        cmd_gen,
+    ),
+    (
+        "embed",
+        &["input", "r", "seed", "out", "dot"],
+        &[],
+        cmd_embed,
+    ),
+    ("mst", &["input", "r", "seed"], &["exact"], cmd_mst),
+    (
+        "emd",
+        &["input", "split", "r", "seed", "trees"],
+        &["exact"],
+        cmd_emd,
+    ),
+    (
+        "kmedian",
+        &["input", "k", "r", "seed", "trees"],
+        &[],
+        cmd_kmedian,
+    ),
+];
 
 const HELP: &str = "treeemb — tree embeddings for high-dimensional data (SPAA'23)
 
@@ -60,29 +94,38 @@ subcommands:
   mst      --input FILE [--r R] [--seed S] [--exact]
   emd      --input FILE --split K [--r R] [--seed S] [--trees T] [--exact]
   kmedian  --input FILE --k K [--r R] [--seed S] [--trees T]
+
+`--help` or `-h` after any subcommand prints this text.
 ";
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parses `cmd`'s flags; `None` when `--help` or `-h` asks for usage.
+fn parse_flags(
+    cmd: &str,
+    values: &[&str],
+    switches: &[&str],
+    args: &[String],
+) -> Result<Option<Flags>, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a == "--help" || a == "-h" {
+            return Ok(None);
+        }
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("expected --flag, got {a:?}"));
         };
-        match name {
-            // Boolean flags.
-            "exact" => {
-                flags.insert(name.to_string(), "true".into());
-            }
-            _ => {
-                let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                flags.insert(name.to_string(), v.clone());
-            }
+        if switches.contains(&name) {
+            flags.insert(name.to_string(), "true".into());
+        } else if values.contains(&name) {
+            let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+            flags.insert(name.to_string(), v.clone());
+        } else {
+            return Err(format!("`{cmd}` takes no flag --{name}"));
         }
     }
-    Ok(flags)
+    Ok(Some(flags))
 }
 
 fn get<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, String> {

@@ -85,6 +85,14 @@ fn bad_usage_reports_errors() {
     let (ok, _, err) = treeemb(&["embed", "--input", &pts]);
     assert!(!ok);
     assert!(err.contains("columns"), "stderr: {err}");
+
+    // A flag the subcommand does not take is an error, not ignored.
+    let (ok, _, err) = treeemb(&["embed", "--input", &pts, "--sed", "7"]);
+    assert!(!ok);
+    assert!(err.contains("--sed"), "stderr: {err}");
+    let (ok, _, err) = treeemb(&["embed", "--input", &pts, "--exact"]);
+    assert!(!ok);
+    assert!(err.contains("--exact"), "stderr: {err}");
 }
 
 #[test]
@@ -92,4 +100,16 @@ fn help_prints_usage() {
     let (ok, out, _) = treeemb(&["help"]);
     assert!(ok);
     assert!(out.contains("subcommands"));
+
+    // `--help` / `-h` after any subcommand, wherever a flag may stand.
+    for args in [
+        &["embed", "--help"][..],
+        &["mst", "-h"],
+        &["gen", "--n", "4", "--help"],
+        &["kmedian", "--k", "2", "-h"],
+    ] {
+        let (ok, out, err) = treeemb(args);
+        assert!(ok, "{args:?}: {err}");
+        assert!(out.contains("subcommands"), "{args:?}");
+    }
 }
