@@ -7,6 +7,8 @@
 
 use crate::builder::{from_edge_list, EdgeRec, HstError};
 use crate::tree::Hst;
+use std::fmt::Write as _;
+use treeemb_obs::json::{self, Float, Value};
 
 /// One serialized tree row: `(node key, parent key, weight, point)`.
 /// The root has `parent == node`; internal nodes carry `point == None`.
@@ -67,229 +69,87 @@ impl Hst {
     }
 }
 
-// Hand-rolled JSON codec. The workspace builds offline (no serde), and
-// the document grammar is tiny: the writer/parser below emit and accept
-// the exact shape serde_json used before —
+// The document shape is the one serde_json emitted before —
 // `{"n_points":N,"edges":[[node,parent,weight,point-or-null],...]}` —
-// so previously saved trees keep loading.
+// so previously saved trees keep loading. Bytes are written here and
+// read back through the workspace codec, `treeemb_obs::json`.
 impl TreeDocument {
     /// Serializes the document as compact JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(32 + self.edges.len() * 32);
-        s.push_str("{\"n_points\":");
-        s.push_str(&self.n_points.to_string());
-        s.push_str(",\"edges\":[");
+        let _ = write!(s, "{{\"n_points\":{},\"edges\":[", self.n_points);
         for (i, &(node, parent, weight, point)) in self.edges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push('[');
-            s.push_str(&node.to_string());
-            s.push(',');
-            s.push_str(&parent.to_string());
-            s.push(',');
-            // Rust's shortest round-trip float formatting, with a `.0`
-            // forced onto integral values so the token stays a JSON float.
-            let w = format!("{weight}");
-            s.push_str(&w);
-            if !w.contains(['.', 'e', 'E']) {
-                s.push_str(".0");
-            }
-            s.push(',');
+            let _ = write!(s, "[{node},{parent},{},", Float(weight));
             match point {
-                Some(p) => s.push_str(&p.to_string()),
-                None => s.push_str("null"),
+                Some(p) => {
+                    let _ = write!(s, "{p}]");
+                }
+                None => s.push_str("null]"),
             }
-            s.push(']');
         }
         s.push_str("]}");
         s
     }
 
     /// Parses a document from JSON. Accepts arbitrary whitespace and any
-    /// object-key order; rejects unknown keys, duplicates, and trailing
-    /// input.
+    /// object-key order; rejects unknown keys, duplicates, missing keys,
+    /// and trailing input.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let mut p = JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        let doc = p.document()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(doc)
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("invalid tree JSON at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", want as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// A JSON string restricted to the plain-identifier keys this format
-    /// uses (no escapes).
-    fn key(&mut self) -> Result<&str, String> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let k = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("non-UTF-8 key"))?;
-                self.pos += 1;
-                return Ok(k);
-            }
-            if b == b'\\' {
-                return Err(self.err("escapes are not used in tree documents"));
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    /// The span of one JSON number token.
-    fn number_token(&mut self) -> Result<&str, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected a number"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("bad number"))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let pos = self.pos;
-        let tok = self.number_token()?.to_owned();
-        tok.parse::<u64>()
-            .map_err(|e| format!("invalid tree JSON at byte {pos}: {e}"))
-    }
-
-    fn usize_val(&mut self) -> Result<usize, String> {
-        let pos = self.pos;
-        let tok = self.number_token()?.to_owned();
-        tok.parse::<usize>()
-            .map_err(|e| format!("invalid tree JSON at byte {pos}: {e}"))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let pos = self.pos;
-        let tok = self.number_token()?.to_owned();
-        tok.parse::<f64>()
-            .map_err(|e| format!("invalid tree JSON at byte {pos}: {e}"))
-    }
-
-    fn edge(&mut self) -> Result<EdgeRow, String> {
-        self.eat(b'[')?;
-        let node = self.u64()?;
-        self.eat(b',')?;
-        let parent = self.u64()?;
-        self.eat(b',')?;
-        let weight = self.f64()?;
-        self.eat(b',')?;
-        let point = if self.peek() == Some(b'n') {
-            if self.bytes[self.pos..].starts_with(b"null") {
-                self.pos += 4;
-                None
-            } else {
-                return Err(self.err("expected null or a point id"));
-            }
-        } else {
-            Some(self.usize_val()?)
-        };
-        self.eat(b']')?;
-        Ok((node, parent, weight, point))
-    }
-
-    fn edges(&mut self) -> Result<Vec<EdgeRow>, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.edge()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.err("expected ',' or ']' in edge list")),
-            }
-        }
-    }
-
-    fn document(&mut self) -> Result<TreeDocument, String> {
-        self.eat(b'{')?;
-        let mut n_points: Option<usize> = None;
-        let mut edges: Option<Vec<EdgeRow>> = None;
-        loop {
-            match self.key()? {
+        let invalid = |msg: &str| format!("invalid tree JSON: {msg}");
+        let value = json::parse(s).map_err(|e| invalid(&e))?;
+        let fields = value
+            .as_obj()
+            .ok_or_else(|| invalid("document must be an object"))?;
+        let (mut n_points, mut edges) = (None, None);
+        for (key, v) in fields {
+            match key.as_str() {
                 "n_points" if n_points.is_none() => {
-                    self.eat(b':')?;
-                    n_points = Some(self.usize_val()?);
+                    n_points = Some(
+                        int(v).ok_or_else(|| invalid("n_points must be a non-negative integer"))?,
+                    );
                 }
                 "edges" if edges.is_none() => {
-                    self.eat(b':')?;
-                    edges = Some(self.edges()?);
+                    let rows = v
+                        .as_arr()
+                        .ok_or_else(|| invalid("edges must be an array"))?;
+                    edges = Some(
+                        rows.iter()
+                            .map(|row| {
+                                edge_row(row).ok_or_else(|| {
+                                    invalid("edge must be [node, parent, weight, point-or-null]")
+                                })
+                            })
+                            .collect::<Result<Vec<_>, _>>()?,
+                    );
                 }
-                k => {
-                    let msg = format!("unexpected or duplicate key {k:?}");
-                    return Err(self.err(&msg));
-                }
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected ',' or '}' in document")),
+                k => return Err(invalid(&format!("unexpected or duplicate key {k:?}"))),
             }
         }
         match (n_points, edges) {
             (Some(n_points), Some(edges)) => Ok(TreeDocument { n_points, edges }),
-            _ => Err(self.err("document must contain n_points and edges")),
+            _ => Err(invalid("document must contain n_points and edges")),
         }
     }
+}
+
+/// A non-negative integer that fits `T`.
+fn int<T: TryFrom<u64>>(v: &Value) -> Option<T> {
+    T::try_from(v.as_u64()?).ok()
+}
+
+fn edge_row(row: &Value) -> Option<EdgeRow> {
+    let [node, parent, weight, point] = row.as_arr()? else {
+        return None;
+    };
+    let point = match point {
+        Value::Null => None,
+        p => Some(int(p)?),
+    };
+    Some((int(node)?, int(parent)?, weight.as_f64()?, point))
 }
 
 #[cfg(test)]
@@ -325,6 +185,12 @@ mod tests {
     fn json_round_trip() {
         let t = fixture();
         let json = t.to_json();
+        // Golden bytes: saved trees are a stable on-disk format.
+        assert_eq!(
+            json,
+            "{\"n_points\":3,\"edges\":[[0,0,0.0,null],[1,0,4.0,null],[2,0,4.0,null],\
+             [3,1,1.0,0],[4,1,1.5,1],[5,2,1.0,2]]}"
+        );
         let t2 = Hst::from_json(&json).unwrap();
         assert_eq!(t.distance(0, 2), t2.distance(0, 2));
         assert_eq!(t2.num_nodes(), t.num_nodes());

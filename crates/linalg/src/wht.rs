@@ -6,20 +6,9 @@
 //! `O(d log d)` operations. The same butterfly stages, grouped into
 //! `O(1/ε)` super-rounds, drive the distributed WHT in `treeemb-fjlt`.
 
-/// Butterfly block size for cache-blocked large transforms: 2^11 f64s =
-/// 16 KiB, comfortably inside L1 on every mainstream core.
-const BLOCK_LOG2: u32 = 11;
-
 /// In-place *unnormalized* Walsh–Hadamard transform.
 ///
 /// After the call, `data[i] = Σ_j (−1)^{⟨i,j⟩} input[j]`.
-///
-/// For lengths above 2^11 the butterfly stages are cache-blocked: every
-/// stage with span ≤ the block size runs to completion inside one block
-/// before the next block is touched, so each block crosses the cache
-/// once instead of `log₂ n` times. The individual butterflies — operand
-/// pairs and operation order per element — are unchanged, so the result
-/// is bit-identical to the straight stage-by-stage transform.
 ///
 /// # Panics
 /// Panics unless `data.len()` is a power of two (callers zero-pad; see
@@ -30,15 +19,7 @@ pub fn wht_inplace(data: &mut [f64]) {
         n.is_power_of_two(),
         "WHT length must be a power of two, got {n}"
     );
-    let total = n.trailing_zeros();
-    if total <= BLOCK_LOG2 {
-        wht_stages_inplace(data, 0, total);
-        return;
-    }
-    for block in data.chunks_exact_mut(1 << BLOCK_LOG2) {
-        wht_stages_inplace(block, 0, BLOCK_LOG2);
-    }
-    wht_stages_inplace(data, BLOCK_LOG2, total);
+    wht_stages_inplace(data, 0, n.trailing_zeros());
 }
 
 /// In-place *normalized* (orthonormal) Walsh–Hadamard transform:
@@ -181,22 +162,6 @@ mod tests {
         wht_stages_inplace(&mut reverse, 0, 3);
         for (a, b) in forward.iter().zip(&reverse) {
             assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn blocked_transform_is_bit_identical_to_staged() {
-        // Lengths above the block size take the cache-blocked path; it
-        // must agree bit for bit with the plain staged composition.
-        let mut rng = StdRng::seed_from_u64(6);
-        for log_n in [12u32, 13] {
-            let n = 1usize << log_n;
-            let input: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
-            let mut blocked = input.clone();
-            wht_inplace(&mut blocked);
-            let mut staged = input;
-            wht_stages_inplace(&mut staged, 0, log_n);
-            assert_eq!(blocked, staged, "n={n}");
         }
     }
 

@@ -17,7 +17,7 @@
 //! | `ambient-rand` | deterministic core, non-test | `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `rand::random` |
 //! | `hash-iter` | deterministic core, non-test | iterating a `HashMap`/`HashSet` (`for .. in map`, `.iter()`, `.keys()`, `.values()`, `.drain()`, …) |
 //! | `thread-spawn` | everywhere, non-test | `thread::spawn` / `thread::Builder` (the pool in `mpc::exec` carries the one audited allow) |
-//! | `deprecated-shim` | everywhere | `Runtime::new`, `set_fault_plan`, `clear_fault_plan`, `assign_packed`, `PackedLevelKey`, `PackedHasher`, `embed_exact_keys`, `distortion_report_parallel`, `check_domination_parallel` (deleted APIs must not return) |
+//! | `deprecated-shim` | everywhere | `Runtime::new`, `set_fault_plan`, `clear_fault_plan`, `assign_packed`, `PackedLevelKey`, `PackedHasher`, `embed_exact_keys`, `distortion_report_parallel`, `check_domination_parallel`, `fault::json` (deleted APIs must not return) |
 //! | `config-literal` | everywhere | `MpcConfig { .. }` / `PipelineConfig { .. }` struct literals outside their defining modules — construct through the builders |
 //! | `env-read` | everywhere | `env::var("TREEEMB_…")` outside `treeemb_mpc::config::from_env` |
 //!

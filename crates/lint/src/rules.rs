@@ -35,7 +35,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "deprecated-shim",
-        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys)",
+        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json)",
     },
     RuleInfo {
         id: "config-literal",
@@ -458,6 +458,15 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                      serial distortion_report / check_domination",
                     tok.text
                 ),
+            );
+        }
+        if tok.text == "fault" && t(i + 1) == "::" && t(i + 2) == "json" {
+            push(
+                tok,
+                "deprecated-shim",
+                "`fault::json` was removed: the workspace has one JSON codec, \
+                 treeemb_obs::json"
+                    .to_string(),
             );
         }
         if tok.text == "Runtime" && t(i + 1) == "::" && t(i + 2) == "new" {

@@ -1,7 +1,8 @@
 // lint-fixture: crates/apps/src/violations.rs
 // The deprecated construction/mutation shims, the second and third
-// partition-key paths and the parallel pair audits were deleted; the
-// lint keeps them from coming back — even in test code.
+// partition-key paths, the parallel pair audits and the fault-plan JSON
+// parser were deleted; the lint keeps them from coming back — even in
+// test code.
 
 fn resurrect() {
     let mut rt = Runtime::new(cfg()); //~ DENY deprecated-shim
@@ -19,6 +20,15 @@ fn resurrect_partition_keys(lvl: &HybridLevel, p: &[f64]) {
 fn resurrect_parallel_audits(emb: &Embedding, ps: &PointSet) {
     let _ = distortion_report_parallel(ps, ps, 2); //~ DENY deprecated-shim
     let _ = check_domination_parallel(emb, ps, 2); //~ DENY deprecated-shim
+}
+
+fn resurrect_fault_json(text: &str) {
+    let _ = treeemb_mpc::fault::json::parse(text); //~ DENY deprecated-shim
+}
+
+fn sanctioned_json(text: &str) {
+    let _ = treeemb_obs::json::parse(text);
+    let _ = FaultPlan::from_json(text);
 }
 
 fn sanctioned_audits(emb: &Embedding, ps: &PointSet) {

@@ -12,6 +12,9 @@
 //!   loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
 //! * a JSONL stream ([`export::jsonl`]), one event object per line.
 //!
+//! [`json`] is the workspace's one JSON codec: the parser and writer
+//! helpers that every hand-written document format shares.
+//!
 //! **Zero-cost when off.** Tracing is armed either by the
 //! `TREEEMB_TRACE=path` environment variable (read once, on first use)
 //! or programmatically via [`set_trace_path`] / [`capture_start`]. When
@@ -41,6 +44,7 @@
 //! ```
 
 pub mod export;
+pub mod json;
 
 use std::borrow::Cow;
 use std::cell::Cell;

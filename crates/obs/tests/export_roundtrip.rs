@@ -5,241 +5,19 @@
 //! nesting. The unit tests in `src/export.rs` check string shape; these
 //! check the documents as *data*.
 //!
-//! The workspace has no serde, and `treeemb-obs` sits below every crate
-//! that owns a parser, so the test carries its own minimal
-//! recursive-descent JSON reader (objects, arrays, strings, numbers,
-//! literals — the full grammar both exporters emit).
+//! Both documents are read back through the workspace codec,
+//! [`treeemb_obs::json`].
 
 use std::sync::Mutex;
+use treeemb_obs::json::{self, Value};
 use treeemb_obs::{self as obs, export, Event, EventKind};
 
 /// Capture buffer and trace path are process-global; serialize the
 /// tests that touch them.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-// ---------------------------------------------------------------------
-// Minimal JSON parser (test-only).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} (found {:?})",
-                b as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|&c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
-fn parse(text: &str) -> Json {
-    let mut p = Parser::new(text);
-    let v = p.value().expect("document must parse");
-    p.skip_ws();
-    assert_eq!(p.pos, p.bytes.len(), "trailing garbage after document");
-    v
+fn parse(text: &str) -> Value {
+    json::parse(text).unwrap_or_else(|e| panic!("document must parse: {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -300,18 +78,18 @@ fn chrome_trace_round_trips_through_a_real_parser() {
     for (row, event) in rows.iter().zip(&events) {
         assert_eq!(row.get("name").unwrap().as_str(), Some(&*event.name));
         assert_eq!(row.get("ph").unwrap().as_str(), Some(phase_of(event.kind)));
-        let ts = row.get("ts").unwrap().as_num().unwrap();
+        let ts = row.get("ts").unwrap().as_f64().unwrap();
         assert!(
             (ts - event.start_ns as f64 / 1_000.0).abs() < 1e-3,
             "ts must be the microsecond start"
         );
         if event.kind == EventKind::Span {
-            let dur = row.get("dur").unwrap().as_num().unwrap();
+            let dur = row.get("dur").unwrap().as_f64().unwrap();
             assert!((dur - event.dur_ns as f64 / 1_000.0).abs() < 1e-3);
         }
         // args survive as a flat object of integers.
         for (k, v) in &event.args {
-            let got = row.get("args").unwrap().get(k).and_then(Json::as_num);
+            let got = row.get("args").unwrap().get(k).and_then(Value::as_f64);
             assert_eq!(got, Some(*v as f64), "arg {k} on {}", event.name);
         }
     }
@@ -332,14 +110,14 @@ fn jsonl_round_trips_through_a_real_parser() {
             Some(kind_word(event.kind))
         );
         assert_eq!(
-            row.get("start_ns").unwrap().as_num(),
+            row.get("start_ns").unwrap().as_f64(),
             Some(event.start_ns as f64)
         );
         assert_eq!(
-            row.get("dur_ns").unwrap().as_num(),
+            row.get("dur_ns").unwrap().as_f64(),
             Some(event.dur_ns as f64)
         );
-        assert_eq!(row.get("depth").unwrap().as_num(), Some(event.depth as f64));
+        assert_eq!(row.get("depth").unwrap().as_f64(), Some(event.depth as f64));
     }
 }
 
@@ -353,7 +131,7 @@ fn exporters_agree_on_span_counts_and_nesting() {
     let chrome = parse(&export::chrome_trace_json(&events));
     let chrome_rows = chrome.get("traceEvents").unwrap().as_arr().unwrap();
     let jsonl_text = export::jsonl(&events);
-    let jsonl_rows: Vec<Json> = jsonl_text.lines().map(parse).collect();
+    let jsonl_rows: Vec<Value> = jsonl_text.lines().map(parse).collect();
 
     // Same events, same order, same names.
     assert_eq!(chrome_rows.len(), jsonl_rows.len());
@@ -365,11 +143,11 @@ fn exporters_agree_on_span_counts_and_nesting() {
     }
 
     // Same span count.
-    let chrome_spans: Vec<&Json> = chrome_rows
+    let chrome_spans: Vec<&Value> = chrome_rows
         .iter()
         .filter(|r| r.get("ph").unwrap().as_str() == Some("X"))
         .collect();
-    let jsonl_spans: Vec<&Json> = jsonl_rows
+    let jsonl_spans: Vec<&Value> = jsonl_rows
         .iter()
         .filter(|r| r.get("kind").unwrap().as_str() == Some("span"))
         .collect();
@@ -379,7 +157,7 @@ fn exporters_agree_on_span_counts_and_nesting() {
     // Nesting agreement: find the inner/outer pair by name in both
     // documents. JSONL says inner is one level deeper; the Chrome
     // intervals must show containment (inner within outer).
-    let by_name = |rows: &[&Json], name: &str| -> Json {
+    let by_name = |rows: &[&Value], name: &str| -> Value {
         rows.iter()
             .find(|r| {
                 r.get("name")
@@ -398,15 +176,15 @@ fn exporters_agree_on_span_counts_and_nesting() {
         by_name(&jsonl_spans, "roundtrip.outer"),
         by_name(&jsonl_spans, "roundtrip.inner"),
     );
-    let depth = |r: &Json| r.get("depth").unwrap().as_num().unwrap();
+    let depth = |r: &Value| r.get("depth").unwrap().as_f64().unwrap();
     assert_eq!(
         depth(&j_inner),
         depth(&j_outer) + 1.0,
         "JSONL must report the inner span one level deeper"
     );
-    let span_of = |r: &Json| -> (f64, f64) {
-        let ts = r.get("ts").unwrap().as_num().unwrap();
-        (ts, ts + r.get("dur").unwrap().as_num().unwrap())
+    let span_of = |r: &Value| -> (f64, f64) {
+        let ts = r.get("ts").unwrap().as_f64().unwrap();
+        (ts, ts + r.get("dur").unwrap().as_f64().unwrap())
     };
     let (outer_start, outer_end) = span_of(&c_outer);
     let (inner_start, inner_end) = span_of(&c_inner);

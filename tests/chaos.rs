@@ -55,7 +55,7 @@ fn retryable_faults_leave_output_bit_identical() {
     }
 }
 
-/// Acceptance criterion: a non-retryable capacity squeeze surfaces from
+/// Acceptance check: a non-retryable capacity squeeze surfaces from
 /// the full pipeline as a typed `MpcError` — not a panic, not a
 /// silently truncated tree.
 #[test]
@@ -89,7 +89,7 @@ fn capacity_squeeze_is_a_typed_error_from_the_full_pipeline() {
     );
 }
 
-/// Acceptance criterion: a fixed (seed, plan) pair reproduces the exact
+/// Acceptance check: a fixed (seed, plan) pair reproduces the exact
 /// same fault sequence and outcome regardless of `--threads`.
 #[test]
 fn fault_sequence_and_outcome_are_thread_count_invariant() {
@@ -209,7 +209,7 @@ fn mini_sweep_upholds_the_conformance_contract() {
     );
 }
 
-/// Tentpole acceptance criterion: with at least one scheduled crash in
+/// Tentpole acceptance check: with at least one scheduled crash in
 /// every early round, the full pipeline completes via checkpoint
 /// recovery, its output is bit-identical to the fault-free run, the
 /// restores show up in `Metrics::recoveries`, and the checkpoint's words
@@ -276,7 +276,7 @@ fn scheduled_crashes_recover_bit_identical_through_the_pipeline() {
     assert!(events.iter().any(|e| e.kind == FaultKind::Recover));
 }
 
-/// Tentpole acceptance criterion: a crash schedule that outlives the
+/// Tentpole acceptance check: a crash schedule that outlives the
 /// recovery budget surfaces as the typed, retryable
 /// `MpcError::RecoveryExhausted` — never a panic.
 #[test]
