@@ -11,9 +11,11 @@
 //!    all index bits outside the group (one shuffle round), applies the
 //!    `b` stages locally, and re-emits. `⌈log₂(d)/b⌉ = O(1/ε)` rounds —
 //!    the same schedule as the MPC FFT of \[45\] that the paper invokes;
-//! 3. **P** — every coordinate fans out to the nonzeros of `P`'s column
-//!    (regenerated locally from the seed), and contributions are summed
-//!    by destination coordinate (one shuffle round + local fold);
+//! 3. **P** — every coordinate fans out to the nonzeros of `P`'s column,
+//!    and contributions are summed by destination coordinate (one
+//!    shuffle round + local fold). Every machine could derive `P` from
+//!    the broadcast seed; the simulation derives it once and shares the
+//!    copy read-only, which is the same pure function, memoized;
 //! 4. **gather** — output records are collected into a `k`-dimensional
 //!    [`PointSet`].
 //!
@@ -22,10 +24,9 @@
 //! reassociate, giving `≈1e-12` relative differences).
 
 use crate::fjlt::FjltParams;
-use std::collections::HashMap;
 use treeemb_geom::PointSet;
 use treeemb_linalg::random::mix2;
-use treeemb_linalg::sparse::fjlt_projection_column;
+use treeemb_linalg::sparse::fjlt_projection;
 use treeemb_mpc::{MpcError, MpcResult, Runtime, Words};
 
 /// One coordinate of one point in transit.
@@ -48,9 +49,16 @@ impl Words for Coord {
 /// Applies the FJLT to `ps` on the simulated cluster. Returns the
 /// `k`-dimensional embedded point set.
 ///
-/// `ps.dim()` must equal `params.d`.
+/// Fails with [`MpcError::AlgorithmFailure`] if `ps.dim()` differs
+/// from `params.d`.
 pub fn fjlt_mpc(rt: &mut Runtime, ps: &PointSet, params: &FjltParams) -> MpcResult<PointSet> {
-    assert_eq!(ps.dim(), params.d, "params/point-set dimension mismatch");
+    if ps.dim() != params.d {
+        return Err(MpcError::AlgorithmFailure(format!(
+            "point set has dimension {} but the FJLT parameters expect {}",
+            ps.dim(),
+            params.d
+        )));
+    }
     let mut sp = treeemb_obs::span!("fjlt.transform", "n" = ps.len(), "d" = params.d);
     sp.arg("k", params.k as u64);
     let n = ps.len();
@@ -147,16 +155,11 @@ pub fn fjlt_mpc(rt: &mut Runtime, ps: &PointSet, params: &FjltParams) -> MpcResu
 
     // Phase P: sparse fan-out + aggregation.
     let project_sp = treeemb_obs::span!("fjlt.project");
-    let p_p = *params;
+    let p = fjlt_projection(params.k, params.d_pad, params.q, params.p_seed());
+    let p = &p;
     let routed = rt.round("fjlt:project", dist, move |_, shard, em| {
-        // Per-machine column cache: distinct idx values repeat across
-        // points on the same machine.
-        let mut cache: HashMap<u32, Vec<(u32, f64)>> = HashMap::new();
         for r in shard {
-            let col = cache.entry(r.idx).or_insert_with(|| {
-                fjlt_projection_column(p_p.k, p_p.d_pad, p_p.q, p_p.p_seed(), r.idx as usize)
-            });
-            for &(i, pij) in col.iter() {
+            for (i, pij) in p.column(r.idx as usize) {
                 let key = ((r.pt as u64) << 32) | i as u64;
                 let dest = (mix2(key, 0x9B0B) % m as u64) as usize;
                 em.send(
@@ -288,6 +291,63 @@ mod tests {
             big_wht, 1,
             "big capacity should do the WHT in one super-round"
         );
+    }
+
+    /// `f64::to_bits` of `fjlt_mpc`'s output on a fixed input. How `P`
+    /// is derived and how rounds deliver may change; the output bits may
+    /// not, at any thread count.
+    #[test]
+    fn output_bits_are_pinned_across_thread_counts() {
+        const GOLDEN: [u64; 24] = [
+            0x4058dbc7ba4832eb,
+            0x40412676e0b6b806,
+            0xc049bdb2afa6dfc1,
+            0x4055fabbb4f73494,
+            0x405b9249dbfc477f,
+            0x40386b03249453f3,
+            0xc0517df4eb03efff,
+            0x4062f262b45c66e7,
+            0x40462a0570d53117,
+            0xc0287706d75c97de,
+            0xc059754e2d2e0cab,
+            0x4049ae816a171a2d,
+            0x40622cfe3c2f2cbc,
+            0xc03636702b4dec85,
+            0xc034dbd2523b5301,
+            0x40622e712af29825,
+            0x4052800a03e26b0a,
+            0x402ff1379c39c604,
+            0xc040ce7a5148ec86,
+            0x405005cc390025c3,
+            0x4050e16aa989982b,
+            0x400d65f9c1c865cc,
+            0xc01a085fca8c9f86,
+            0x40534de41d4eebcf,
+        ];
+        let ps = generators::uniform_cube(6, 20, 64, 5);
+        let params = FjltParams::explicit(20, 4, 0.5, 77);
+        for threads in [1usize, 2, 4] {
+            let mut rt = Runtime::builder()
+                .config(MpcConfig::explicit(1 << 16, 4096, 3).with_threads(threads))
+                .build();
+            let out = fjlt_mpc(&mut rt, &ps, &params).unwrap();
+            let bits: Vec<u64> = out.as_flat().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, GOLDEN, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn dimension_mismatch_is_a_typed_error() {
+        let ps = generators::uniform_cube(4, 12, 64, 1);
+        let params = FjltParams::explicit(16, 4, 0.5, 1);
+        let mut rt = runtime(4096, 4);
+        match fjlt_mpc(&mut rt, &ps, &params) {
+            Err(MpcError::AlgorithmFailure(msg)) => {
+                assert!(msg.contains("12") && msg.contains("16"), "{msg}");
+            }
+            other => panic!("expected AlgorithmFailure, got {other:?}"),
+        }
+        assert_eq!(rt.metrics().rounds(), 0, "fails before any round");
     }
 
     #[test]

@@ -102,8 +102,11 @@ impl CscMatrix {
 /// with probability `1 − q` and `N(0, q⁻¹)` otherwise (paper §5).
 ///
 /// Entries are derived from `(seed, flat index)` counter streams, so any
-/// machine holding the seed can regenerate any column on demand — this
-/// is how the MPC implementation avoids materializing `P` globally.
+/// machine holding the seed can derive any column of `P`. The MPC
+/// implementation's simulation derives `P` once from the seed and shares
+/// it read-only across its machines: `k·d·q` expected entries, the
+/// bound Theorem 3 charges for `P`. No part of `P` is ever sent, so
+/// sharing it changes no metered word.
 pub fn fjlt_projection(k: usize, d: usize, q: f64, seed: u64) -> CscMatrix {
     let mut cols = Vec::with_capacity(d);
     for j in 0..d {
@@ -113,7 +116,7 @@ pub fn fjlt_projection(k: usize, d: usize, q: f64, seed: u64) -> CscMatrix {
 }
 
 /// One column of [`fjlt_projection`], regenerable independently.
-pub fn fjlt_projection_column(k: usize, d: usize, q: f64, seed: u64, j: usize) -> Vec<(u32, f64)> {
+fn fjlt_projection_column(k: usize, d: usize, q: f64, seed: u64, j: usize) -> Vec<(u32, f64)> {
     assert!(j < d);
     let inv_sqrt_q = (1.0 / q).sqrt();
     let mut col = Vec::new();

@@ -73,23 +73,41 @@ impl<T: Words> Dist<T> {
 }
 
 /// Outgoing-message buffer handed to round closures.
+///
+/// Messages are queued in one run per block of contiguous destination
+/// machines, each run in emission order, so delivery moves every record
+/// once more, straight into its destination's shard.
 pub struct Emitter<U> {
-    msgs: Vec<(MachineId, U)>,
+    blocks: Blocks,
+    runs: Vec<Vec<(MachineId, U)>>,
+    /// Messages sent, including any to a nonexistent machine.
+    sent: usize,
+    /// The first destination outside the cluster, in emission order.
+    bad_dest: Option<MachineId>,
     out_words: usize,
 }
 
 impl<U: Words> Emitter<U> {
-    fn new() -> Self {
+    fn new(blocks: Blocks) -> Self {
         Self {
-            msgs: Vec::new(),
+            blocks,
+            runs: (0..blocks.count).map(|_| Vec::new()).collect(),
+            sent: 0,
+            bad_dest: None,
             out_words: 0,
         }
     }
 
     /// Queues `rec` for delivery to machine `to` at the end of the round.
+    /// A destination outside the cluster fails the round.
     pub fn send(&mut self, to: MachineId, rec: U) {
         self.out_words += rec.words();
-        self.msgs.push((to, rec));
+        self.sent += 1;
+        if to < self.blocks.machines {
+            self.runs[to >> self.blocks.shift].push((to, rec));
+        } else {
+            self.bad_dest.get_or_insert(to);
+        }
     }
 
     /// Words queued so far.
@@ -582,13 +600,9 @@ impl Runtime {
         // executes `f` once per lost attempt (the work is discarded,
         // modeling lost compute) and once more from the checkpoint
         // snapshot for its surviving output.
-        struct MachineOut<U> {
-            kept: Vec<U>,
-            msgs: Vec<(MachineId, U)>,
-            out_words: usize,
-        }
         let straggle_ref = &straggle;
         let crashes_ref = &crashes;
+        let blocks = Blocks::new(m, self.cfg.threads);
         let work: Vec<(Vec<T>, Option<Vec<T>>)> = input
             .into_parts()
             .into_iter()
@@ -607,30 +621,22 @@ impl Runtime {
                 }
                 let k = crashes_ref[i];
                 if k == 0 {
-                    let mut em = Emitter::new();
+                    let mut em = Emitter::new(blocks);
                     let kept = f(i, shard, &mut em);
-                    return MachineOut {
-                        kept,
-                        msgs: em.msgs,
-                        out_words: em.out_words,
-                    };
+                    return MachineOut { kept, em };
                 }
                 let snap = snap.expect("snapshot exists for crashed machines");
                 {
-                    let mut scratch = Emitter::new();
+                    let mut scratch = Emitter::new(blocks);
                     let _ = f(i, shard, &mut scratch);
                 }
                 for _ in 1..k {
-                    let mut scratch = Emitter::new();
+                    let mut scratch = Emitter::new(blocks);
                     let _ = f(i, snap.clone(), &mut scratch);
                 }
-                let mut em = Emitter::new();
+                let mut em = Emitter::new(blocks);
                 let kept = f(i, snap, &mut em);
-                MachineOut {
-                    kept,
-                    msgs: em.msgs,
-                    out_words: em.out_words,
-                }
+                MachineOut { kept, em }
             });
 
         // Phase 2b: the exchange attempt loop. Transient faults (machine
@@ -663,7 +669,7 @@ impl Runtime {
                     // All machines up: scan the exchange for message
                     // faults, in (source, emission index) order.
                     for (src, out) in outputs.iter().enumerate() {
-                        for idx in 0..out.msgs.len() {
+                        for idx in 0..out.em.sent {
                             if let Some(kind) = p.msg_fault(round_idx, attempt, src, idx) {
                                 events.push(FaultEvent {
                                     round: round_idx,
@@ -704,92 +710,27 @@ impl Runtime {
             }
         }
 
-        // Phase 3: validate sends and route messages.
-        let mut sent_total = 0usize;
-        let mut max_out = 0usize;
-        let mut parts: Vec<Vec<U>> = Vec::with_capacity(m);
-        let mut in_words = vec![0usize; m];
-        let mut routed: Vec<Vec<(MachineId, U)>> = Vec::with_capacity(m);
-        for (src, out) in outputs.iter().enumerate() {
-            if out.out_words > caps[src] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: src,
-                        round: round_idx,
-                        phase: CapacityPhase::Send,
-                        words: out.out_words,
-                        capacity: caps[src],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
-            }
-            sent_total += out.out_words;
-            max_out = max_out.max(out.out_words);
-            for (dest, rec) in &out.msgs {
-                if *dest >= m {
-                    return Err(MpcError::BadDestination {
-                        source: src,
-                        dest: *dest,
-                        num_machines: m,
-                    });
-                }
-                in_words[*dest] += rec.words();
-            }
-        }
-        let max_in = in_words.iter().copied().max().unwrap_or(0);
-        for (dest, &w) in in_words.iter().enumerate() {
-            if w > caps[dest] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: dest,
-                        round: round_idx,
-                        phase: CapacityPhase::Receive,
-                        words: w,
-                        capacity: caps[dest],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
-            }
-        }
-        for _ in 0..m {
-            routed.push(Vec::new());
-        }
-        // Deliver kept records first, then messages in source order.
-        let mut kept_words = vec![0usize; m];
-        let mut outputs = outputs;
-        for (i, out) in outputs.iter().enumerate() {
-            kept_words[i] = words::of_slice(&out.kept);
-        }
-        for (src, out) in outputs.iter_mut().enumerate() {
-            for (dest, rec) in out.msgs.drain(..) {
-                routed[dest].push((src, rec));
-            }
-        }
-        let mut max_resident = 0usize;
-        for (i, out) in outputs.into_iter().enumerate() {
-            let mut shard = out.kept;
-            // Messages were appended in source order already because we
-            // iterate sources in ascending order above.
-            shard.extend(routed[i].drain(..).map(|(_, rec)| rec));
-            let resident = kept_words[i] + in_words[i] + self.overlay_words;
-            max_resident = max_resident.max(resident);
-            if resident > caps[i] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: i,
-                        round: round_idx,
-                        phase: CapacityPhase::Residency,
-                        words: resident,
-                        capacity: caps[i],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
-            }
-            parts.push(shard);
-        }
+        // Phase 3: validate sends and deliver messages.
+        let Delivery {
+            parts,
+            sent_total,
+            max_out,
+            max_in,
+            max_resident,
+            violations: exchange_violations,
+        } = deliver(
+            outputs,
+            &ExchangeCtx {
+                label,
+                round: round_idx,
+                caps: &caps,
+                strict,
+                overlay_words: self.overlay_words,
+                blocks,
+                threads: self.cfg.threads,
+            },
+        )?;
+        violations += exchange_violations;
 
         sp.arg("sent_words", sent_total as u64);
         sp.arg("max_out_words", max_out as u64);
@@ -947,6 +888,219 @@ impl Runtime {
         }
         out
     }
+}
+
+/// One machine's output of a round's compute phase.
+struct MachineOut<U> {
+    kept: Vec<U>,
+    em: Emitter<U>,
+}
+
+/// The exchange's destination blocks: machines `0..machines` in
+/// contiguous runs of `1 << shift`, about [`BLOCKS_PER_THREAD`] runs per
+/// executor thread and at most one per machine.
+#[derive(Debug, Clone, Copy)]
+struct Blocks {
+    machines: usize,
+    shift: u32,
+    count: usize,
+}
+
+/// Destination blocks per thread in the exchange: a few per thread, so a
+/// block that receives more than its share does not idle the others.
+const BLOCKS_PER_THREAD: usize = 4;
+
+impl Blocks {
+    fn new(machines: usize, threads: usize) -> Self {
+        let len = machines
+            .div_ceil(BLOCKS_PER_THREAD * threads.max(1))
+            .next_power_of_two();
+        Self {
+            machines,
+            shift: len.trailing_zeros(),
+            count: machines.div_ceil(len),
+        }
+    }
+
+    fn len(&self) -> usize {
+        1 << self.shift
+    }
+}
+
+/// The round context the exchange validates against.
+struct ExchangeCtx<'a> {
+    label: &'a str,
+    round: usize,
+    /// Effective capacity per machine.
+    caps: &'a [usize],
+    strict: bool,
+    overlay_words: usize,
+    /// The blocks every emitter of the round queued into.
+    blocks: Blocks,
+    threads: usize,
+}
+
+impl ExchangeCtx<'_> {
+    /// Checks `words` against `machine`'s capacity: over capacity is an
+    /// error in strict mode and a counted violation otherwise.
+    fn check(
+        &self,
+        machine: MachineId,
+        phase: CapacityPhase,
+        words: usize,
+        violations: &mut usize,
+    ) -> MpcResult<()> {
+        if words > self.caps[machine] {
+            if self.strict {
+                return Err(MpcError::CapacityExceeded {
+                    machine,
+                    round: self.round,
+                    phase,
+                    words,
+                    capacity: self.caps[machine],
+                    label: self.label.into(),
+                });
+            }
+            *violations += 1;
+        }
+        Ok(())
+    }
+}
+
+/// What a round's exchange delivered, and the loads it metered.
+struct Delivery<U> {
+    parts: Vec<Vec<U>>,
+    sent_total: usize,
+    max_out: usize,
+    max_in: usize,
+    max_resident: usize,
+    violations: usize,
+}
+
+/// Delivers a round's messages. Machine `i`'s shard is its kept records,
+/// then the records sent to it by sources in ascending order, each
+/// source's in emission order.
+///
+/// Every emitter already queued its messages by destination block, so
+/// the blocks' shards are assembled in parallel, each record moved once
+/// and never cloned: O(messages + machines·blocks). Checks run in a fixed
+/// order — per source its send load then its destinations, then every
+/// receive load, then every residency — so a failing round reports the
+/// same error at any thread count.
+fn deliver<U: Words + Send>(
+    outputs: Vec<MachineOut<U>>,
+    ctx: &ExchangeCtx<'_>,
+) -> MpcResult<Delivery<U>> {
+    let m = ctx.caps.len();
+    let blocks = ctx.blocks;
+    let messages: usize = outputs.iter().map(|o| o.em.sent).sum();
+    let _sp = treeemb_obs::span!(
+        "mpc.exchange",
+        "messages" = messages,
+        "blocks" = blocks.count
+    );
+
+    let mut violations = 0usize;
+    let (mut sent_total, mut max_out) = (0usize, 0usize);
+    let mut kept = Vec::with_capacity(m);
+    let mut by_block: Vec<Vec<Vec<(MachineId, U)>>> =
+        (0..blocks.count).map(|_| Vec::with_capacity(m)).collect();
+    for (src, out) in outputs.into_iter().enumerate() {
+        let words = out.em.out_words;
+        ctx.check(src, CapacityPhase::Send, words, &mut violations)?;
+        sent_total += words;
+        max_out = max_out.max(words);
+        if let Some(dest) = out.em.bad_dest {
+            return Err(MpcError::BadDestination {
+                source: src,
+                dest,
+                num_machines: m,
+            });
+        }
+        for (block, run) in by_block.iter_mut().zip(out.em.runs) {
+            block.push(run);
+        }
+        kept.push(out.kept);
+    }
+
+    let mut kept = kept.into_iter();
+    let work: Vec<_> = by_block
+        .into_iter()
+        .enumerate()
+        .map(|(b, runs)| {
+            let kept: Vec<Vec<U>> = kept.by_ref().take(blocks.len()).collect();
+            (b * blocks.len(), kept, runs)
+        })
+        .collect();
+    let received: Vec<Received<U>> =
+        exec::par_map_indexed(work, ctx.threads, |_, (lo, kept, runs)| {
+            assemble(lo, kept, runs)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+
+    let max_in = received.iter().map(|r| r.in_words).max().unwrap_or(0);
+    for (dest, r) in received.iter().enumerate() {
+        ctx.check(dest, CapacityPhase::Receive, r.in_words, &mut violations)?;
+    }
+    let mut max_resident = 0usize;
+    let mut parts = Vec::with_capacity(m);
+    for (i, r) in received.into_iter().enumerate() {
+        let resident = r.kept_words + r.in_words + ctx.overlay_words;
+        max_resident = max_resident.max(resident);
+        ctx.check(i, CapacityPhase::Residency, resident, &mut violations)?;
+        parts.push(r.shard);
+    }
+    Ok(Delivery {
+        parts,
+        sent_total,
+        max_out,
+        max_in,
+        max_resident,
+        violations,
+    })
+}
+
+/// One destination's delivered shard and its metered words.
+struct Received<U> {
+    shard: Vec<U>,
+    kept_words: usize,
+    in_words: usize,
+}
+
+/// Assembles the shards of destinations `lo..lo + kept.len()`: each
+/// machine's kept records, then its messages from `runs` (one run per
+/// source, ascending) in order.
+fn assemble<U: Words>(
+    lo: usize,
+    kept: Vec<Vec<U>>,
+    runs: Vec<Vec<(MachineId, U)>>,
+) -> Vec<Received<U>> {
+    let mut counts = vec![0usize; kept.len()];
+    let mut in_words = vec![0usize; kept.len()];
+    for (dest, rec) in runs.iter().flatten() {
+        counts[dest - lo] += 1;
+        in_words[dest - lo] += rec.words();
+    }
+    let mut out: Vec<Received<U>> = kept
+        .into_iter()
+        .zip(counts)
+        .zip(in_words)
+        .map(|((mut shard, count), in_words)| {
+            let kept_words = words::of_slice(&shard);
+            shard.reserve(count);
+            Received {
+                shard,
+                kept_words,
+                in_words,
+            }
+        })
+        .collect();
+    for (dest, rec) in runs.into_iter().flatten() {
+        out[dest - lo].shard.push(rec);
+    }
+    out
 }
 
 /// Water-filled per-machine quotas for `total` words: `min(cap_i, L)`
@@ -1423,6 +1577,389 @@ mod tests {
         let stats = &rt.metrics().round_stats()[0];
         assert_eq!(stats.checkpoint_words, 8);
         assert_eq!(stats.recoveries, 0);
+    }
+
+    /// One machine's compute output as a serial router sees it: every
+    /// message in emission order.
+    #[derive(Clone)]
+    struct FlatOut<U> {
+        kept: Vec<U>,
+        msgs: Vec<(MachineId, U)>,
+        out_words: usize,
+    }
+
+    /// The serial exchange that [`deliver`] replaced, kept as its
+    /// reference: route `(src, rec)` pairs into one queue per
+    /// destination, then append each queue to the destination's kept
+    /// records.
+    fn serial_deliver<U: Words>(
+        outputs: Vec<FlatOut<U>>,
+        ctx: &ExchangeCtx<'_>,
+    ) -> MpcResult<Delivery<U>> {
+        let (caps, strict, label, round_idx) = (ctx.caps, ctx.strict, ctx.label, ctx.round);
+        let m = caps.len();
+        let mut violations = 0usize;
+        let mut sent_total = 0usize;
+        let mut max_out = 0usize;
+        let mut parts: Vec<Vec<U>> = Vec::with_capacity(m);
+        let mut in_words = vec![0usize; m];
+        let mut routed: Vec<Vec<(MachineId, U)>> = (0..m).map(|_| Vec::new()).collect();
+        for (src, out) in outputs.iter().enumerate() {
+            if out.out_words > caps[src] {
+                if strict {
+                    return Err(MpcError::CapacityExceeded {
+                        machine: src,
+                        round: round_idx,
+                        phase: CapacityPhase::Send,
+                        words: out.out_words,
+                        capacity: caps[src],
+                        label: label.into(),
+                    });
+                }
+                violations += 1;
+            }
+            sent_total += out.out_words;
+            max_out = max_out.max(out.out_words);
+            for (dest, rec) in &out.msgs {
+                if *dest >= m {
+                    return Err(MpcError::BadDestination {
+                        source: src,
+                        dest: *dest,
+                        num_machines: m,
+                    });
+                }
+                in_words[*dest] += rec.words();
+            }
+        }
+        let max_in = in_words.iter().copied().max().unwrap_or(0);
+        for (dest, &w) in in_words.iter().enumerate() {
+            if w > caps[dest] {
+                if strict {
+                    return Err(MpcError::CapacityExceeded {
+                        machine: dest,
+                        round: round_idx,
+                        phase: CapacityPhase::Receive,
+                        words: w,
+                        capacity: caps[dest],
+                        label: label.into(),
+                    });
+                }
+                violations += 1;
+            }
+        }
+        let mut outputs = outputs;
+        let kept_words: Vec<usize> = outputs.iter().map(|o| words::of_slice(&o.kept)).collect();
+        for (src, out) in outputs.iter_mut().enumerate() {
+            for (dest, rec) in out.msgs.drain(..) {
+                routed[dest].push((src, rec));
+            }
+        }
+        let mut max_resident = 0usize;
+        for (i, out) in outputs.into_iter().enumerate() {
+            let mut shard = out.kept;
+            shard.extend(routed[i].drain(..).map(|(_, rec)| rec));
+            let resident = kept_words[i] + in_words[i] + ctx.overlay_words;
+            max_resident = max_resident.max(resident);
+            if resident > caps[i] {
+                if strict {
+                    return Err(MpcError::CapacityExceeded {
+                        machine: i,
+                        round: round_idx,
+                        phase: CapacityPhase::Residency,
+                        words: resident,
+                        capacity: caps[i],
+                        label: label.into(),
+                    });
+                }
+                violations += 1;
+            }
+            parts.push(shard);
+        }
+        Ok(Delivery {
+            parts,
+            sent_total,
+            max_out,
+            max_in,
+            max_resident,
+            violations,
+        })
+    }
+
+    /// A delivery's observable result, comparable across exchanges.
+    type Observed = MpcResult<(Vec<Vec<Vec<u64>>>, [usize; 5])>;
+
+    fn observe(d: MpcResult<Delivery<Vec<u64>>>) -> Observed {
+        d.map(|d| {
+            let loads = [
+                d.sent_total,
+                d.max_out,
+                d.max_in,
+                d.max_resident,
+                d.violations,
+            ];
+            (d.parts, loads)
+        })
+    }
+
+    /// Random machine outputs over `m` machines. Records are 2–3 words
+    /// and tagged `(source, serial)`, so any reordering shows. Half the
+    /// messages go to machine 0 (so receive loads can exceed send
+    /// loads), the rest to uniform destinations, self-sends included.
+    fn random_outputs(seed: u64, m: usize) -> Vec<FlatOut<Vec<u64>>> {
+        (0..m)
+            .map(|src| {
+                let mut rng = mix_seed(seed, src as u64);
+                let mut next = |bound: u64| {
+                    rng = mix_seed(rng, 0x5EED);
+                    rng % bound
+                };
+                let mut serial = 0u64;
+                let mut record = |len: u64| {
+                    serial += 1;
+                    let mut rec = vec![((src as u64) << 32) | serial];
+                    rec.resize(len as usize, 0);
+                    rec
+                };
+                let kept: Vec<Vec<u64>> = (0..next(4)).map(|_| record(next(2) + 1)).collect();
+                let mut out = FlatOut {
+                    kept,
+                    msgs: Vec::new(),
+                    out_words: 0,
+                };
+                for _ in 0..next(9) {
+                    let dest = if next(2) == 0 {
+                        0
+                    } else {
+                        next(m as u64) as usize
+                    };
+                    let rec = record(next(2) + 1);
+                    out.out_words += rec.words();
+                    out.msgs.push((dest, rec));
+                }
+                out
+            })
+            .collect()
+    }
+
+    /// `(max send, max receive, max kept + receive)` words of `outputs`.
+    fn loads(outputs: &[FlatOut<Vec<u64>>]) -> (usize, usize, usize) {
+        let m = outputs.len();
+        let mut in_words = vec![0usize; m];
+        for out in outputs {
+            for (dest, rec) in out.msgs.iter().filter(|(d, _)| *d < m) {
+                in_words[*dest] += rec.words();
+            }
+        }
+        let max_out = outputs.iter().map(|o| o.out_words).max().unwrap_or(0);
+        let max_in = in_words.iter().copied().max().unwrap_or(0);
+        let max_res = outputs
+            .iter()
+            .zip(&in_words)
+            .map(|(o, w)| words::of_slice(&o.kept) + w)
+            .max()
+            .unwrap_or(0);
+        (max_out, max_in, max_res)
+    }
+
+    /// `outputs` as the round's emitters queue them: each message sent
+    /// in emission order.
+    fn emitted(outputs: &[FlatOut<Vec<u64>>], blocks: Blocks) -> Vec<MachineOut<Vec<u64>>> {
+        outputs
+            .iter()
+            .map(|o| {
+                let mut em = Emitter::new(blocks);
+                for (dest, rec) in &o.msgs {
+                    em.send(*dest, rec.clone());
+                }
+                assert_eq!(em.out_words(), o.out_words);
+                MachineOut {
+                    kept: o.kept.clone(),
+                    em,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exchange_matches_serial_router() {
+        let mut seen = std::collections::BTreeSet::new();
+        for m in [1usize, 3, 64, 1024] {
+            for seed in 0..6u64 {
+                let mut outputs = random_outputs(seed, m);
+                if seed % 3 == 2 {
+                    // Two out-of-range destinations from a random
+                    // source; the first one sent is the one reported.
+                    let src = (mix_seed(seed, 1) % m as u64) as usize;
+                    let msgs = &mut outputs[src].msgs;
+                    msgs.insert(msgs.len() / 2, (m + seed as usize, vec![7]));
+                    msgs.push((m + 99, vec![8]));
+                    outputs[src].out_words += 4;
+                }
+                let (max_out, max_in, max_res) = loads(&outputs);
+                // Uniform capacities just under each load class (so the
+                // strict run fails in that phase), then roomy ones; one
+                // machine gets a tighter capacity than the rest.
+                let levels = [
+                    max_out.saturating_sub(1),
+                    max_in.saturating_sub(1).max(max_out),
+                    max_res.saturating_sub(1).max(max_out.max(max_in)),
+                    usize::MAX / 2,
+                ];
+                for (li, level) in levels.into_iter().enumerate() {
+                    let mut caps = vec![level; m];
+                    if li == 3 {
+                        caps[(seed as usize) % m] = max_res.saturating_sub(1);
+                    }
+                    for strict in [true, false] {
+                        for threads in [1usize, 2, 4] {
+                            let ctx = ExchangeCtx {
+                                label: "eq",
+                                round: 3,
+                                caps: &caps,
+                                strict,
+                                overlay_words: 1,
+                                blocks: Blocks::new(m, threads),
+                                threads,
+                            };
+                            let want = observe(serial_deliver(outputs.clone(), &ctx));
+                            let got = observe(deliver(emitted(&outputs, ctx.blocks), &ctx));
+                            assert_eq!(
+                                got, want,
+                                "m {m} seed {seed} caps {li} strict {strict} threads {threads}"
+                            );
+                            seen.insert(match &want {
+                                Ok(_) => "ok".to_string(),
+                                Err(MpcError::CapacityExceeded { phase, .. }) => {
+                                    format!("{phase:?}")
+                                }
+                                Err(MpcError::BadDestination { .. }) => "bad-dest".into(),
+                                Err(e) => panic!("unexpected {e}"),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let want: std::collections::BTreeSet<String> =
+            ["ok", "bad-dest", "Send", "Receive", "Residency"]
+                .into_iter()
+                .map(String::from)
+                .collect();
+        assert_eq!(seen, want, "every outcome is exercised");
+    }
+
+    /// Where the fault-test round sends `v`: a hashed machine (itself
+    /// included), or `None` to keep it.
+    fn hashed_dest(v: u64, m: usize) -> Option<MachineId> {
+        let d = (mix_seed(v, 11) % (m as u64 + 1)) as usize;
+        (d < m).then_some(d)
+    }
+
+    #[test]
+    fn round_exchange_matches_serial_router_under_faults() {
+        for m in [3usize, 64] {
+            let shards: Vec<Vec<u64>> = (0..m as u64)
+                .map(|i| (0..1 + i % 5).map(|j| mix_seed(i, j)).collect())
+                .collect();
+            // Reference: the round's routing run serially, routed serially.
+            let outputs = shards
+                .iter()
+                .map(|shard| {
+                    let mut out = FlatOut {
+                        kept: Vec::new(),
+                        msgs: Vec::new(),
+                        out_words: 0,
+                    };
+                    for &v in shard {
+                        match hashed_dest(v, m) {
+                            Some(d) => {
+                                out.out_words += v.words();
+                                out.msgs.push((d, v));
+                            }
+                            None => out.kept.push(v),
+                        }
+                    }
+                    out
+                })
+                .collect();
+            let caps = vec![1usize << 20; m];
+            let want = serial_deliver(
+                outputs,
+                &ExchangeCtx {
+                    label: "hashed",
+                    round: 0,
+                    caps: &caps,
+                    strict: true,
+                    overlay_words: 0,
+                    blocks: Blocks::new(m, 1),
+                    threads: 1,
+                },
+            )
+            .unwrap();
+            let retries = FaultPlan::new(4)
+                .with_max_retries(4)
+                .with_fault(FaultSpec::Drop {
+                    round: 0,
+                    attempt: 0,
+                    src: 1,
+                    msg_index: 0,
+                })
+                .with_fault(FaultSpec::Duplicate {
+                    round: 0,
+                    attempt: 1,
+                    src: 0,
+                    msg_index: 0,
+                });
+            let crash = FaultPlan::new(5).with_fault(FaultSpec::Crash {
+                round: 0,
+                attempt: 0,
+                machine: 1,
+            });
+            for (name, plan) in [
+                ("clean", None),
+                ("retries", Some(retries)),
+                ("crash", Some(crash)),
+            ] {
+                for threads in [1usize, 2, 4] {
+                    let mut b = Runtime::builder()
+                        .capacity_words(1 << 20)
+                        .machines(m)
+                        .threads(threads);
+                    if let Some(plan) = plan.clone() {
+                        b = b.fault_plan(plan);
+                    }
+                    let mut rt = b.build();
+                    let out = rt
+                        .round(
+                            "hashed",
+                            Dist::from_parts(shards.clone()),
+                            |_, shard, em| {
+                                let mut kept = Vec::new();
+                                for v in shard {
+                                    match hashed_dest(v, m) {
+                                        Some(d) => em.send(d, v),
+                                        None => kept.push(v),
+                                    }
+                                }
+                                kept
+                            },
+                        )
+                        .unwrap();
+                    let ctx = format!("m {m} {name} threads {threads}");
+                    assert_eq!(out.into_parts(), want.parts, "{ctx}");
+                    let mt = rt.metrics();
+                    assert_eq!(mt.total_sent_words(), want.sent_total, "{ctx}");
+                    assert_eq!(mt.max_round_sent_words(), want.sent_total, "{ctx}");
+                    assert_eq!(mt.peak_machine_words(), want.max_resident, "{ctx}");
+                    let stats = &mt.round_stats()[0];
+                    match name {
+                        "retries" => assert_eq!(stats.attempts, 3, "{ctx}"),
+                        "crash" => assert_eq!(stats.recoveries, 1, "{ctx}"),
+                        _ => assert_eq!((stats.attempts, stats.recoveries), (1, 0), "{ctx}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
