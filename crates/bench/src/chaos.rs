@@ -90,7 +90,7 @@ pub struct ChaosOutcome {
     pub verdict: ChaosVerdict,
     /// Faults the runtime injected, in deterministic order.
     pub events: Vec<FaultEvent>,
-    /// Faults injected (events minus backoff bookkeeping).
+    /// Faults injected (events minus recovery bookkeeping).
     pub faults: usize,
 }
 
@@ -197,11 +197,11 @@ pub fn check_stage_tuned(
         Stage::Partition => check_partition(plan, data_seed, hetero),
         Stage::Pipeline => check_pipeline(plan, data_seed, hetero),
     };
-    // Backoffs and recoveries are consequences of injected faults, not
-    // faults themselves.
+    // Recoveries are consequences of injected faults, not faults
+    // themselves.
     let faults = events
         .iter()
-        .filter(|e| e.kind != FaultKind::Backoff && e.kind != FaultKind::Recover)
+        .filter(|e| e.kind != FaultKind::Recover)
         .count();
     ChaosOutcome {
         stage,
@@ -335,8 +335,6 @@ pub fn plan_matrix(seed: u64) -> Vec<(&'static str, FaultPlan)> {
             drop: 0.0002,
             duplicate: 0.0001,
             unavailable: 0.002,
-            straggle: 0.01,
-            straggle_ns: 5_000,
             crash: 0.0,
         })
         .with_max_retries(12);
@@ -345,8 +343,6 @@ pub fn plan_matrix(seed: u64) -> Vec<(&'static str, FaultPlan)> {
             drop: 0.01,
             duplicate: 0.005,
             unavailable: 0.05,
-            straggle: 0.05,
-            straggle_ns: 5_000,
             crash: 0.0,
         })
         .with_max_retries(3);
@@ -487,11 +483,7 @@ pub fn shrink_failure(row: &SweepRow) -> FaultPlan {
             .verdict
             .is_failure()
     };
-    let explicit = FaultPlan::from_events(
-        &row.outcome.events,
-        row.plan.max_retries,
-        row.plan.backoff_ns,
-    );
+    let explicit = FaultPlan::from_events(&row.outcome.events, row.plan.max_retries);
     let base = if fails(&explicit) {
         explicit
     } else {

@@ -33,6 +33,16 @@ pub enum EmbedError {
     /// Tree assembly from the distributed edge list failed (should be
     /// unreachable; indicates a structural-hash collision).
     TreeAssembly(String),
+    /// A [`PipelineConfig`](crate::pipeline::PipelineConfig) value the
+    /// MPC runtime cannot be sized with.
+    InvalidConfig {
+        /// The offending `PipelineConfig` field.
+        field: &'static str,
+        /// The rejected value.
+        value: String,
+        /// What the field requires.
+        expected: String,
+    },
 }
 
 impl fmt::Display for EmbedError {
@@ -49,6 +59,14 @@ impl fmt::Display for EmbedError {
             }
             EmbedError::Mpc(e) => write!(f, "MPC failure: {e}"),
             EmbedError::TreeAssembly(msg) => write!(f, "tree assembly failed: {msg}"),
+            EmbedError::InvalidConfig {
+                field,
+                value,
+                expected,
+            } => write!(
+                f,
+                "invalid pipeline configuration: {field} = {value}, expected {expected}"
+            ),
         }
     }
 }

@@ -19,7 +19,7 @@ use treeemb_fjlt::mpc::fjlt_mpc;
 use treeemb_geom::PointSet;
 use treeemb_mpc::fault::{FaultEvent, FaultPlan};
 use treeemb_mpc::metrics::Metrics;
-use treeemb_mpc::{CheckpointPolicy, MpcConfig, Runtime};
+use treeemb_mpc::{MpcConfig, Runtime};
 
 /// Pipeline configuration.
 ///
@@ -58,9 +58,6 @@ pub struct PipelineConfig {
     /// runs under `faults.for_attempt(a)`. Non-retryable errors
     /// (capacity, coverage) return immediately. Clamped to at least 1.
     pub fault_attempts: u32,
-    /// Round-checkpoint policy for crash recovery, forwarded to the MPC
-    /// runtime (see [`CheckpointPolicy`]).
-    pub checkpoint: CheckpointPolicy,
     /// Heterogeneous per-machine capacity overrides `(machine, words)`,
     /// forwarded to the MPC runtime on top of the sized configuration.
     pub machine_capacities: Vec<(usize, usize)>,
@@ -81,7 +78,6 @@ impl Default for PipelineConfig {
             skip_jl: false,
             faults: None,
             fault_attempts: 1,
-            checkpoint: CheckpointPolicy::default(),
             machine_capacities: Vec::new(),
         }
     }
@@ -193,12 +189,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Round-checkpoint policy for crash recovery.
-    pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.cfg.checkpoint = policy;
-        self
-    }
-
     /// Finishes the configuration.
     pub fn build(self) -> PipelineConfig {
         self.cfg
@@ -264,6 +254,11 @@ pub fn run(ps: &PointSet, cfg: &PipelineConfig) -> Result<PipelineReport, EmbedE
 /// across all attempts — the raw material chaos tooling shrinks a
 /// failing seeded run from. With `cfg.faults` unset, the event list is
 /// always empty and the result matches [`run`] exactly.
+///
+/// A configuration value the runtime cannot be sized with (zero
+/// threads, capacity or machines, `ε ∉ (0, 1)`, a machine-capacity
+/// override outside the cluster or of zero words) is reported as
+/// [`EmbedError::InvalidConfig`] before any runtime is built.
 pub fn run_faulted(
     ps: &PointSet,
     cfg: &PipelineConfig,
@@ -271,13 +266,14 @@ pub fn run_faulted(
     if ps.is_empty() {
         return (Err(EmbedError::EmptyInput), Vec::new());
     }
-    let mpc_cfg = size_mpc_config(ps, cfg);
+    let mpc_cfg = match validate(cfg).and_then(|()| size_mpc_config(ps, cfg)) {
+        Ok(mpc_cfg) => mpc_cfg,
+        Err(e) => return (Err(e), Vec::new()),
+    };
     let attempts = cfg.fault_attempts.max(1);
     let mut events: Vec<FaultEvent> = Vec::new();
     for attempt in 0..attempts {
-        let mut builder = Runtime::builder()
-            .config(mpc_cfg.clone())
-            .checkpoint(cfg.checkpoint);
+        let mut builder = Runtime::builder().config(mpc_cfg.clone());
         if let Some(plan) = &cfg.faults {
             builder = builder.fault_plan(plan.for_attempt(attempt));
         }
@@ -297,12 +293,37 @@ pub fn run_faulted(
     unreachable!("the last attempt always returns");
 }
 
+/// Rejects the scalar knobs `MpcConfig`'s constructors assert on.
+fn validate(cfg: &PipelineConfig) -> Result<(), EmbedError> {
+    let invalid = |field, value: &dyn std::fmt::Display, expected: &str| {
+        Err(EmbedError::InvalidConfig {
+            field,
+            value: value.to_string(),
+            expected: expected.to_string(),
+        })
+    };
+    if cfg.threads == 0 {
+        return invalid("threads", &cfg.threads, "at least 1");
+    }
+    if !(cfg.epsilon > 0.0 && cfg.epsilon < 1.0) {
+        return invalid("epsilon", &cfg.epsilon, "a value in (0, 1)");
+    }
+    if cfg.capacity == Some(0) {
+        return invalid("capacity", &0, "at least 1 word");
+    }
+    if cfg.machines == Some(0) {
+        return invalid("machines", &0, "at least 1");
+    }
+    Ok(())
+}
+
 /// Pre-sizes the MPC configuration for `ps`: machines must hold the
 /// broadcast grids (Lemma 8). At asymptotic n the fully scalable `N^ε`
 /// dominates the grid payload; at bench scales the payload's log
 /// factors win, so we take the max of the two (with 4x slack for the
-/// estimate).
-fn size_mpc_config(ps: &PointSet, cfg: &PipelineConfig) -> MpcConfig {
+/// estimate). Fails when a machine-capacity override does not fit the
+/// sized cluster.
+fn size_mpc_config(ps: &PointSet, cfg: &PipelineConfig) -> Result<MpcConfig, EmbedError> {
     let n = ps.len();
     let d = ps.dim();
     let input_words = n * (d + 1);
@@ -335,9 +356,19 @@ fn size_mpc_config(ps: &PointSet, cfg: &PipelineConfig) -> MpcConfig {
     }
     mpc_cfg = mpc_cfg.with_threads(cfg.threads);
     for &(machine, words) in &cfg.machine_capacities {
+        if machine >= mpc_cfg.num_machines || words == 0 {
+            return Err(EmbedError::InvalidConfig {
+                field: "machine_capacities",
+                value: format!("({machine}, {words})"),
+                expected: format!(
+                    "a machine in 0..{} and at least 1 word",
+                    mpc_cfg.num_machines
+                ),
+            });
+        }
         mpc_cfg = mpc_cfg.with_machine_capacity(machine, words);
     }
-    mpc_cfg
+    Ok(mpc_cfg)
 }
 
 /// One attempt of the pipeline on a fresh runtime.
@@ -605,7 +636,7 @@ mod tests {
         let ps = generators::uniform_cube(2048, 16, 1 << 10, 5);
         let cfg = PipelineConfig::default();
         let mut rt = Runtime::builder()
-            .config(size_mpc_config(&ps, &cfg))
+            .config(size_mpc_config(&ps, &cfg).unwrap())
             .build();
         let r = crate::params::pipeline_r(ps.len(), ps.dim());
         let params =
@@ -625,6 +656,42 @@ mod tests {
             max / mean <= 1.1,
             "max {max} vs mean {mean} points per machine"
         );
+    }
+
+    /// Each value `MpcConfig` would assert on is a typed error naming
+    /// the field and the value, not a panic.
+    #[test]
+    fn invalid_config_values_are_typed_errors() {
+        let ps = generators::uniform_cube(16, 4, 64, 3);
+        let b = PipelineConfig::builder;
+        let cases = [
+            (b().threads(0), "threads", "0"),
+            (b().epsilon(1.0), "epsilon", "1"),
+            (b().epsilon(0.0), "epsilon", "0"),
+            (b().capacity_words(0), "capacity", "0"),
+            (b().machines(0), "machines", "0"),
+            (
+                b().machines(4).machine_capacity(9, 64),
+                "machine_capacities",
+                "(9, 64)",
+            ),
+            (b().machine_capacity(1, 0), "machine_capacities", "(1, 0)"),
+        ];
+        for (builder, field, value) in cases {
+            let cfg = builder.build();
+            let (result, events) = run_faulted(&ps, &cfg);
+            match result {
+                Err(EmbedError::InvalidConfig {
+                    field: f, value: v, ..
+                }) => {
+                    assert_eq!((f, v.as_str()), (field, value), "{cfg:?}");
+                }
+                other => panic!("{field} = {value}: expected InvalidConfig, got {other:?}"),
+            }
+            assert!(events.is_empty());
+            let msg = run(&ps, &cfg).unwrap_err().to_string();
+            assert!(msg.contains(field) && msg.contains(value), "{msg}");
+        }
     }
 
     #[test]

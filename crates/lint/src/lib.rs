@@ -3,8 +3,8 @@
 //! The workspace's correctness story rests on invariants that `rustc`
 //! and `clippy` cannot see: MPC rounds must be deterministic functions
 //! of their inputs and seeds, all threading is owned by `mpc::exec`,
-//! configs are constructed through builders, and every `TREEEMB_*`
-//! environment variable is parsed in exactly one place. This crate
+//! configs are constructed through builders, and no configuration is
+//! read from `TREEEMB_*` environment variables. This crate
 //! enforces those invariants as **deny-by-default** diagnostics over
 //! the source tree (`cargo run -p treeemb-lint` — CI gates on its exit
 //! code).
@@ -17,9 +17,9 @@
 //! | `ambient-rand` | deterministic core, non-test | `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `rand::random` |
 //! | `hash-iter` | deterministic core, non-test | iterating a `HashMap`/`HashSet` (`for .. in map`, `.iter()`, `.keys()`, `.values()`, `.drain()`, …) |
 //! | `thread-spawn` | everywhere, non-test | `thread::spawn` / `thread::Builder` (the pool in `mpc::exec` carries the one audited allow) |
-//! | `deprecated-shim` | everywhere | `Runtime::new`, `set_fault_plan`, `clear_fault_plan`, `assign_packed`, `PackedLevelKey`, `PackedHasher`, `embed_exact_keys`, `distortion_report_parallel`, `check_domination_parallel`, `fault::json` (deleted APIs must not return) |
+//! | `deprecated-shim` | everywhere | `Runtime::new`, `set_fault_plan`, `clear_fault_plan`, `assign_packed`, `PackedLevelKey`, `PackedHasher`, `embed_exact_keys`, `distortion_report_parallel`, `check_domination_parallel`, `fault::json`, `CheckpointPolicy`, `from_env`, `EnvOverrides`, `backoff_ns`, `straggle_ns` (deleted APIs must not return) |
 //! | `config-literal` | everywhere | `MpcConfig { .. }` / `PipelineConfig { .. }` struct literals outside their defining modules — construct through the builders |
-//! | `env-read` | everywhere | `env::var("TREEEMB_…")` outside `treeemb_mpc::config::from_env` |
+//! | `env-read` | everywhere | `env::var("TREEEMB_…")` without a `lint:allow` (the tracer's `TREEEMB_TRACE` and the `TREEEMB_PROPTEST_CASES` test knob carry one) |
 //!
 //! The *deterministic core* is every workspace crate except the audited
 //! observability/benchmark/tooling crates (`obs`, `bench`, `lint`),

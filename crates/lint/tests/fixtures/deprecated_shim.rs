@@ -1,8 +1,9 @@
 // lint-fixture: crates/apps/src/violations.rs
 // The deprecated construction/mutation shims, the second and third
-// partition-key paths, the parallel pair audits and the fault-plan JSON
-// parser were deleted; the lint keeps them from coming back — even in
-// test code.
+// partition-key paths, the parallel pair audits, the fault-plan JSON
+// parser and the runtime knobs with no observable effect (checkpoint
+// policy, env overrides, simulated backoff, stragglers) were deleted;
+// the lint keeps them from coming back — even in test code.
 
 fn resurrect() {
     let mut rt = Runtime::new(cfg()); //~ DENY deprecated-shim
@@ -24,6 +25,16 @@ fn resurrect_parallel_audits(emb: &Embedding, ps: &PointSet) {
 
 fn resurrect_fault_json(text: &str) {
     let _ = treeemb_mpc::fault::json::parse(text); //~ DENY deprecated-shim
+}
+
+fn resurrect_env_layer() -> treeemb_mpc::EnvOverrides { //~ DENY deprecated-shim
+    treeemb_mpc::from_env() //~ DENY deprecated-shim
+}
+
+fn resurrect_unobservable_knobs(mut plan: FaultPlan, rates: FaultRates) {
+    let _ = Runtime::builder().checkpoint(CheckpointPolicy::Always); //~ DENY deprecated-shim
+    plan.backoff_ns = 1_000; //~ DENY deprecated-shim
+    let _ = rates.straggle_ns; //~ DENY deprecated-shim
 }
 
 fn sanctioned_json(text: &str) {

@@ -1,6 +1,6 @@
 // lint-fixture: crates/linalg/src/violations.rs
-// TREEEMB_* environment variables are parsed exactly once, in
-// treeemb_mpc::config::from_env; scattered reads are denied. Non-repo
+// No configuration is read from TREEEMB_* environment variables; every
+// read is denied unless an audited lint:allow explains it. Non-repo
 // variables are not this lint's business.
 
 fn scattered_overrides() {
@@ -12,8 +12,4 @@ fn scattered_overrides() {
 fn foreign_vars_ok() {
     let _ = std::env::var("PATH");
     let _ = std::env::var("RUST_LOG");
-}
-
-fn sanctioned() -> treeemb_mpc::EnvOverrides {
-    treeemb_mpc::from_env()
 }

@@ -1,7 +1,7 @@
 //! The simulated cluster: distributed collections and the round
 //! primitive.
 
-use crate::config::{CheckpointPolicy, MpcConfig, RuntimeBuilder};
+use crate::config::{MpcConfig, RuntimeBuilder};
 use crate::error::{CapacityPhase, MpcError, MpcResult};
 use crate::exec;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
@@ -134,8 +134,6 @@ pub struct Runtime {
     /// Deterministic fault injection; `None` (the default) costs one
     /// never-taken branch per decision point.
     faults: Option<Box<FaultState>>,
-    /// Round-input checkpointing policy for crash recovery.
-    checkpoint: CheckpointPolicy,
 }
 
 impl Runtime {
@@ -152,11 +150,7 @@ impl Runtime {
 
     /// Assembles a runtime from fully resolved parts (the builder's
     /// terminal step).
-    pub(crate) fn assemble(
-        cfg: MpcConfig,
-        plan: Option<FaultPlan>,
-        checkpoint: CheckpointPolicy,
-    ) -> Self {
+    pub(crate) fn assemble(cfg: MpcConfig, plan: Option<FaultPlan>) -> Self {
         Self {
             cfg,
             metrics: Metrics::new(),
@@ -167,7 +161,6 @@ impl Runtime {
                     log: Vec::new(),
                 })
             }),
-            checkpoint,
         }
     }
 
@@ -179,11 +172,6 @@ impl Runtime {
     /// Number of machines.
     pub fn num_machines(&self) -> usize {
         self.cfg.num_machines
-    }
-
-    /// The active round-checkpoint policy.
-    pub fn checkpoint_policy(&self) -> CheckpointPolicy {
-        self.checkpoint
     }
 
     /// Minimum effective per-machine capacity across the cluster at the
@@ -329,11 +317,9 @@ impl Runtime {
     fn record_fault(&mut self, ev: FaultEvent) {
         if treeemb_obs::enabled() {
             let name = match ev.kind {
-                FaultKind::Straggle => "fault.straggle",
                 FaultKind::Drop => "fault.drop",
                 FaultKind::Duplicate => "fault.duplicate",
                 FaultKind::Unavailable => "fault.unavailable",
-                FaultKind::Backoff => "fault.backoff",
                 FaultKind::Squeeze => "fault.squeeze",
                 FaultKind::Crash => "fault.crash",
                 FaultKind::Recover => "recover.ok",
@@ -450,16 +436,17 @@ impl Runtime {
     /// Capacity checks (strict mode), per machine against its effective
     /// capacity: input ≤ s, sent ≤ s, received ≤ s, kept + received ≤ s.
     ///
-    /// **Crash recovery.** When the checkpoint policy is active (see
-    /// [`CheckpointPolicy`]) the round's input is snapshotted before
-    /// execution, word-metered against total space. A machine that
-    /// crashes (loses its shard; [`FaultSpec::Crash`] or the plan's
-    /// crash rate) is re-executed from the snapshot — determinism makes
-    /// the replay bit-identical — up to the plan's `max_recoveries`
-    /// budget; each restore is logged as a [`FaultKind::Recover`] event
-    /// and counted in [`RoundStats::recoveries`]. A machine that crashes
-    /// through the whole budget fails the round with the typed,
-    /// retryable [`MpcError::RecoveryExhausted`].
+    /// **Crash recovery.** When the attached fault plan can crash a
+    /// machine ([`FaultPlan::can_crash`]) the round's input is
+    /// snapshotted before execution, word-metered against total space.
+    /// A machine that crashes (loses its shard; [`FaultSpec::Crash`] or
+    /// the plan's crash rate) is re-executed from the snapshot —
+    /// determinism makes the replay bit-identical — up to the plan's
+    /// `max_recoveries` budget; each restore is logged as a
+    /// [`FaultKind::Recover`] event and counted in
+    /// [`RoundStats::recoveries`]. A machine that crashes through the
+    /// whole budget fails the round with the typed, retryable
+    /// [`MpcError::RecoveryExhausted`].
     pub fn round<T, U, F>(&mut self, label: &str, input: Dist<T>, f: F) -> MpcResult<Dist<U>>
     where
         T: Words + Send + Clone,
@@ -486,22 +473,6 @@ impl Runtime {
         let log_mark = self.faults.as_ref().map_or(0, |f| f.log.len());
         self.note_squeeze();
         let caps = self.capacities();
-        let straggle: Vec<u64> = match &plan {
-            Some(p) => (0..m).map(|i| p.straggle_ns(round_idx, i)).collect(),
-            None => Vec::new(),
-        };
-        for (machine, &delay_ns) in straggle.iter().enumerate() {
-            if delay_ns > 0 {
-                self.record_fault(FaultEvent {
-                    round: round_idx,
-                    attempt: 0,
-                    kind: FaultKind::Straggle,
-                    machine,
-                    msg_index: usize::MAX,
-                    value: delay_ns,
-                });
-            }
-        }
 
         // Phase 1: input capacity check.
         let mut worst_input: Option<(usize, usize)> = None;
@@ -525,25 +496,21 @@ impl Runtime {
             violations += 1;
         }
 
-        // Phase 1b: checkpoint + crash planning. With checkpointing
-        // active the round input is (conceptually) snapshotted in full
-        // and metered against total space; only crashed machines'
+        // Phase 1b: checkpoint + crash planning. When the plan can crash
+        // a machine the round input is (conceptually) snapshotted in
+        // full and metered against total space; only crashed machines'
         // shards are actually cloned below. Crash decisions are pure
         // functions of the plan, so the whole recovery schedule can be
         // resolved up front: machine `i` crashes on executions
         // `0..crashes[i]` and completes on execution `crashes[i]`.
-        let checkpoint_active = match self.checkpoint {
-            CheckpointPolicy::Disabled => false,
-            CheckpointPolicy::Always => true,
-            CheckpointPolicy::Auto => plan.as_ref().is_some_and(|p| p.can_crash()),
-        };
-        let checkpoint_words = if checkpoint_active {
+        let crash_plan = plan.as_ref().filter(|p| p.can_crash());
+        let checkpoint_words = if crash_plan.is_some() {
             input.total_words()
         } else {
             0
         };
         let mut crashes: Vec<u32> = vec![0; m];
-        if let Some(p) = plan.as_ref().filter(|p| p.can_crash()) {
+        if let Some(p) = crash_plan {
             for (machine, crash_count) in crashes.iter_mut().enumerate() {
                 let mut k = 0u32;
                 while k <= p.max_recoveries && p.crashed(round_idx, k, machine) {
@@ -552,10 +519,7 @@ impl Runtime {
                 if k == 0 {
                     continue;
                 }
-                // Without a checkpoint there is nothing to re-execute
-                // from: the first crash is final.
-                let crashed_execs = if checkpoint_active { k } else { 1 };
-                for attempt in 0..crashed_execs {
+                for attempt in 0..k {
                     self.record_fault(FaultEvent {
                         round: round_idx,
                         attempt,
@@ -565,14 +529,14 @@ impl Runtime {
                         value: 0,
                     });
                 }
-                if !checkpoint_active || k > p.max_recoveries {
+                if k > p.max_recoveries {
                     if treeemb_obs::enabled() {
                         treeemb_obs::mark(
                             "recover.exhausted",
                             &[
                                 ("round", round_idx as u64),
                                 ("machine", machine as u64),
-                                ("attempts", crashed_execs as u64),
+                                ("attempts", k as u64),
                             ],
                         );
                     }
@@ -580,7 +544,7 @@ impl Runtime {
                         round: round_idx,
                         label: label.into(),
                         machine,
-                        attempts: crashed_execs,
+                        attempts: k,
                     });
                 }
                 self.record_fault(FaultEvent {
@@ -600,7 +564,6 @@ impl Runtime {
         // executes `f` once per lost attempt (the work is discarded,
         // modeling lost compute) and once more from the checkpoint
         // snapshot for its surviving output.
-        let straggle_ref = &straggle;
         let crashes_ref = &crashes;
         let blocks = Blocks::new(m, self.cfg.threads);
         let work: Vec<(Vec<T>, Option<Vec<T>>)> = input
@@ -614,11 +577,6 @@ impl Runtime {
             .collect();
         let outputs: Vec<MachineOut<U>> =
             exec::par_map_indexed(work, self.cfg.threads, |i, (shard, snap)| {
-                if let Some(&delay_ns) = straggle_ref.get(i) {
-                    if delay_ns > 0 {
-                        std::thread::sleep(std::time::Duration::from_nanos(delay_ns));
-                    }
-                }
                 let k = crashes_ref[i];
                 if k == 0 {
                     let mut em = Emitter::new(blocks);
@@ -641,8 +599,8 @@ impl Runtime {
 
         // Phase 2b: the exchange attempt loop. Transient faults (machine
         // unavailability, message drop/duplication) are detected by the
-        // simulated exchange protocol and the whole exchange retries with
-        // simulated backoff, re-transmitting from the already-computed
+        // simulated exchange protocol and the whole exchange retries,
+        // re-transmitting from the already-computed
         // machine outputs. A clean attempt therefore delivers exactly the
         // fault-free message sequence — downstream state is bit-identical
         // — and exhausting the retry budget surfaces as the typed
@@ -698,14 +656,6 @@ impl Runtime {
                         attempts: max_attempts,
                     });
                 }
-                self.record_fault(FaultEvent {
-                    round: round_idx,
-                    attempt,
-                    kind: FaultKind::Backoff,
-                    machine: 0,
-                    msg_index: usize::MAX,
-                    value: p.backoff_for(attempt + 1),
-                });
                 attempt += 1;
             }
         }
@@ -1460,6 +1410,11 @@ mod tests {
         let values: Vec<u64> = (0..16).collect();
         let mut clean = small_rt(64, 4);
         let expected = route_round(&mut clean, values.clone()).unwrap();
+        assert_eq!(
+            clean.metrics().round_stats()[0].checkpoint_words,
+            0,
+            "no plan, no checkpoint"
+        );
 
         // Machine 0 holds the first quarter of the balanced input, so
         // its crash loses real data.
@@ -1481,7 +1436,7 @@ mod tests {
         assert_eq!(stats.recoveries, 1);
         assert!(
             stats.checkpoint_words > 0,
-            "Auto policy checkpoints when the plan can crash"
+            "a round checkpoints when the plan can crash"
         );
         assert_eq!(rt.metrics().recoveries(), 1);
         assert!(rt.metrics().peak_checkpoint_words() > 0);
@@ -1539,44 +1494,6 @@ mod tests {
                 .count(),
             3
         );
-    }
-
-    #[test]
-    fn disabled_checkpointing_makes_any_crash_fatal() {
-        let plan = FaultPlan::new(5).with_fault(FaultSpec::Crash {
-            round: 0,
-            attempt: 0,
-            machine: 0,
-        });
-        let mut rt = Runtime::builder()
-            .input_words(64)
-            .capacity_words(64)
-            .machines(2)
-            .threads(2)
-            .fault_plan(plan)
-            .checkpoint(CheckpointPolicy::Disabled)
-            .build();
-        let err = route_round(&mut rt, (0..8).collect()).unwrap_err();
-        assert!(
-            matches!(err, MpcError::RecoveryExhausted { attempts: 1, .. }),
-            "{err}"
-        );
-        assert!(err.is_retryable());
-    }
-
-    #[test]
-    fn always_checkpointing_meters_even_without_faults() {
-        let mut rt = Runtime::builder()
-            .input_words(64)
-            .capacity_words(64)
-            .machines(2)
-            .threads(2)
-            .checkpoint(CheckpointPolicy::Always)
-            .build();
-        let _ = route_round(&mut rt, (0..8).collect()).unwrap();
-        let stats = &rt.metrics().round_stats()[0];
-        assert_eq!(stats.checkpoint_words, 8);
-        assert_eq!(stats.recoveries, 0);
     }
 
     /// One machine's compute output as a serial router sees it: every

@@ -1,6 +1,5 @@
-//! MPC cluster configuration: the [`RuntimeBuilder`] construction path,
-//! the [`MpcConfig`] knob set it produces, checkpoint policy, and the
-//! single `TREEEMB_*` environment-override layer ([`from_env`]).
+//! MPC cluster configuration: the [`RuntimeBuilder`] construction path
+//! and the [`MpcConfig`] knob set it produces.
 
 use crate::cluster::Runtime;
 use crate::fault::FaultPlan;
@@ -20,8 +19,6 @@ use crate::fault::FaultPlan;
 pub struct MpcConfig {
     /// Input size `N` in machine words (for the paper: `n · d`).
     pub input_words: usize,
-    /// Scalability exponent `ε ∈ (0, 1)`; recorded for reporting.
-    pub epsilon: f64,
     /// Local memory per machine, in words (`s`).
     pub capacity_words: usize,
     /// Number of machines `M`.
@@ -62,7 +59,6 @@ impl MpcConfig {
             .max(1);
         Self {
             input_words,
-            epsilon,
             capacity_words,
             num_machines,
             threads: default_threads(),
@@ -72,17 +68,11 @@ impl MpcConfig {
     }
 
     /// Explicit configuration (capacity and machine count chosen by the
-    /// caller); `epsilon` is recorded as the implied `log s / log N`.
+    /// caller).
     pub fn explicit(input_words: usize, capacity_words: usize, num_machines: usize) -> Self {
         assert!(capacity_words > 0 && num_machines > 0);
-        let epsilon = if input_words > 1 {
-            (capacity_words as f64).ln() / (input_words as f64).ln()
-        } else {
-            1.0
-        };
         Self {
             input_words: input_words.max(1),
-            epsilon,
             capacity_words,
             num_machines,
             threads: default_threads(),
@@ -168,25 +158,6 @@ impl MpcConfig {
     }
 }
 
-/// When the runtime snapshots a round's input `Dist` so a crashed
-/// machine's partition can be re-executed (see `DESIGN.md`; the
-/// checkpoint is word-metered against total space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointPolicy {
-    /// Snapshot exactly when the attached fault plan can inject crashes
-    /// ([`FaultPlan::can_crash`]) — free for fault-free runs, safe for
-    /// chaos runs. The default.
-    #[default]
-    Auto,
-    /// Snapshot every round regardless of the fault plan (models an
-    /// always-on production checkpointing policy; meters its space cost).
-    Always,
-    /// Never snapshot: any crash immediately exhausts recovery and the
-    /// round fails with the typed
-    /// [`MpcError::RecoveryExhausted`](crate::error::MpcError).
-    Disabled,
-}
-
 /// Builder for [`Runtime`] — the one construction path for simulated
 /// clusters.
 ///
@@ -203,15 +174,13 @@ pub enum CheckpointPolicy {
 ///
 /// ```
 /// use treeemb_mpc::cluster::Runtime;
-/// use treeemb_mpc::config::CheckpointPolicy;
 /// use treeemb_mpc::fault::FaultPlan;
 ///
 /// let rt = Runtime::builder()
 ///     .machines(8)
 ///     .capacity_words(1 << 12)
-///     .machine_capacity(3, 1 << 10) // one straggler-sized machine
+///     .machine_capacity(3, 1 << 10) // one smaller machine
 ///     .fault_plan(FaultPlan::new(42))
-///     .checkpoint(CheckpointPolicy::Auto)
 ///     .threads(2)
 ///     .build();
 /// assert_eq!(rt.num_machines(), 8);
@@ -226,10 +195,8 @@ pub struct RuntimeBuilder {
     machines: Option<usize>,
     machine_capacities: Vec<(usize, usize)>,
     threads: Option<usize>,
-    strict: Option<bool>,
+    lenient: bool,
     fault_plan: Option<FaultPlan>,
-    checkpoint: CheckpointPolicy,
-    env: Option<EnvOverrides>,
 }
 
 impl RuntimeBuilder {
@@ -281,43 +248,16 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Strict (fail on capacity violation, the default) vs lenient
-    /// (meter violations) enforcement.
-    pub fn strict(mut self, strict: bool) -> Self {
-        self.strict = Some(strict);
+    /// Meter capacity violations instead of failing on them (see
+    /// [`MpcConfig::lenient`]); without it the runtime is strict.
+    pub fn lenient(mut self) -> Self {
+        self.lenient = true;
         self
-    }
-
-    /// Shorthand for `strict(false)`.
-    pub fn lenient(self) -> Self {
-        self.strict(false)
     }
 
     /// Attaches a deterministic fault plan at construction.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the round-checkpoint policy (default
-    /// [`CheckpointPolicy::Auto`]).
-    pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = policy;
-        self
-    }
-
-    /// Applies the process environment's `TREEEMB_*` overrides (read
-    /// once, via [`from_env`]) on top of whatever this builder resolves
-    /// to. Opt-in: deterministic tests should not call this.
-    pub fn env(self) -> Self {
-        let overrides = from_env();
-        self.env_overrides(overrides)
-    }
-
-    /// Applies an explicit override set (the testable form of
-    /// [`RuntimeBuilder::env`]).
-    pub fn env_overrides(mut self, overrides: EnvOverrides) -> Self {
-        self.env = Some(overrides);
         self
     }
 
@@ -328,10 +268,7 @@ impl RuntimeBuilder {
     /// `capacity_words` + `machines`, nor `input_words` was set), or on
     /// invalid knob values (zero capacities, out-of-range machines).
     pub fn build(self) -> Runtime {
-        let env = self.env.unwrap_or_default();
-        let capacity = env.capacity_words.or(self.capacity_words);
-        let machines = env.machines.or(self.machines);
-        let mut cfg = match (self.config, capacity, machines) {
+        let mut cfg = match (self.config, self.capacity_words, self.machines) {
             (Some(mut cfg), cap, m) => {
                 if let Some(c) = cap {
                     cfg = cfg.with_capacity(c);
@@ -364,45 +301,16 @@ impl RuntimeBuilder {
                 cfg
             }
         };
-        if let Some(t) = env.threads.or(self.threads) {
+        if let Some(t) = self.threads {
             cfg = cfg.with_threads(t);
         }
-        if let Some(strict) = self.strict {
-            cfg.strict = strict;
+        if self.lenient {
+            cfg = cfg.lenient();
         }
         for (machine, words) in self.machine_capacities {
             cfg = cfg.with_machine_capacity(machine, words);
         }
-        Runtime::assemble(cfg, self.fault_plan, self.checkpoint)
-    }
-}
-
-/// Overrides parsed from `TREEEMB_*` environment variables by
-/// [`from_env`]. `None` means the variable was unset or unparsable.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EnvOverrides {
-    /// `TREEEMB_THREADS`: executor thread count.
-    pub threads: Option<usize>,
-    /// `TREEEMB_MACHINES`: machine count.
-    pub machines: Option<usize>,
-    /// `TREEEMB_CAPACITY_WORDS`: per-machine capacity in words.
-    pub capacity_words: Option<usize>,
-}
-
-/// Reads every `TREEEMB_*` configuration override from the process
-/// environment. This is the **only** place the workspace parses
-/// configuration from the environment (tracing activation via
-/// `TREEEMB_TRACE` lives in `treeemb-obs`, and test harnesses gate on
-/// `TREEEMB_PROPTEST_CASES`); everything else takes these overrides
-/// through [`RuntimeBuilder::env`] or reads the parsed struct directly.
-pub fn from_env() -> EnvOverrides {
-    fn num(v: Result<String, std::env::VarError>) -> Option<usize> {
-        v.ok().and_then(|s| s.trim().parse().ok())
-    }
-    EnvOverrides {
-        threads: num(std::env::var("TREEEMB_THREADS")),
-        machines: num(std::env::var("TREEEMB_MACHINES")),
-        capacity_words: num(std::env::var("TREEEMB_CAPACITY_WORDS")),
+        Runtime::assemble(cfg, self.fault_plan)
     }
 }
 
@@ -524,37 +432,5 @@ mod tests {
     #[should_panic(expected = "RuntimeBuilder")]
     fn builder_without_sizing_panics() {
         let _ = Runtime::builder().threads(2).build();
-    }
-
-    #[test]
-    fn env_overrides_beat_builder_settings() {
-        let rt = Runtime::builder()
-            .machines(4)
-            .capacity_words(100)
-            .threads(1)
-            .env_overrides(EnvOverrides {
-                threads: Some(3),
-                machines: Some(6),
-                capacity_words: Some(50),
-            })
-            .build();
-        assert_eq!(rt.config().threads, 3);
-        assert_eq!(rt.num_machines(), 6);
-        assert_eq!(rt.capacity(), 50);
-    }
-
-    #[test]
-    fn from_env_parses_the_treeemb_namespace() {
-        // Serialized with respect to other env-reading tests by var
-        // names unique to this namespace check.
-        std::env::set_var("TREEEMB_THREADS", "5");
-        std::env::set_var("TREEEMB_CAPACITY_WORDS", " 2048 ");
-        std::env::remove_var("TREEEMB_MACHINES");
-        let ov = from_env();
-        std::env::remove_var("TREEEMB_THREADS");
-        std::env::remove_var("TREEEMB_CAPACITY_WORDS");
-        assert_eq!(ov.threads, Some(5));
-        assert_eq!(ov.capacity_words, Some(2048));
-        assert_eq!(ov.machines, None);
     }
 }

@@ -1,13 +1,12 @@
 //! Deterministic fault injection for the simulated MPC runtime.
 //!
 //! FoundationDB-style deterministic simulation testing: a [`FaultPlan`]
-//! is a seeded, serializable schedule of faults — per-round machine
-//! slowdown (stragglers), message drop/duplication on the exchange
-//! path, transient machine unavailability with bounded retry/backoff,
-//! machine crashes that lose a shard mid-round (recovered from the
-//! round checkpoint, see `DESIGN.md`), and capacity squeezes —
-//! cluster-wide or per machine — that shrink `s` mid-run. The runtime
-//! consults
+//! is a seeded, serializable schedule of faults — message
+//! drop/duplication on the exchange path, transient machine
+//! unavailability with a bounded retry budget, machine crashes that
+//! lose a shard mid-round (recovered from the round checkpoint, see
+//! `DESIGN.md`), and capacity squeezes — cluster-wide or per machine —
+//! that shrink `s` mid-run. The runtime consults
 //! the plan at fixed points of [`crate::cluster::Runtime::round`]; every
 //! decision is a pure function of `(plan seed, round, attempt, machine,
 //! message index)`, so a fixed plan reproduces the identical fault
@@ -17,8 +16,8 @@
 //! **Failure model.** Exchange faults (drop, duplication, machine
 //! unavailability) are *detected* by the simulated exchange protocol —
 //! real shuffles run sequence numbers and acknowledgements — and the
-//! whole exchange is retried with bounded backoff, re-transmitting from
-//! the machines' already-computed outputs. A successful attempt
+//! whole exchange is retried (at most `max_retries` times),
+//! re-transmitting from the machines' already-computed outputs. A successful attempt
 //! delivers exactly the fault-free message sequence, so a run under any
 //! retryable fault schedule either produces output bit-identical to the
 //! fault-free run or fails with the typed
@@ -49,7 +48,6 @@ use treeemb_obs::json::{self, Float, Value};
 const TAG_DROP: u64 = 0xD809;
 const TAG_DUP: u64 = 0xD7B1;
 const TAG_UNAVAILABLE: u64 = 0x0FF1;
-const TAG_STRAGGLE: u64 = 0x51C0;
 const TAG_CRASH: u64 = 0xC4A5;
 
 /// Seeded probabilistic fault rates, applied independently per decision
@@ -66,11 +64,6 @@ pub struct FaultRates {
     /// Probability a machine is unavailable for an exchange attempt
     /// (per machine, per attempt).
     pub unavailable: f64,
-    /// Probability a machine straggles in a round (per machine, per
-    /// round).
-    pub straggle: f64,
-    /// Injected delay when a rate-based straggle fires, nanoseconds.
-    pub straggle_ns: u64,
     /// Probability a machine crashes and loses its shard during an
     /// execution of a round (per machine, per execution attempt; see
     /// [`FaultPlan::crashed`]).
@@ -80,31 +73,17 @@ pub struct FaultRates {
 impl FaultRates {
     /// True when every rate is zero (no probabilistic injection).
     pub fn is_zero(&self) -> bool {
-        self.drop <= 0.0
-            && self.duplicate <= 0.0
-            && self.unavailable <= 0.0
-            && self.straggle <= 0.0
-            && self.crash <= 0.0
+        self.drop <= 0.0 && self.duplicate <= 0.0 && self.unavailable <= 0.0 && self.crash <= 0.0
     }
 }
 
 /// One explicitly scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSpec {
-    /// Machine `machine` sleeps `delay_ns` while computing round
-    /// `round`.
-    Straggle {
-        /// Affected round (0-based, the runtime's round counter).
-        round: usize,
-        /// Straggling machine.
-        machine: usize,
-        /// Injected delay in nanoseconds.
-        delay_ns: u64,
-    },
     /// Message `msg_index` emitted by `src` is dropped in exchange
     /// attempt `attempt` of round `round`.
     Drop {
-        /// Affected round.
+        /// Affected round (0-based, the runtime's round counter).
         round: usize,
         /// Exchange attempt (0-based) within the round.
         attempt: u32,
@@ -165,16 +144,12 @@ pub enum FaultSpec {
 /// What kind of fault an injected [`FaultEvent`] was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// A machine slept during round compute.
-    Straggle,
     /// A message was dropped in transit.
     Drop,
     /// A message was duplicated in transit.
     Duplicate,
     /// A machine was unavailable for an exchange attempt.
     Unavailable,
-    /// The runtime backed off before retrying an exchange.
-    Backoff,
     /// A capacity squeeze was in force for a round.
     Squeeze,
     /// A machine crashed and lost its shard during round compute.
@@ -187,11 +162,9 @@ pub enum FaultKind {
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            FaultKind::Straggle => "straggle",
             FaultKind::Drop => "drop",
             FaultKind::Duplicate => "duplicate",
             FaultKind::Unavailable => "unavailable",
-            FaultKind::Backoff => "backoff",
             FaultKind::Squeeze => "squeeze",
             FaultKind::Crash => "crash",
             FaultKind::Recover => "recover",
@@ -201,14 +174,13 @@ impl fmt::Display for FaultKind {
 }
 
 /// One fault the runtime actually injected, recorded in deterministic
-/// order (rounds ascending; within a round: squeeze, straggles by
-/// machine, then per attempt: unavailability by machine, message faults
-/// by `(src, msg_index)`, backoff last).
+/// order (rounds ascending; within a round: squeeze, then per attempt:
+/// unavailability by machine, message faults by `(src, msg_index)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Round the fault fired in.
     pub round: usize,
-    /// Exchange attempt within the round (0 for straggle/squeeze).
+    /// Exchange attempt within the round (0 for squeeze).
     pub attempt: u32,
     /// What happened.
     pub kind: FaultKind,
@@ -218,9 +190,8 @@ pub struct FaultEvent {
     /// field doubles as the scope marker: `usize::MAX` = cluster-wide,
     /// otherwise the squeezed machine. `usize::MAX` for all other kinds.
     pub msg_index: usize,
-    /// Kind-specific value: delay (ns) for straggle/backoff, effective
-    /// capacity (words) for squeeze, restored words for recover,
-    /// 0 otherwise.
+    /// Kind-specific value: effective capacity (words) for squeeze,
+    /// restored words for recover, 0 otherwise.
     pub value: u64,
 }
 
@@ -242,10 +213,6 @@ pub struct FaultPlan {
     /// re-executions surfaces as
     /// [`MpcError::RecoveryExhausted`](crate::error::MpcError).
     pub max_recoveries: u32,
-    /// Base simulated backoff before retry `k` (recorded as
-    /// `backoff_ns << k`, capped at 20 doublings; the simulation records
-    /// rather than sleeps it).
-    pub backoff_ns: u64,
     /// Probabilistic fault rates.
     pub rates: FaultRates,
     /// Explicitly scheduled faults.
@@ -258,7 +225,6 @@ impl Default for FaultPlan {
             seed: 0,
             max_retries: 3,
             max_recoveries: 3,
-            backoff_ns: 1_000_000,
             rates: FaultRates::default(),
             scheduled: Vec::new(),
         }
@@ -305,9 +271,8 @@ impl FaultPlan {
     }
 
     /// True when the plan can crash a machine (rate-sampled or
-    /// scheduled) — the condition under which
-    /// [`CheckpointPolicy::Auto`](crate::config::CheckpointPolicy)
-    /// snapshots round inputs.
+    /// scheduled) — the condition under which the runtime snapshots
+    /// round inputs.
     pub fn can_crash(&self) -> bool {
         self.rates.crash > 0.0
             || self
@@ -331,15 +296,10 @@ impl FaultPlan {
     /// Builds an explicit (rate-free) plan that replays exactly the
     /// faults in `events` — the starting point for shrinking a failing
     /// seeded run down to a minimal reproducing schedule.
-    pub fn from_events(events: &[FaultEvent], max_retries: u32, backoff_ns: u64) -> FaultPlan {
+    pub fn from_events(events: &[FaultEvent], max_retries: u32) -> FaultPlan {
         let mut scheduled = Vec::new();
         for e in events {
             let spec = match e.kind {
-                FaultKind::Straggle => FaultSpec::Straggle {
-                    round: e.round,
-                    machine: e.machine,
-                    delay_ns: e.value,
-                },
                 FaultKind::Drop => FaultSpec::Drop {
                     round: e.round,
                     attempt: e.attempt,
@@ -369,18 +329,15 @@ impl FaultPlan {
                     attempt: e.attempt,
                     machine: e.machine,
                 },
-                // Backoffs and recoveries are consequences, not causes.
-                FaultKind::Backoff | FaultKind::Recover => continue,
+                // Recoveries are consequences, not causes.
+                FaultKind::Recover => continue,
             };
             if !scheduled.contains(&spec) {
                 scheduled.push(spec);
             }
         }
         FaultPlan {
-            seed: 0,
             max_retries,
-            backoff_ns,
-            rates: FaultRates::default(),
             scheduled,
             ..FaultPlan::default()
         }
@@ -406,35 +363,6 @@ impl FaultPlan {
             return false;
         }
         p >= 1.0 || self.draw(tag, round, attempt, a, b) < p
-    }
-
-    /// Delay machine `machine` should sleep while computing `round`, in
-    /// nanoseconds (0 = no straggle).
-    pub fn straggle_ns(&self, round: usize, machine: usize) -> u64 {
-        let mut delay = 0u64;
-        for s in &self.scheduled {
-            if let FaultSpec::Straggle {
-                round: r,
-                machine: m,
-                delay_ns,
-            } = s
-            {
-                if *r == round && *m == machine {
-                    delay = delay.max(*delay_ns);
-                }
-            }
-        }
-        if self.rate_hit(
-            self.rates.straggle,
-            TAG_STRAGGLE,
-            round,
-            0,
-            machine as u64,
-            0,
-        ) {
-            delay = delay.max(self.rates.straggle_ns);
-        }
-        delay
     }
 
     /// Whether `machine` is unavailable for exchange attempt `attempt`
@@ -576,13 +504,6 @@ impl FaultPlan {
         )
     }
 
-    /// Simulated backoff before retry attempt `next_attempt`
-    /// (exponential, capped at 20 doublings).
-    pub fn backoff_for(&self, next_attempt: u32) -> u64 {
-        self.backoff_ns
-            .saturating_mul(1u64 << next_attempt.saturating_sub(1).min(20))
-    }
-
     // ---- JSON codec ----
 
     /// Serializes the plan as a self-contained JSON object.
@@ -591,31 +512,18 @@ impl FaultPlan {
         let mut out = String::with_capacity(256 + 96 * self.scheduled.len());
         let _ = write!(
             out,
-            "{{\n  \"seed\": {},\n  \"max_retries\": {},\n  \"max_recoveries\": {},\n  \"backoff_ns\": {},\n  \"rates\": {{\"drop\": {}, \"duplicate\": {}, \"unavailable\": {}, \"straggle\": {}, \"straggle_ns\": {}, \"crash\": {}}},\n  \"scheduled\": [",
+            "{{\n  \"seed\": {},\n  \"max_retries\": {},\n  \"max_recoveries\": {},\n  \"rates\": {{\"drop\": {}, \"duplicate\": {}, \"unavailable\": {}, \"crash\": {}}},\n  \"scheduled\": [",
             self.seed,
             self.max_retries,
             self.max_recoveries,
-            self.backoff_ns,
             Float(self.rates.drop),
             Float(self.rates.duplicate),
             Float(self.rates.unavailable),
-            Float(self.rates.straggle),
-            self.rates.straggle_ns,
             Float(self.rates.crash),
         );
         for (i, s) in self.scheduled.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
             match s {
-                FaultSpec::Straggle {
-                    round,
-                    machine,
-                    delay_ns,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"kind\": \"straggle\", \"round\": {round}, \"machine\": {machine}, \"delay_ns\": {delay_ns}}}"
-                    );
-                }
                 FaultSpec::Drop {
                     round,
                     attempt,
@@ -695,7 +603,6 @@ impl FaultPlan {
                 "seed" => plan.seed = int(v, "seed")?,
                 "max_retries" => plan.max_retries = int(v, "max_retries")?,
                 "max_recoveries" => plan.max_recoveries = int(v, "max_recoveries")?,
-                "backoff_ns" => plan.backoff_ns = int(v, "backoff_ns")?,
                 "rates" => {
                     let r = v.as_obj().ok_or("rates must be an object")?;
                     for (rk, rv) in r {
@@ -703,12 +610,7 @@ impl FaultPlan {
                             "drop" => &mut plan.rates.drop,
                             "duplicate" => &mut plan.rates.duplicate,
                             "unavailable" => &mut plan.rates.unavailable,
-                            "straggle" => &mut plan.rates.straggle,
                             "crash" => &mut plan.rates.crash,
-                            "straggle_ns" => {
-                                plan.rates.straggle_ns = int(rv, "rates.straggle_ns")?;
-                                continue;
-                            }
                             _ => continue,
                         };
                         *rate = rv
@@ -754,11 +656,6 @@ fn parse_spec(v: &Value) -> Result<FaultSpec, String> {
         int(x, &format!("{kind} fault {key}"))
     }
     Ok(match kind {
-        "straggle" => FaultSpec::Straggle {
-            round: field(v, kind, "round")?,
-            machine: field(v, kind, "machine")?,
-            delay_ns: field(v, kind, "delay_ns")?,
-        },
         "drop" => FaultSpec::Drop {
             round: field(v, kind, "round")?,
             attempt: field(v, kind, "attempt")?,
@@ -841,7 +738,6 @@ mod tests {
         assert!(p.is_empty());
         for round in 0..20 {
             for machine in 0..8 {
-                assert_eq!(p.straggle_ns(round, machine), 0);
                 assert!(!p.unavailable(round, 0, machine));
                 assert_eq!(p.msg_fault(round, 0, machine, 0), None);
             }
@@ -855,8 +751,6 @@ mod tests {
             drop: 0.5,
             duplicate: 0.3,
             unavailable: 0.2,
-            straggle: 0.4,
-            straggle_ns: 1_000,
             crash: 0.3,
         });
         for round in 0..10 {
@@ -934,19 +828,12 @@ mod tests {
                 round: 1,
                 attempt: 1,
                 machine: 0,
-            })
-            .with_fault(FaultSpec::Straggle {
-                round: 0,
-                machine: 2,
-                delay_ns: 500,
             });
         assert_eq!(p.msg_fault(2, 0, 1, 3), Some(FaultKind::Drop));
         assert_eq!(p.msg_fault(2, 1, 1, 3), None, "retry attempt is clean");
         assert_eq!(p.msg_fault(2, 0, 1, 2), None);
         assert!(p.unavailable(1, 1, 0));
         assert!(!p.unavailable(1, 0, 0));
-        assert_eq!(p.straggle_ns(0, 2), 500);
-        assert_eq!(p.straggle_ns(0, 1), 0);
     }
 
     #[test]
@@ -1033,38 +920,18 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_exponential_and_saturates() {
-        let p = FaultPlan {
-            backoff_ns: 1000,
-            ..FaultPlan::new(0)
-        };
-        assert_eq!(p.backoff_for(1), 1000);
-        assert_eq!(p.backoff_for(2), 2000);
-        assert_eq!(p.backoff_for(3), 4000);
-        assert!(p.backoff_for(200) >= p.backoff_for(21));
-    }
-
-    #[test]
     fn json_round_trips() {
         let plan = FaultPlan {
             seed: u64::MAX - 3,
             max_retries: 5,
             max_recoveries: 2,
-            backoff_ns: 123,
             rates: FaultRates {
                 drop: 0.125,
                 duplicate: 0.0,
                 unavailable: 1.0,
-                straggle: 0.5,
-                straggle_ns: 777,
                 crash: 0.0625,
             },
             scheduled: vec![
-                FaultSpec::Straggle {
-                    round: 1,
-                    machine: 2,
-                    delay_ns: 10,
-                },
                 FaultSpec::Drop {
                     round: 0,
                     attempt: 0,
@@ -1107,10 +974,8 @@ mod tests {
   "seed": 18446744073709551612,
   "max_retries": 5,
   "max_recoveries": 2,
-  "backoff_ns": 123,
-  "rates": {"drop": 0.125, "duplicate": 0.0, "unavailable": 1.0, "straggle": 0.5, "straggle_ns": 777, "crash": 0.0625},
+  "rates": {"drop": 0.125, "duplicate": 0.0, "unavailable": 1.0, "crash": 0.0625},
   "scheduled": [
-    {"kind": "straggle", "round": 1, "machine": 2, "delay_ns": 10},
     {"kind": "drop", "round": 0, "attempt": 0, "src": 3, "msg_index": 9},
     {"kind": "duplicate", "round": 2, "attempt": 1, "src": 0, "msg_index": 0},
     {"kind": "unavailable", "round": 4, "attempt": 0, "machine": 7},
@@ -1156,6 +1021,15 @@ mod tests {
             FaultPlan::from_json("{\"scheduled\": [{\"kind\": \"warp\", \"round\": 0}]}").is_err()
         );
         assert!(FaultPlan::from_json("{\"scheduled\": [{\"kind\": \"drop\"}]}").is_err());
+        // Straggles are no longer a fault kind.
+        let err = FaultPlan::from_json(
+            r#"{"scheduled": [{"kind": "straggle", "round": 0, "machine": 1, "delay_ns": 10}]}"#,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("unknown fault kind") && err.contains("straggle"),
+            "{err}"
+        );
     }
 
     /// Out-of-range and non-integer values are errors naming the key,
@@ -1173,9 +1047,6 @@ mod tests {
             (r#"{"max_retries": -1}"#.to_string(), "max_retries"),
             (drop("4294967297"), "attempt"),
             (drop("1.0"), "attempt"),
-            (r#"{"rates": {"straggle_ns": -5.0}}"#.to_string(), "straggle_ns"),
-            (r#"{"rates": {"straggle_ns": 1e30}}"#.to_string(), "straggle_ns"),
-            (r#"{"rates": {"straggle_ns": 7.5}}"#.to_string(), "straggle_ns"),
             (r#"{"seed": 18446744073709551616}"#.to_string(), "seed"),
             (
                 r#"{"scheduled": [{"kind": "squeeze", "from_round": 0, "capacity_words": 8, "machine": -2}]}"#
@@ -1187,16 +1058,15 @@ mod tests {
             let err = FaultPlan::from_json(&text).expect_err(&text);
             assert!(err.contains(key), "{text}: error {err:?} must name {key}");
         }
-        let max = FaultPlan::from_json(
-            r#"{"max_retries": 4294967295, "rates": {"straggle_ns": 18446744073709551615}}"#,
-        )
-        .unwrap();
+        let max =
+            FaultPlan::from_json(r#"{"max_retries": 4294967295, "seed": 18446744073709551615}"#)
+                .unwrap();
         assert_eq!(max.max_retries, u32::MAX);
-        assert_eq!(max.rates.straggle_ns, u64::MAX);
+        assert_eq!(max.seed, u64::MAX);
     }
 
     #[test]
-    fn from_events_reconstructs_specs_and_skips_backoffs() {
+    fn from_events_reconstructs_specs_and_skips_recoveries() {
         let events = [
             FaultEvent {
                 round: 1,
@@ -1205,14 +1075,6 @@ mod tests {
                 machine: 2,
                 msg_index: 5,
                 value: 0,
-            },
-            FaultEvent {
-                round: 1,
-                attempt: 0,
-                kind: FaultKind::Backoff,
-                machine: 0,
-                msg_index: usize::MAX,
-                value: 1000,
             },
             FaultEvent {
                 round: 2,
@@ -1255,7 +1117,7 @@ mod tests {
                 value: 64,
             },
         ];
-        let plan = FaultPlan::from_events(&events, 2, 10);
+        let plan = FaultPlan::from_events(&events, 2);
         assert_eq!(
             plan.scheduled,
             vec![
@@ -1295,15 +1157,14 @@ mod tests {
             msg_index: 0,
         };
         let mut plan = FaultPlan::new(5).with_rates(FaultRates {
-            straggle: 0.2,
-            straggle_ns: 10,
+            unavailable: 0.2,
             ..FaultRates::default()
         });
         for r in 0..6 {
-            plan.scheduled.push(FaultSpec::Straggle {
+            plan.scheduled.push(FaultSpec::Unavailable {
                 round: r,
+                attempt: 0,
                 machine: 0,
-                delay_ns: 1,
             });
         }
         plan.scheduled.insert(3, culprit);

@@ -55,7 +55,7 @@ pub(crate) mod sync;
 pub mod words;
 
 pub use cluster::{Dist, Emitter, MachineId, Runtime};
-pub use config::{from_env, CheckpointPolicy, EnvOverrides, MpcConfig, RuntimeBuilder};
+pub use config::{MpcConfig, RuntimeBuilder};
 pub use error::{MpcError, MpcResult};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, FaultSpec};
 pub use words::Words;

@@ -56,8 +56,6 @@ fn noisy_plan(seed: u64) -> FaultPlan {
             drop: 0.001,
             duplicate: 0.0005,
             unavailable: 0.005,
-            straggle: 0.02,
-            straggle_ns: 20_000,
             crash: 0.0,
         })
         .with_max_retries(12)
@@ -147,21 +145,13 @@ fn persistent_unavailability_exhausts_retries_with_typed_error() {
         other => panic!("expected RetriesExhausted, got {other}"),
     }
     assert!(err.is_retryable());
-    // The log shows three unavailability hits and two backoffs.
+    // The log shows three unavailability hits.
     let unavailable = rt
         .fault_log()
         .iter()
         .filter(|e| e.kind == FaultKind::Unavailable)
         .count();
-    let backoffs: Vec<u64> = rt
-        .fault_log()
-        .iter()
-        .filter(|e| e.kind == FaultKind::Backoff)
-        .map(|e| e.value)
-        .collect();
     assert_eq!(unavailable, 3);
-    assert_eq!(backoffs.len(), 2);
-    assert!(backoffs[1] > backoffs[0], "backoff must grow: {backoffs:?}");
 }
 
 #[test]
@@ -188,7 +178,7 @@ fn scheduled_drop_forces_exactly_one_retry() {
     assert_eq!(rt.metrics().retried_rounds(), 1);
     assert_eq!(rt.metrics().faults_injected(), rt.fault_log().len());
     let kinds: Vec<FaultKind> = rt.fault_log().iter().map(|e| e.kind).collect();
-    assert_eq!(kinds, vec![FaultKind::Drop, FaultKind::Backoff]);
+    assert_eq!(kinds, vec![FaultKind::Drop]);
 }
 
 #[test]
@@ -263,17 +253,11 @@ fn replayed_event_log_reproduces_the_identical_fault_sequence() {
     // Run a seeded plan, reconstruct an explicit plan from its event
     // log, and replay: the explicit plan must fire the same faults.
     let (out_seeded, log_seeded, _) = sort_run(2, Some(noisy_plan(123)));
-    let explicit = FaultPlan::from_events(&log_seeded, 12, 1_000_000);
+    let explicit = FaultPlan::from_events(&log_seeded, 12);
     assert!(explicit.rates.is_zero());
     let (out_explicit, log_explicit, _) = sort_run(2, Some(explicit));
     assert_eq!(out_explicit, out_seeded);
-    let non_backoff = |log: &[FaultEvent]| -> Vec<FaultEvent> {
-        log.iter()
-            .copied()
-            .filter(|e| e.kind != FaultKind::Backoff)
-            .collect()
-    };
-    assert_eq!(non_backoff(&log_explicit), non_backoff(&log_seeded));
+    assert_eq!(log_explicit, log_seeded);
 }
 
 #[test]
@@ -281,30 +265,60 @@ fn fault_events_appear_in_the_trace() {
     let _g = test_lock();
     treeemb_obs::capture_start();
     treeemb_obs::drain();
+    // One round that fires every fault kind: machine 1 crashes and is
+    // recovered, machine 5 runs squeezed (with room to spare), and the
+    // exchange fails three times — machine 2 unavailable, then a drop,
+    // then a duplicate — before the fourth attempt delivers.
     let plan = FaultPlan::new(0)
-        .with_fault(FaultSpec::Drop {
+        .with_fault(FaultSpec::Crash {
             round: 0,
             attempt: 0,
+            machine: 1,
+        })
+        .with_fault(FaultSpec::Squeeze {
+            from_round: 0,
+            capacity_words: 200,
+            machine: Some(5),
+        })
+        .with_fault(FaultSpec::Unavailable {
+            round: 0,
+            attempt: 0,
+            machine: 2,
+        })
+        .with_fault(FaultSpec::Drop {
+            round: 0,
+            attempt: 1,
             src: 0,
             msg_index: 0,
         })
-        .with_fault(FaultSpec::Straggle {
+        .with_fault(FaultSpec::Duplicate {
             round: 0,
-            machine: 1,
-            delay_ns: 1_000,
+            attempt: 2,
+            src: 0,
+            msg_index: 1,
         });
     let mut rt = rt_with(2, Some(plan));
     let dist = rt.distribute((0..32u64).collect()).unwrap();
-    rt.round("route", dist, |_, shard, em| {
-        for v in shard {
-            em.send((v % 8) as usize, v);
-        }
-        Vec::new()
-    })
-    .unwrap();
+    let out = rt
+        .round("route", dist, |_, shard, em| {
+            for v in shard {
+                em.send((v % 8) as usize, v);
+            }
+            Vec::new()
+        })
+        .unwrap();
     treeemb_obs::capture_stop();
     let events = treeemb_obs::drain();
-    for name in ["fault.drop", "fault.straggle", "fault.backoff"] {
+    assert_eq!(out.total_len(), 32);
+    assert_eq!(rt.metrics().round_stats()[0].attempts, 4);
+    for name in [
+        "fault.drop",
+        "fault.duplicate",
+        "fault.unavailable",
+        "fault.squeeze",
+        "fault.crash",
+        "recover.ok",
+    ] {
         let ev = events
             .iter()
             .find(|e| e.name == name)

@@ -105,9 +105,8 @@ fn collector() -> &'static Collector {
 /// implicitly by every [`enabled`] check; cheap after the first call.
 pub fn init_from_env() {
     ENV_INIT.call_once(|| {
-        // lint:allow(env-read): TREEEMB_TRACE arms the tracer itself and
-        // is documented in from_env's module docs as living here; obs
-        // cannot depend on treeemb-mpc (dependency inversion).
+        // lint:allow(env-read): TREEEMB_TRACE arms the tracer itself;
+        // it selects an output file and never changes a computed result.
         if let Ok(path) = std::env::var("TREEEMB_TRACE") {
             if !path.is_empty() {
                 let c = collector();

@@ -16,7 +16,7 @@ use treeemb_partition::StructuralHash;
 /// `TREEEMB_PROPTEST_CASES` override, defaulting to 64.
 fn cases() -> u32 {
     // lint:allow(env-read): test-harness knob (case-count budget), not
-    // runtime configuration; documented alongside from_env.
+    // runtime configuration.
     std::env::var("TREEEMB_PROPTEST_CASES")
         .ok()
         .and_then(|v| v.parse().ok())

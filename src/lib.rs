@@ -49,8 +49,8 @@ pub mod prelude {
     pub use treeemb_geom::{generators, metrics, PointSet};
     pub use treeemb_mpc::fault::FaultEvent;
     pub use treeemb_mpc::{
-        from_env, CheckpointPolicy, Dist, FaultKind, FaultPlan, FaultRates, FaultSpec, MpcConfig,
-        MpcError, Runtime, RuntimeBuilder,
+        Dist, FaultKind, FaultPlan, FaultRates, FaultSpec, MpcConfig, MpcError, Runtime,
+        RuntimeBuilder,
     };
 }
 

@@ -94,22 +94,45 @@ fn capacity_squeeze_is_a_typed_error_from_the_full_pipeline() {
 #[test]
 fn fault_sequence_and_outcome_are_thread_count_invariant() {
     let ps = generators::uniform_cube(24, 8, 256, 9);
-    let plan = FaultPlan::new(41)
+    let mut plan = FaultPlan::new(41)
         .with_rates(FaultRates {
             drop: 0.0005,
             duplicate: 0.0002,
             unavailable: 0.003,
-            straggle: 0.02,
-            straggle_ns: 2_000,
             crash: 0.0,
         })
         .with_max_retries(8);
+    // First-attempt drops (as in the `pinpoint` plan) guarantee real
+    // exchange retries, so the comparison covers retried rounds.
+    for round in 0..6 {
+        plan = plan.with_fault(FaultSpec::Drop {
+            round,
+            attempt: 0,
+            src: 0,
+            msg_index: 0,
+        });
+    }
     let mut baseline: Option<(Result<Vec<u64>, String>, Vec<_>)> = None;
     for threads in [1usize, 2, 7] {
         let mut cfg = pipeline_cfg(threads);
         cfg.faults = Some(plan.clone());
         cfg.fault_attempts = 2;
         let (result, events) = pipeline::run_faulted(&ps, &cfg);
+        let attempts: Vec<u32> = result
+            .as_ref()
+            .map(|report| {
+                report
+                    .metrics
+                    .round_stats()
+                    .iter()
+                    .map(|r| r.attempts)
+                    .collect()
+            })
+            .unwrap_or_default();
+        assert!(
+            attempts.iter().any(|&a| a > 1),
+            "no round retried at threads={threads} (attempts: {attempts:?})"
+        );
         let digest = result
             .map(|report| {
                 let emb = &report.embedding;
@@ -151,6 +174,19 @@ fn json_round_tripped_plan_replays_identically() {
     let plan = pinpoint_plan(3);
     let reparsed = FaultPlan::from_json(&plan.to_json()).expect("plan JSON must parse");
     assert_eq!(plan, reparsed);
+    // A plan file written when straggles and simulated backoff existed
+    // still parses to the same plan: the retired keys are ignored like
+    // any unknown key, whatever their value.
+    let legacy = plan.to_json().replacen(
+        "\"rates\": {",
+        "\"backoff_ns\": 1000000,\n  \"rates\": {\"straggle\": 0.5, \"straggle_ns\": -5.0, ",
+        1,
+    );
+    assert!(legacy.contains("backoff_ns"), "{legacy}");
+    assert_eq!(
+        FaultPlan::from_json(&legacy).expect("legacy plan JSON must parse"),
+        plan
+    );
     let a = check_stage(Stage::Partition, &plan, 3);
     let b = check_stage(Stage::Partition, &reparsed, 3);
     assert_eq!(a.verdict, b.verdict);
