@@ -20,6 +20,8 @@
 //! * [`exact`] — exact baselines: Prim's MST (`O(n²d)`), Hungarian
 //!   min-cost matching EMD (`O(n³)`), and brute-force ball counting.
 
+#![forbid(unsafe_code)]
+
 pub mod ann;
 pub mod densest_ball;
 pub mod emd;

@@ -7,6 +7,8 @@
 //! markdown tables. `Scale::quick()` keeps everything under a few
 //! seconds per experiment for CI; `Scale::full()` uses larger sweeps.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod experiments;
 pub mod table;

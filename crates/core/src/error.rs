@@ -34,9 +34,10 @@ pub enum EmbedError {
     /// unreachable; indicates a structural-hash collision).
     TreeAssembly(String),
     /// A [`PipelineConfig`](crate::pipeline::PipelineConfig) value the
-    /// MPC runtime cannot be sized with.
+    /// MPC runtime cannot be sized with, or a
+    /// [`HybridParams`](crate::params::HybridParams) argument out of range.
     InvalidConfig {
-        /// The offending `PipelineConfig` field.
+        /// The offending field or argument.
         field: &'static str,
         /// The rejected value.
         value: String,
@@ -65,7 +66,7 @@ impl fmt::Display for EmbedError {
                 expected,
             } => write!(
                 f,
-                "invalid pipeline configuration: {field} = {value}, expected {expected}"
+                "invalid configuration: {field} = {value}, expected {expected}"
             ),
         }
     }

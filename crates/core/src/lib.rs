@@ -19,6 +19,8 @@
 //! same seed and produce *identical tree metrics* (tested in
 //! `mpc_embed::tests` and experiment E12).
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod error;
 pub mod mpc_embed;

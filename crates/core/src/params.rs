@@ -70,6 +70,13 @@ impl HybridParams {
         if ps.is_empty() {
             return Err(EmbedError::EmptyInput);
         }
+        if r == 0 {
+            return Err(EmbedError::InvalidConfig {
+                field: "r",
+                value: "0".into(),
+                expected: "at least 1".into(),
+            });
+        }
         if !min_sep.is_finite() || min_sep <= 0.0 {
             return Err(EmbedError::BadSeparation(min_sep));
         }

@@ -314,6 +314,9 @@ fn validate(cfg: &PipelineConfig) -> Result<(), EmbedError> {
     if cfg.machines == Some(0) {
         return invalid("machines", &0, "at least 1");
     }
+    if cfg.r == Some(0) {
+        return invalid("r", &0, "at least 1");
+    }
     Ok(())
 }
 
@@ -670,6 +673,7 @@ mod tests {
             (b().epsilon(0.0), "epsilon", "0"),
             (b().capacity_words(0), "capacity", "0"),
             (b().machines(0), "machines", "0"),
+            (b().r(0), "r", "0"),
             (
                 b().machines(4).machine_capacity(9, 64),
                 "machine_capacities",

@@ -17,6 +17,8 @@
 //! same counter streams, so the MPC transform computes the *same map*
 //! as the sequential one (up to float summation order) — tested.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod dense;
 pub mod fjlt;

@@ -16,6 +16,8 @@
 //! that honour that convention take an explicit `delta` and emit integral
 //! coordinates stored as `f64` (exact for `Δ ≤ 2^53`).
 
+#![forbid(unsafe_code)]
+
 pub mod bbox;
 pub mod dataset;
 pub mod generators;

@@ -17,6 +17,8 @@
 //! * [`oracle`] — O(1)-query distance oracle (Euler tour + sparse RMQ);
 //! * [`compress`] — unary-chain compression (metric-preserving).
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod builder;
 pub mod compress;

@@ -8,6 +8,8 @@
 //!   shifts can be re-derived anywhere in the cluster from one shared
 //!   seed.
 
+#![forbid(unsafe_code)]
+
 pub mod random;
 pub mod sparse;
 pub mod wht;

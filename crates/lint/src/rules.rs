@@ -31,11 +31,11 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "thread-spawn",
-        summary: "thread::spawn / thread::Builder outside the mpc::exec worker pool",
+        summary: "thread::spawn / thread::Builder / thread::scope outside the mpc::exec executor",
     },
     RuleInfo {
         id: "deprecated-shim",
-        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns)",
+        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns, par_for_each_mut, PoolCore, JobCore, sort_dedup_by_key)",
     },
     RuleInfo {
         id: "config-literal",
@@ -402,13 +402,13 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
         if !in_test(tok.line)
             && tok.text == "thread"
             && t(i + 1) == "::"
-            && matches!(t(i + 2), "spawn" | "Builder")
+            && matches!(t(i + 2), "spawn" | "Builder" | "scope")
         {
             push(
                 tok,
                 "thread-spawn",
                 format!(
-                    "`thread::{}` outside the mpc::exec worker pool: all parallelism goes \
+                    "`thread::{}` outside the mpc::exec executor: all parallelism goes \
                      through treeemb_mpc::exec so determinism and panic handling stay \
                      centralized",
                     t(i + 2)
@@ -477,6 +477,20 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                      simulation (rounds checkpoint iff the fault plan can crash; retries are \
                      counted, not slept; configuration comes from the builders, not the \
                      environment)",
+                    tok.text
+                ),
+            );
+        }
+        if matches!(
+            tok.text.as_str(),
+            "par_for_each_mut" | "PoolCore" | "JobCore" | "sort_dedup_by_key"
+        ) {
+            push(
+                tok,
+                "deprecated-shim",
+                format!(
+                    "`{}` was removed: the executor is par_map_indexed over scoped threads, \
+                     and distributed dedup is primitives::shuffle::dedup_by_key",
                     tok.text
                 ),
             );

@@ -2,7 +2,9 @@
 // The deprecated construction/mutation shims, the second and third
 // partition-key paths, the parallel pair audits, the fault-plan JSON
 // parser and the runtime knobs with no observable effect (checkpoint
-// policy, env overrides, simulated backoff, stragglers) were deleted;
+// policy, env overrides, simulated backoff, stragglers), the persistent
+// worker pool's protocol and in-place for-each, and the sort-based dedup
+// were deleted;
 // the lint keeps them from coming back — even in test code.
 
 fn resurrect() {
@@ -35,6 +37,13 @@ fn resurrect_unobservable_knobs(mut plan: FaultPlan, rates: FaultRates) {
     let _ = Runtime::builder().checkpoint(CheckpointPolicy::Always); //~ DENY deprecated-shim
     plan.backoff_ns = 1_000; //~ DENY deprecated-shim
     let _ = rates.straggle_ns; //~ DENY deprecated-shim
+}
+
+fn resurrect_worker_pool(items: &mut [u64], rt: &mut Runtime, d: Dist<u64>) {
+    treeemb_mpc::exec::par_for_each_mut(items, 2, |_, x| *x += 1); //~ DENY deprecated-shim
+    let pool = PoolCore::<usize>::new(); //~ DENY deprecated-shim
+    let job = JobCore::new(8, 2); //~ DENY deprecated-shim
+    let _ = sort_dedup_by_key(rt, d, |x| *x); //~ DENY deprecated-shim
 }
 
 fn sanctioned_json(text: &str) {

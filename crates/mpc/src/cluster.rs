@@ -215,11 +215,6 @@ impl Runtime {
         &self.metrics
     }
 
-    /// Clears accumulated metrics (e.g. between pipeline stages).
-    pub fn reset_metrics(&mut self) {
-        self.metrics = Metrics::new();
-    }
-
     /// The attached fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref().map(|f| &f.plan)

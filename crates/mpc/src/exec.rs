@@ -1,57 +1,54 @@
 //! Deterministic parallel executor for machine-local computation.
 //!
 //! Machines within an MPC round are independent, so the runtime executes
-//! them concurrently. Two design points keep the hot path cheap:
+//! them concurrently. Each parallel job runs inside one
+//! [`std::thread::scope`]: the caller plus `participants - 1` helper
+//! threads claim contiguous chunks of items off a single `AtomicUsize`
+//! cursor, so uneven per-item costs still balance. The input is split
+//! into chunks up front, each in its own `Mutex<Option<Vec<T>>>` that the
+//! participant claiming its index takes exactly once. Participants
+//! return their finished chunks tagged with the chunk index, and the
+//! caller concatenates them in chunk order. The executor is safe Rust;
+//! the crate root forbids `unsafe_code`.
 //!
-//! * **A persistent worker pool.** Workers are spawned once (lazily, up
-//!   to [`MAX_WORKERS`]) and parked on a condvar between jobs, so each
-//!   `Cluster` round publishes a job descriptor instead of paying thread
-//!   spawn/join costs. The calling thread always participates, so
-//!   `threads = k` means the caller plus `k - 1` pool workers.
-//! * **Chunked atomic-cursor scheduling into pre-sized slots.** Items are
-//!   claimed in contiguous chunks off a single `AtomicUsize`, inputs are
-//!   read by index from the source buffer, and each output is written
-//!   directly into its index's slot. There are no per-item locks and no
-//!   `Option` wrappers on the hot path.
+//! Helpers are spawned per job rather than kept in a pool: an operation
+//! runs a handful of parallel jobs, and a scoped spawn and join of one
+//! helper costs tens of microseconds against rounds that run for
+//! milliseconds.
 //!
 //! Determinism: output `i` is exactly `f(i, item_i)` no matter how
 //! chunks land on threads, so results are bit-identical for every thread
 //! count (including the sequential fallback).
 //!
-//! Panics: a panicking closure aborts the remaining chunks, the first
-//! payload is captured, and the caller re-raises it after all
-//! participants have quiesced — never a deadlock. Inputs not yet
-//! consumed and outputs already produced when a panic strikes are leaked
-//! rather than dropped; acceptable for this workspace, where panics in
-//! round closures are programming errors.
+//! Panics: a panicking closure parks the cursor past the end, so the
+//! other participants stop at their next claim. Once every participant
+//! has joined, the caller re-raises the first payload with
+//! [`resume_unwind`] — never a deadlock.
 //!
 //! Nested calls (a round closure invoking the executor again) run the
-//! inner call sequentially: the pool executes one job at a time and
-//! re-entry from a participant would otherwise self-deadlock.
-//!
-//! Verification: the epoch/cursor handshake lives in [`protocol`],
-//! which builds on `crate::sync` so the loom suite
-//! (`RUSTFLAGS="--cfg loom" cargo test -p treeemb-mpc --test loom_exec`)
-//! model-checks the exact shipped code for data races, lost wakeups,
-//! and exactly-once chunk delivery; the nightly Miri/ThreadSanitizer CI
-//! jobs cover the raw-pointer side of the job descriptors.
+//! inner call sequentially, so a job never multiplies its thread count.
 
-use std::mem::MaybeUninit;
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Upper bound on pool threads; `threads` arguments beyond
-/// `MAX_WORKERS + 1` still work, they just share these workers.
+/// Upper bound on helper threads per job; `threads` arguments beyond
+/// `MAX_WORKERS + 1` run as the caller plus `MAX_WORKERS` helpers.
 pub const MAX_WORKERS: usize = 31;
+
+/// Cursor chunks handed out per participant (on average); >1 so
+/// uneven per-item costs still balance, small enough to keep claims
+/// rare.
+const CHUNKS_PER_PARTICIPANT: usize = 8;
 
 /// Cumulative executor instrumentation. Counters are always on (a
 /// handful of relaxed atomic adds per *job*, which is per MPC round —
 /// far off the per-item hot path); trace events additionally flow to
 /// `treeemb-obs` only while tracing is armed.
 struct ExecCounters {
-    /// Jobs published to the worker pool.
+    /// Jobs run in parallel.
     jobs: AtomicU64,
     /// Jobs that took the sequential fallback (tiny input, `threads <= 1`,
     /// or nested inside another job).
@@ -62,13 +59,10 @@ struct ExecCounters {
     chunk_claims: AtomicU64,
     /// Nanoseconds calling threads spent participating in jobs.
     caller_busy_ns: AtomicU64,
-    /// Per-worker nanoseconds inside job entry points.
+    /// Largest helper count of any parallel job.
+    workers_spawned: AtomicUsize,
+    /// Per-helper-slot nanoseconds spent in jobs.
     worker_busy_ns: [AtomicU64; MAX_WORKERS],
-    /// Per-worker nanoseconds parked between jobs (after first wake).
-    worker_idle_ns: [AtomicU64; MAX_WORKERS],
-    /// High-water mark of concurrently running pool workers
-    /// (saturation gauge; excludes the calling thread).
-    max_running: AtomicU64,
 }
 
 static COUNTERS: ExecCounters = ExecCounters {
@@ -77,15 +71,14 @@ static COUNTERS: ExecCounters = ExecCounters {
     tasks: AtomicU64::new(0),
     chunk_claims: AtomicU64::new(0),
     caller_busy_ns: AtomicU64::new(0),
+    workers_spawned: AtomicUsize::new(0),
     worker_busy_ns: [const { AtomicU64::new(0) }; MAX_WORKERS],
-    worker_idle_ns: [const { AtomicU64::new(0) }; MAX_WORKERS],
-    max_running: AtomicU64::new(0),
 };
 
 /// Snapshot of the executor's cumulative utilization counters.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
-    /// Jobs published to the worker pool.
+    /// Jobs run in parallel.
     pub jobs: u64,
     /// Jobs that ran on the sequential fallback path.
     pub sequential_jobs: u64,
@@ -95,37 +88,24 @@ pub struct ExecStats {
     pub chunk_claims: u64,
     /// Nanoseconds calling threads spent participating in jobs.
     pub caller_busy_ns: u64,
-    /// Pool workers spawned so far (lazily, up to [`MAX_WORKERS`]).
+    /// Largest `participants - 1` of any parallel job so far (at most
+    /// [`MAX_WORKERS`]).
     pub workers_spawned: usize,
-    /// Per-spawned-worker busy nanoseconds, indexed by worker id.
+    /// Busy nanoseconds per helper slot: entry `k` sums the time the
+    /// `k`-th helper of every job spent in it.
     pub worker_busy_ns: Vec<u64>,
-    /// Per-spawned-worker idle nanoseconds (parked between jobs).
-    pub worker_idle_ns: Vec<u64>,
-    /// High-water mark of concurrently running pool workers.
-    pub max_concurrent_workers: u64,
 }
 
 impl ExecStats {
-    /// Total busy nanoseconds across callers and pool workers.
+    /// Total busy nanoseconds across callers and helpers.
     pub fn busy_ns(&self) -> u64 {
         self.caller_busy_ns + self.worker_busy_ns.iter().sum::<u64>()
-    }
-
-    /// Fraction of pool-worker wall time spent busy (busy / (busy+idle));
-    /// 1.0 when no worker has ever been spawned.
-    pub fn utilization(&self) -> f64 {
-        let busy: u64 = self.worker_busy_ns.iter().sum();
-        let idle: u64 = self.worker_idle_ns.iter().sum();
-        if busy + idle == 0 {
-            return 1.0;
-        }
-        busy as f64 / (busy + idle) as f64
     }
 }
 
 /// Snapshots the executor's cumulative counters.
 pub fn stats() -> ExecStats {
-    let spawned = pool().core.spawned();
+    let spawned = COUNTERS.workers_spawned.load(Ordering::Relaxed);
     ExecStats {
         jobs: COUNTERS.jobs.load(Ordering::Relaxed),
         sequential_jobs: COUNTERS.sequential_jobs.load(Ordering::Relaxed),
@@ -137,33 +117,25 @@ pub fn stats() -> ExecStats {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect(),
-        worker_idle_ns: COUNTERS.worker_idle_ns[..spawned]
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect(),
-        max_concurrent_workers: COUNTERS.max_running.load(Ordering::Relaxed),
     }
 }
 
-/// Zeroes the cumulative counters (workers stay spawned). Intended for
-/// benchmark harnesses that attribute counters to phases.
+/// Zeroes the cumulative counters. Intended for benchmark harnesses
+/// that attribute counters to phases.
 pub fn reset_stats() {
     COUNTERS.jobs.store(0, Ordering::Relaxed);
     COUNTERS.sequential_jobs.store(0, Ordering::Relaxed);
     COUNTERS.tasks.store(0, Ordering::Relaxed);
     COUNTERS.chunk_claims.store(0, Ordering::Relaxed);
     COUNTERS.caller_busy_ns.store(0, Ordering::Relaxed);
+    COUNTERS.workers_spawned.store(0, Ordering::Relaxed);
     for c in &COUNTERS.worker_busy_ns {
         c.store(0, Ordering::Relaxed);
     }
-    for c in &COUNTERS.worker_idle_ns {
-        c.store(0, Ordering::Relaxed);
-    }
-    COUNTERS.max_running.store(0, Ordering::Relaxed);
 }
 
 /// Emits the headline executor counters into the active trace (no-op
-/// while tracing is disarmed). Called after each pool job.
+/// while tracing is disarmed). Called after each parallel job.
 fn publish_trace_counters() {
     if !treeemb_obs::enabled() {
         return;
@@ -174,15 +146,11 @@ fn publish_trace_counters() {
         "exec.chunk_claims",
         COUNTERS.chunk_claims.load(Ordering::Relaxed),
     );
-    treeemb_obs::counter(
-        "exec.max_concurrent_workers",
-        COUNTERS.max_running.load(Ordering::Relaxed),
-    );
 }
 
 thread_local! {
-    /// True while this thread is executing inside a pool job (either as a
-    /// pool worker or as the publishing caller).
+    /// True while this thread participates in a parallel job (as the
+    /// caller or as a helper).
     static IN_EXECUTOR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -190,354 +158,97 @@ fn in_executor() -> bool {
     IN_EXECUTOR.with(std::cell::Cell::get)
 }
 
-pub mod protocol {
-    //! The executor's synchronization core, factored out of the
-    //! instrumented pool so it can be **model-checked**: these types
-    //! build exclusively on `crate::sync`, whose primitives become
-    //! loom schedule points under `--cfg loom`. The loom suite
-    //! (`crates/mpc/tests/loom_exec.rs`) exhaustively explores bounded
-    //! interleavings of exactly this code — job publication and the
-    //! epoch handshake ([`PoolCore`]), the chunk-claim cursor and
-    //! admission tickets ([`JobCore`]) — checking exactly-once chunk
-    //! delivery, absence of lost wakeups on the two condvars, and clean
-    //! drain/close termination.
-    //!
-    //! In a non-loom build `crate::sync` re-exports the `std` types, so
-    //! the shipped executor runs this very code with zero abstraction
-    //! cost.
+/// One parallel job's shared state: the pre-split input, the claim
+/// cursor and the first panic payload.
+struct Job<T> {
+    /// Items per chunk (the last chunk may be shorter).
+    chunk: usize,
+    /// The input in chunks; claiming index `c` off `cursor` entitles a
+    /// participant to take chunk `c`.
+    chunks: Vec<Mutex<Option<Vec<T>>>>,
+    cursor: AtomicUsize,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
 
-    use std::any::Any;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    use crate::sync::{AtomicUsize, Condvar, Mutex, Ordering};
-
-    /// Cursor chunks handed out per participant (on average); >1 so
-    /// uneven per-item costs still balance, small enough to keep claims
-    /// rare.
-    const CHUNKS_PER_PARTICIPANT: usize = 8;
-
-    struct PoolState<J> {
-        /// The currently published job, if any. Cleared by the caller
-        /// before it waits for stragglers, so late-waking workers skip
-        /// it.
-        job: Option<J>,
-        /// Bumped once per published job; workers use it to tell a
-        /// fresh job from one they already served.
-        epoch: u64,
-        /// Workers currently inside a job's entry point.
-        running: usize,
-        /// Worker threads spawned so far (bookkeeping for the owning
-        /// pool; the protocol itself never spawns).
-        spawned: usize,
-        /// Set by [`PoolCore::close`]: workers drain out of
-        /// [`PoolCore::serve`] with `None`.
-        closing: bool,
-    }
-
-    /// Publication/drain handshake of the persistent worker pool,
-    /// generic over the job payload so the loom suite can drive it with
-    /// plain values instead of type-erased pointers.
-    pub struct PoolCore<J: Copy> {
-        state: Mutex<PoolState<J>>,
-        /// Signals workers that a new job was published (or the pool is
-        /// closing).
-        work_cv: Condvar,
-        /// Signals the caller (and queued callers) that the pool
-        /// drained.
-        idle_cv: Condvar,
-    }
-
-    impl<J: Copy> Default for PoolCore<J> {
-        fn default() -> Self {
-            Self::new()
+impl<T> Job<T> {
+    /// Splits `items` into chunks for `participants` threads.
+    fn new(items: Vec<T>, participants: usize) -> Self {
+        let chunk = (items.len() / (participants * CHUNKS_PER_PARTICIPANT)).max(1);
+        let mut rest = items.into_iter();
+        let chunks = std::iter::from_fn(|| {
+            let c: Vec<T> = rest.by_ref().take(chunk).collect();
+            (!c.is_empty()).then(|| Mutex::new(Some(c)))
+        })
+        .collect();
+        Self {
+            chunk,
+            chunks,
+            cursor: AtomicUsize::new(0),
+            panic: Mutex::new(None),
         }
     }
 
-    impl<J: Copy> PoolCore<J> {
-        /// An empty, open pool with no job published.
-        pub fn new() -> Self {
-            Self {
-                state: Mutex::new(PoolState {
-                    job: None,
-                    epoch: 0,
-                    running: 0,
-                    spawned: 0,
-                    closing: false,
-                }),
-                work_cv: Condvar::new(),
-                idle_cv: Condvar::new(),
-            }
+    /// Claims chunks and maps their items until the cursor runs out,
+    /// returning each finished chunk with its index. On panic, halts
+    /// all participants and records the first payload.
+    fn drive<U>(&self, f: &impl Fn(usize, T) -> U) -> Vec<(usize, Vec<U>)> {
+        let mut done = Vec::new();
+        let mut claims = 0u64;
+        let result = catch_unwind(AssertUnwindSafe(|| loop {
+            let c = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.chunks.get(c) else {
+                break;
+            };
+            claims += 1;
+            let items = slot
+                .lock()
+                .expect("chunk slot poisoned")
+                .take()
+                .expect("each chunk is claimed once");
+            let base = c * self.chunk;
+            let out = items
+                .into_iter()
+                .enumerate()
+                .map(|(j, x)| f(base + j, x))
+                .collect();
+            done.push((c, out));
+        }));
+        if claims > 0 {
+            COUNTERS.chunk_claims.fetch_add(claims, Ordering::Relaxed);
         }
-
-        /// Reserves worker slots up to `target`, returning the range of
-        /// slot indices the caller must actually spawn (empty when the
-        /// pool already reached `target`).
-        pub fn reserve_workers(&self, target: usize) -> std::ops::Range<usize> {
-            let mut st = self.state.lock().expect("executor pool poisoned");
-            let from = st.spawned;
-            st.spawned = st.spawned.max(target);
-            from..st.spawned
+        if let Err(payload) = result {
+            // Park the cursor past the end so other participants stop at
+            // their next claim.
+            self.cursor.store(self.chunks.len(), Ordering::Relaxed);
+            self.panic
+                .lock()
+                .expect("panic slot poisoned")
+                .get_or_insert(payload);
         }
-
-        /// Worker threads spawned so far.
-        pub fn spawned(&self) -> usize {
-            self.state.lock().expect("executor pool poisoned").spawned
-        }
-
-        /// Publishes `job` to the workers, queueing behind any in-flight
-        /// publication (one job at a time).
-        pub fn publish(&self, job: J) {
-            let mut st = self.state.lock().expect("executor pool poisoned");
-            while st.job.is_some() || st.running > 0 {
-                st = self.idle_cv.wait(st).expect("executor pool poisoned");
-            }
-            st.job = Some(job);
-            st.epoch += 1;
-            drop(st);
-            self.work_cv.notify_all();
-        }
-
-        /// Caller-side completion barrier: retires the published job,
-        /// waits until every worker that joined it has left, and wakes
-        /// any queued publisher.
-        pub fn drain(&self) {
-            let mut st = self.state.lock().expect("executor pool poisoned");
-            st.job = None;
-            while st.running > 0 {
-                st = self.idle_cv.wait(st).expect("executor pool poisoned");
-            }
-            drop(st);
-            // Wake any caller queued on `idle_cv` waiting to publish.
-            self.idle_cv.notify_all();
-        }
-
-        /// Worker-side: blocks until a job this worker has not yet
-        /// served is published, joins it, and returns it together with
-        /// the number of workers now inside the job (a saturation
-        /// gauge). Returns `None` once the pool is closing.
-        pub fn serve(&self, seen_epoch: &mut u64) -> Option<(J, usize)> {
-            let mut st = self.state.lock().expect("executor pool poisoned");
-            loop {
-                if st.closing {
-                    return None;
-                }
-                if st.epoch != *seen_epoch {
-                    *seen_epoch = st.epoch;
-                    if let Some(job) = st.job {
-                        st.running += 1;
-                        return Some((job, st.running));
-                    }
-                }
-                st = self.work_cv.wait(st).expect("executor pool poisoned");
-            }
-        }
-
-        /// Worker-side: marks a served job complete; the last worker out
-        /// wakes the draining caller.
-        pub fn complete(&self) {
-            let mut st = self.state.lock().expect("executor pool poisoned");
-            st.running -= 1;
-            if st.running == 0 {
-                drop(st);
-                self.idle_cv.notify_all();
-            }
-        }
-
-        /// Closes the pool: every worker parked in (or arriving at)
-        /// [`PoolCore::serve`] returns `None`. The production pool never
-        /// closes (workers persist for the process lifetime); tests and
-        /// the loom models use this for clean join-based shutdown.
-        pub fn close(&self) {
-            let mut st = self.state.lock().expect("executor pool poisoned");
-            st.closing = true;
-            drop(st);
-            self.work_cv.notify_all();
-        }
-    }
-
-    /// Shared scheduling core of a job descriptor: chunk claiming,
-    /// admission tickets, and first-panic capture.
-    pub struct JobCore {
-        n: usize,
-        chunk: usize,
-        cursor: AtomicUsize,
-        /// Admission tickets, one per allowed participant (including the
-        /// caller); surplus pool workers bow out without touching items.
-        tickets: AtomicUsize,
-        panic: Mutex<Option<Box<dyn Any + Send>>>,
-    }
-
-    impl JobCore {
-        /// A job over `n` items shared by at most `participants`
-        /// threads.
-        pub fn new(n: usize, participants: usize) -> Self {
-            Self {
-                n,
-                chunk: (n / (participants * CHUNKS_PER_PARTICIPANT)).max(1),
-                cursor: AtomicUsize::new(0),
-                tickets: AtomicUsize::new(participants),
-                panic: Mutex::new(None),
-            }
-        }
-
-        /// Claims an admission ticket; a `false` return means the job is
-        /// fully subscribed and this thread must not touch any item.
-        pub fn take_ticket(&self) -> bool {
-            self.tickets
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| t.checked_sub(1))
-                .is_ok()
-        }
-
-        /// Claims chunks and feeds their index ranges to `work` until
-        /// the items run out; on panic, halts all participants and
-        /// records the first payload. Returns the number of chunk claims
-        /// this participant served.
-        pub fn drive(&self, work: impl Fn(usize, usize)) -> u64 {
-            let mut claims = 0u64;
-            let result = catch_unwind(AssertUnwindSafe(|| loop {
-                let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-                if start >= self.n {
-                    break;
-                }
-                claims += 1;
-                work(start, (start + self.chunk).min(self.n));
-            }));
-            if let Err(payload) = result {
-                // Park the cursor past the end so other participants
-                // stop at their next claim.
-                self.cursor.store(self.n, Ordering::Relaxed);
-                let mut slot = self.panic.lock().expect("panic slot poisoned");
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            claims
-        }
-
-        /// The first panic payload captured by [`JobCore::drive`], if
-        /// any.
-        pub fn into_panic(self) -> Option<Box<dyn Any + Send>> {
-            self.panic.into_inner().expect("panic slot poisoned")
-        }
+        done
     }
 }
 
-use protocol::{JobCore, PoolCore};
-
-/// Type-erased pointer to a job descriptor living on the caller's stack,
-/// plus the monomorphized entry point that interprets it.
-#[derive(Clone, Copy)]
-struct Job {
-    data: *const (),
-    run: unsafe fn(*const ()),
-}
-
-// SAFETY: the pointed-to descriptor outlives the job (the caller blocks
-// until every participant has finished), and all shared state inside it
-// is atomics, mutexes, and `Sync` closures.
-unsafe impl Send for Job {}
-
-struct Pool {
-    core: PoolCore<Job>,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        core: PoolCore::new(),
-    })
-}
-
-fn worker_loop(pool: &'static Pool, slot: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        // lint:allow(wall-clock): worker idle/busy metering feeds the
-        // utilization counters only; round outputs never see these
-        // values.
-        let wait_start = Instant::now();
-        let Some((job, running)) = pool.core.serve(&mut seen_epoch) else {
-            return;
-        };
-        COUNTERS
-            .max_running
-            .fetch_max(running as u64, Ordering::Relaxed);
-        COUNTERS.worker_idle_ns[slot]
-            .fetch_add(wait_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        IN_EXECUTOR.with(|f| f.set(true));
-        // lint:allow(wall-clock): as above — instrumentation only.
-        let busy_start = Instant::now();
-        // SAFETY: the caller keeps the descriptor alive until `running`
-        // returns to zero, which cannot happen before this call returns.
-        unsafe { (job.run)(job.data) };
-        COUNTERS.worker_busy_ns[slot]
-            .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        IN_EXECUTOR.with(|f| f.set(false));
-        pool.core.complete();
-    }
-}
-
-impl Pool {
-    /// Publishes `job`, participates in it on the calling thread, and
-    /// returns once every participant is done. `helpers` is the number of
-    /// pool workers that should join in addition to the caller.
-    fn run(&'static self, helpers: usize, job: Job) {
-        for slot in self.core.reserve_workers(helpers.min(MAX_WORKERS)) {
-            // lint:allow(thread-spawn): this IS mpc::exec — the one
-            // sanctioned spawn site in the workspace.
-            std::thread::Builder::new()
-                .name(format!("treeemb-exec-{slot}"))
-                .spawn(move || worker_loop(pool(), slot))
-                .expect("spawn executor worker");
-        }
-        self.core.publish(job);
-        IN_EXECUTOR.with(|f| f.set(true));
-        // lint:allow(wall-clock): caller-participation metering feeds
-        // the utilization counters only.
-        let busy_start = Instant::now();
-        // SAFETY: the descriptor is on our own stack and stays valid
-        // until the drain below completes.
-        unsafe { (job.run)(job.data) };
-        COUNTERS
-            .caller_busy_ns
-            .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        IN_EXECUTOR.with(|f| f.set(false));
-        self.core.drain();
-    }
-}
-
-struct MapJob<'a, T, U, F> {
-    core: JobCore,
-    src: *const T,
-    dst: *mut MaybeUninit<U>,
-    f: &'a F,
-}
-
-unsafe fn run_map<T, U, F>(data: *const ())
-where
-    F: Fn(usize, T) -> U + Sync,
-{
-    let job = &*(data as *const MapJob<'_, T, U, F>);
-    if !job.core.take_ticket() {
-        return;
-    }
-    let claims = job.core.drive(|start, end| {
-        for i in start..end {
-            // SAFETY: the cursor dispenses each index exactly once, so
-            // this read moves item `i` out exactly once and the write
-            // below is the only writer of slot `i`.
-            let item = unsafe { std::ptr::read(job.src.add(i)) };
-            let out = (job.f)(i, item);
-            unsafe { (*job.dst.add(i)).write(out) };
-        }
-    });
-    if claims > 0 {
-        COUNTERS.chunk_claims.fetch_add(claims, Ordering::Relaxed);
-    }
+/// Runs one participant's share of `job` on the current thread, adding
+/// its busy time to `busy_ns`.
+fn participate<T, U>(
+    job: &Job<T>,
+    f: &impl Fn(usize, T) -> U,
+    busy_ns: &AtomicU64,
+) -> Vec<(usize, Vec<U>)> {
+    IN_EXECUTOR.with(|flag| flag.set(true));
+    // lint:allow(wall-clock): busy-time metering feeds the executor
+    // counters only; outputs never see these values.
+    let start = Instant::now();
+    let done = job.drive(f);
+    busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    IN_EXECUTOR.with(|flag| flag.set(false));
+    done
 }
 
 /// Applies `f` to every `(index, item)` pair, running up to `threads`
-/// participants concurrently (the caller plus pooled workers), and
-/// returns the results in index order.
+/// participants concurrently (the caller plus scoped helper threads),
+/// and returns the results in index order.
 ///
 /// Falls back to a plain sequential loop when `threads <= 1`, the item
 /// count is tiny, or the call is nested inside another executor job.
@@ -557,117 +268,47 @@ where
             .map(|(i, x)| f(i, x))
             .collect();
     }
-    let participants = threads.min(n);
+    let participants = threads.min(n).min(MAX_WORKERS + 1);
     COUNTERS.jobs.fetch_add(1, Ordering::Relaxed);
+    COUNTERS
+        .workers_spawned
+        .fetch_max(participants - 1, Ordering::Relaxed);
     let mut sp = treeemb_obs::Span::enter("exec.map");
     sp.arg("items", n as u64);
     sp.arg("participants", participants as u64);
-    let mut items = items;
-    let src = items.as_ptr();
-    // Elements are now owned by the cursor protocol; the emptied Vec
-    // frees only its buffer on drop (or during unwind).
-    unsafe { items.set_len(0) };
-    let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(n);
-    // SAFETY: MaybeUninit slots need no initialization; each is written
-    // exactly once before being read back.
-    unsafe { out.set_len(n) };
-    let job = MapJob {
-        core: JobCore::new(n, participants),
-        src,
-        dst: out.as_mut_ptr(),
-        f: &f,
-    };
-    pool().run(
-        participants - 1,
-        Job {
-            data: std::ptr::addr_of!(job).cast(),
-            run: run_map::<T, U, F>,
-        },
-    );
-    drop(sp);
-    publish_trace_counters();
-    if let Some(payload) = job.core.into_panic() {
-        resume_unwind(payload);
-    }
-    // Every index was claimed and completed without panicking, so all n
-    // slots are initialized: reinterpret the buffer as Vec<U>.
-    let (ptr, len, cap) = (out.as_mut_ptr(), out.len(), out.capacity());
-    std::mem::forget(out);
-    unsafe { Vec::from_raw_parts(ptr.cast::<U>(), len, cap) }
-}
-
-struct ForEachJob<'a, T, F> {
-    core: JobCore,
-    base: *mut T,
-    f: &'a F,
-}
-
-unsafe fn run_for_each<T, F>(data: *const ())
-where
-    F: Fn(usize, &mut T) + Sync,
-{
-    let job = &*(data as *const ForEachJob<'_, T, F>);
-    if !job.core.take_ticket() {
-        return;
-    }
-    let claims = job.core.drive(|start, end| {
-        for i in start..end {
-            // SAFETY: the cursor dispenses each index exactly once, so no
-            // two participants alias the same element.
-            let item = unsafe { &mut *job.base.add(i) };
-            (job.f)(i, item);
+    let job = Job::new(items, participants);
+    let (job_ref, f_ref) = (&job, &f);
+    // lint:allow(thread-spawn): this IS mpc::exec — the one sanctioned
+    // place that starts threads in the workspace.
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (0..participants - 1)
+            .map(|slot| {
+                s.spawn(move || participate(job_ref, f_ref, &COUNTERS.worker_busy_ns[slot]))
+            })
+            .collect();
+        let mut done = participate(job_ref, f_ref, &COUNTERS.caller_busy_ns);
+        for h in helpers {
+            done.extend(h.join().expect("helpers catch closure panics"));
         }
+        done
     });
-    if claims > 0 {
-        COUNTERS.chunk_claims.fetch_add(claims, Ordering::Relaxed);
-    }
-}
-
-/// Parallel for-each over `(index, &mut item)` pairs; in-place variant of
-/// [`par_map_indexed`] that avoids moving large machine states.
-pub fn par_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    COUNTERS.tasks.fetch_add(n as u64, Ordering::Relaxed);
-    if threads <= 1 || n <= 1 || in_executor() {
-        COUNTERS.sequential_jobs.fetch_add(1, Ordering::Relaxed);
-        for (i, x) in items.iter_mut().enumerate() {
-            f(i, x);
-        }
-        return;
-    }
-    let participants = threads.min(n);
-    COUNTERS.jobs.fetch_add(1, Ordering::Relaxed);
-    let mut sp = treeemb_obs::Span::enter("exec.for_each");
-    sp.arg("items", n as u64);
-    sp.arg("participants", participants as u64);
-    let job = ForEachJob {
-        core: JobCore::new(n, participants),
-        base: items.as_mut_ptr(),
-        f: &f,
-    };
-    pool().run(
-        participants - 1,
-        Job {
-            data: std::ptr::addr_of!(job).cast(),
-            run: run_for_each::<T, F>,
-        },
-    );
     drop(sp);
     publish_trace_counters();
-    if let Some(payload) = job.core.into_panic() {
+    if let Some(payload) = job.panic.into_inner().expect("panic slot poisoned") {
         resume_unwind(payload);
     }
+    done.sort_unstable_by_key(|&(c, _)| c);
+    let mut out = Vec::with_capacity(n);
+    for (_, chunk) in done {
+        out.extend(chunk);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn par_map_matches_sequential() {
@@ -705,33 +346,17 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_updates_in_place() {
-        let mut items: Vec<u64> = (0..300).collect();
-        par_for_each_mut(&mut items, 5, |i, x| *x += i as u64);
-        for (i, x) in items.iter().enumerate() {
-            assert_eq!(*x, 2 * i as u64);
-        }
-    }
-
-    #[test]
-    fn for_each_mut_handles_empty_and_tiny() {
-        let mut empty: Vec<u64> = vec![];
-        par_for_each_mut(&mut empty, 4, |_, _| {});
-        let mut one = vec![7u64];
-        par_for_each_mut(&mut one, 4, |_, x| *x = 9);
-        assert_eq!(one, vec![9]);
-    }
-
-    #[test]
     fn results_bit_identical_across_thread_counts() {
         // The workloads feed floating point through index-dependent math;
         // bit-identity across thread counts is the determinism contract.
         let items: Vec<f64> = (0..4096).map(|i| (i as f64).sin() * 1e3).collect();
         let reference = par_map_indexed(items.clone(), 1, |i, x| (x * i as f64).to_bits());
-        for threads in [2, 8] {
+        for threads in [2, 8, 64] {
             let got = par_map_indexed(items.clone(), threads, |i, x| (x * i as f64).to_bits());
             assert_eq!(got, reference, "threads={threads}");
         }
+        // 64 threads exceed MAX_WORKERS + 1: the helper count is capped.
+        assert!(stats().workers_spawned <= MAX_WORKERS);
     }
 
     #[test]
@@ -743,20 +368,17 @@ mod tests {
                     x
                 })
             });
-            assert!(result.is_err(), "panic must propagate (threads={threads})");
+            let payload = result.expect_err("panic must propagate");
+            // The re-raised payload is the closure's own, not a join error.
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("boom at 137"),
+                "threads={threads}"
+            );
         }
-        // The pool must remain usable after a panicked job.
+        // The executor must remain usable after a panicked job.
         let ok = par_map_indexed((0..64).collect::<Vec<u64>>(), 8, |_, x| x + 1);
         assert_eq!(ok.len(), 64);
-    }
-
-    #[test]
-    fn panic_in_for_each_propagates() {
-        let mut items: Vec<u64> = (0..256).collect();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            par_for_each_mut(&mut items, 4, |i, _| assert!(i != 200));
-        }));
-        assert!(result.is_err());
     }
 
     #[test]
@@ -772,8 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_rounds_reuse_pool() {
-        // Many small jobs back to back: exercises publish/retire cycling.
+    fn many_small_jobs_back_to_back() {
         for round in 0..200u64 {
             let items: Vec<u64> = (0..32).collect();
             let out = par_map_indexed(items, 4, move |_, x| x + round);
@@ -793,7 +414,7 @@ mod tests {
         // monotone delta assertions are safe.
         let before = stats();
         let n = 256usize;
-        // Per-item work long enough that pool workers reliably wake and
+        // Per-item work long enough that helpers reliably start and
         // claim chunks before the caller drains the cursor alone.
         let out = par_map_indexed((0..n as u64).collect::<Vec<u64>>(), 8, |_, x| {
             std::thread::sleep(std::time::Duration::from_micros(100));
@@ -810,9 +431,5 @@ mod tests {
         assert!(after.busy_ns() > before.busy_ns());
         assert!(after.workers_spawned >= 7);
         assert_eq!(after.worker_busy_ns.len(), after.workers_spawned);
-        assert_eq!(after.worker_idle_ns.len(), after.workers_spawned);
-        assert!(after.max_concurrent_workers >= 1);
-        let u = after.utilization();
-        assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
     }
 }

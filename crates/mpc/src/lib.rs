@@ -18,7 +18,7 @@
 //! * **round metering** — every communication round increments a counter
 //!   and records per-round load statistics ([`metrics::Metrics`]);
 //! * **parallel execution** — machines within a round run concurrently on
-//!   a persistent chunked-cursor worker pool ([`exec`]), with
+//!   scoped threads claiming chunks off one cursor ([`exec`]), with
 //!   deterministic message delivery order (by source machine id).
 //!
 //! On top of the raw [`cluster::Runtime::round`] primitive, the
@@ -42,6 +42,7 @@
 //! assert_eq!(rt.gather(sorted), (0..1000).collect::<Vec<u64>>());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
@@ -51,7 +52,6 @@ pub mod exec;
 pub mod fault;
 pub mod metrics;
 pub mod primitives;
-pub(crate) mod sync;
 pub mod words;
 
 pub use cluster::{Dist, Emitter, MachineId, Runtime};

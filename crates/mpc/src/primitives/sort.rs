@@ -310,81 +310,6 @@ fn subsample<K: Clone>(mut v: Vec<K>, cap: usize) -> Vec<K> {
     out
 }
 
-/// Sorts and then removes duplicate keys globally, keeping the first
-/// record of each run (machine order ties broken by source order).
-/// Boundary duplicates between adjacent machines are resolved with one
-/// extra round in which each machine ships its minimum key to its left
-/// neighbour for comparison.
-pub fn sort_dedup_by_key<T, K, F>(rt: &mut Runtime, input: Dist<T>, key: F) -> MpcResult<Dist<T>>
-where
-    T: Words + Send + Sync + Clone,
-    K: Ord + Words + Send + Sync + Clone + 'static,
-    F: Fn(&T) -> K + Sync + Send + Copy,
-{
-    let sorted = sort_by_key(rt, input, key)?;
-    let m = rt.num_machines();
-    // Local dedup.
-    let local = rt.map_local(sorted, move |_, mut shard| {
-        shard.dedup_by_key(|r| key(r));
-        shard
-    })?;
-    if m == 1 {
-        return Ok(local);
-    }
-    // Boundary pass: every machine sends its first key to the previous
-    // non-empty... simpler: send first key to machine id-1; a machine
-    // drops its trailing records whose key equals any successor's head
-    // key. Because shards are globally sorted, only the immediate
-    // neighbour's head can collide, except across empty shards — so each
-    // machine sends its head to *all* smaller-id machines? That would be
-    // O(m^2) traffic. Instead: send head key to machine id-1 and let
-    // empty shards forward. Empty shards have no head; a record equal to
-    // a head two machines away implies the middle machine was empty yet
-    // sorted order put equal keys around it — impossible since equal keys
-    // route to one bucket machine in sort_by_key. Hence neighbour check
-    // suffices.
-    let heads = rt.round("dedup:heads", local, move |id, shard, em| {
-        if id > 0 {
-            if let Some(first) = shard.first() {
-                em.send(id - 1, HeadMsg::Head(key(first)));
-            }
-        }
-        shard.into_iter().map(HeadMsg::Rec).collect()
-    })?;
-    rt.map_local(heads, move |_, shard| {
-        let mut recs: Vec<T> = Vec::with_capacity(shard.len());
-        let mut head: Option<K> = None;
-        for msg in shard {
-            match msg {
-                HeadMsg::Rec(r) => recs.push(r),
-                HeadMsg::Head(k) => head = Some(k),
-            }
-        }
-        if let Some(h) = head {
-            while recs.last().is_some_and(|r| key(r) == h) {
-                recs.pop();
-            }
-        }
-        recs
-    })
-}
-
-/// Internal message for the dedup boundary pass.
-#[derive(Clone)]
-enum HeadMsg<T, K> {
-    Rec(T),
-    Head(K),
-}
-
-impl<T: Words, K: Words> Words for HeadMsg<T, K> {
-    fn words(&self) -> usize {
-        match self {
-            HeadMsg::Rec(r) => r.words(),
-            HeadMsg::Head(k) => k.words(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,27 +378,6 @@ mod tests {
         let mut expect = data;
         expect.sort_unstable();
         assert_eq!(rt.gather(sorted), expect);
-    }
-
-    #[test]
-    fn dedup_removes_global_duplicates() {
-        let mut data: Vec<u64> = (0..400).map(|i| i % 50).collect();
-        data.push(1000);
-        let mut rt = rt(512, 16);
-        let dist = rt.distribute(data).unwrap();
-        let deduped = sort_dedup_by_key(&mut rt, dist, |x| *x).unwrap();
-        let out = rt.gather(deduped);
-        let mut expect: Vec<u64> = (0..50).collect();
-        expect.push(1000);
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn dedup_on_unique_input_is_identity() {
-        let mut rt = rt(512, 8);
-        let dist = rt.distribute((0..200u64).rev().collect()).unwrap();
-        let deduped = sort_dedup_by_key(&mut rt, dist, |x| *x).unwrap();
-        assert_eq!(rt.gather(deduped), (0..200u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn spans_from_eight_executor_workers_interleave_without_loss() {
     treeemb_obs::capture_start();
     treeemb_obs::drain();
     let n = 512usize;
-    // 9 participants = the caller plus 8 pool workers; every item opens
+    // 9 participants = the caller plus 8 helper threads; every item opens
     // a span inside the worker closure.
     let out = treeemb_mpc::exec::par_map_indexed((0..n as u64).collect::<Vec<u64>>(), 9, |i, x| {
         let _sp = treeemb_obs::span!("worker.item", "i" = i);

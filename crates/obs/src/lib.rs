@@ -43,6 +43,8 @@
 //! treeemb_obs::capture_stop();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod json;
 

@@ -21,6 +21,8 @@
 //! [`stats`] estimates cut probabilities and partition diameters
 //! empirically (the E4/E6 experiments).
 
+#![forbid(unsafe_code)]
+
 pub mod ball;
 pub mod coverage;
 pub mod fuzzing;

@@ -232,6 +232,9 @@ fn cmd_emd(flags: &Flags) -> Result<(), String> {
     let a: Vec<usize> = (0..split).collect();
     let b: Vec<usize> = (split..2 * split).collect();
     let trees: u64 = get(flags, "trees")?.unwrap_or(5);
+    if trees == 0 {
+        return Err("--trees must be at least 1".into());
+    }
     let seed: u64 = get(flags, "seed")?.unwrap_or(42);
     let r: usize =
         get(flags, "r")?.unwrap_or_else(|| treeemb::core::params::pipeline_r(ps.len(), ps.dim()));
@@ -264,6 +267,9 @@ fn cmd_kmedian(flags: &Flags) -> Result<(), String> {
         return Err(format!("--k must be in 1..={}", ps.len()));
     }
     let trees: u64 = get(flags, "trees")?.unwrap_or(5);
+    if trees == 0 {
+        return Err("--trees must be at least 1".into());
+    }
     let seed: u64 = get(flags, "seed")?.unwrap_or(42);
     let r: usize =
         get(flags, "r")?.unwrap_or_else(|| treeemb::core::params::pipeline_r(ps.len(), ps.dim()));

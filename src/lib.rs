@@ -25,6 +25,8 @@
 //! [`geom`], [`mpc`], [`linalg`], [`fjlt`], [`partition`], [`hst`],
 //! [`core`], [`apps`].
 
+#![forbid(unsafe_code)]
+
 pub mod io;
 
 /// The blessed one-import surface of the workspace.

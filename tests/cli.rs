@@ -93,6 +93,20 @@ fn bad_usage_reports_errors() {
     let (ok, _, err) = treeemb(&["embed", "--input", &pts, "--exact"]);
     assert!(!ok);
     assert!(err.contains("--exact"), "stderr: {err}");
+
+    // Zero values that would panic or print a meaningless answer are
+    // usage errors naming the flag.
+    let good = tmp("zero.csv");
+    std::fs::write(&good, "0,0\n1,1\n2,0\n3,1\n").unwrap();
+    let (ok, _, err) = treeemb(&["embed", "--input", &good, "--r", "0"]);
+    assert!(!ok);
+    assert!(err.contains("r = 0"), "stderr: {err}");
+    let (ok, _, err) = treeemb(&["kmedian", "--input", &good, "--k", "2", "--trees", "0"]);
+    assert!(!ok);
+    assert!(err.contains("--trees"), "stderr: {err}");
+    let (ok, _, err) = treeemb(&["emd", "--input", &good, "--split", "2", "--trees", "0"]);
+    assert!(!ok);
+    assert!(err.contains("--trees"), "stderr: {err}");
 }
 
 #[test]
