@@ -349,7 +349,6 @@ pub fn plan_matrix(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     let squeeze = FaultPlan::new(seed).with_fault(FaultSpec::Squeeze {
         from_round: 2,
         capacity_words: 32,
-        machine: None,
     });
     // One first-attempt drop per round: every stage deterministically
     // exercises the retry-then-succeed path (rounds where machine 0

@@ -86,7 +86,7 @@ impl HybridParams {
         let orig_dim = ps.dim();
         let dim = pad_dim(orig_dim, r);
         let sqrt_r = (r as f64).sqrt();
-        let diag = BoundingBox::of(ps).diagonal().max(min_sep);
+        let diag = finite_diagonal(ps)?.max(min_sep);
         let w0 = pow2_at_least(diag / 2.0);
         let w_floor = min_sep / (2.0 * sqrt_r);
         let mut levels = Vec::new();
@@ -238,7 +238,7 @@ impl GridParams {
         }
         let dim = ps.dim();
         let sqrt_d = (dim as f64).sqrt();
-        let diag = BoundingBox::of(ps).diagonal().max(min_sep);
+        let diag = finite_diagonal(ps)?.max(min_sep);
         // Same convention as the hybrid schedule: r-independent top
         // scale Θ(diag) (domination needs only w0 ≥ diag/(2√d)).
         let w0 = pow2_at_least(diag / 2.0);
@@ -280,6 +280,21 @@ impl GridParams {
 /// Index of the first point with a non-finite coordinate, if any.
 pub fn first_non_finite(ps: &PointSet) -> Option<usize> {
     ps.iter().position(|p| p.iter().any(|x| !x.is_finite()))
+}
+
+/// The bounding-box diagonal of `ps`, or [`EmbedError::InvalidConfig`]
+/// naming the diagonal when it overflows `f64` — a coordinate span
+/// beyond ~1.3e154 squares to infinity — so no scale schedule exists.
+pub(crate) fn finite_diagonal(ps: &PointSet) -> Result<f64, EmbedError> {
+    let diag = BoundingBox::of(ps).diagonal();
+    if diag.is_finite() {
+        return Ok(diag);
+    }
+    Err(EmbedError::InvalidConfig {
+        field: "diagonal",
+        value: diag.to_string(),
+        expected: "a finite bounding-box diagonal (coordinate spans below ~1e154)".into(),
+    })
 }
 
 /// Estimates `min_sep` for arbitrary (non-integer) data by an exact

@@ -236,8 +236,9 @@ pub struct PipelineReport {
     /// Per-stage wall/round/word breakdown, in execution order.
     pub stages: Vec<StageStats>,
     /// Full round-by-round meter log of the run (timestamps, labels,
-    /// per-round word counts) — everything `summary()`/`by_label()`
-    /// offer, not just the scalar peaks above.
+    /// per-round word counts), attributable by label prefix through
+    /// `rounds_labeled` / `words_labeled` — not just the scalar peaks
+    /// above.
     pub metrics: Metrics,
 }
 
@@ -336,7 +337,10 @@ fn size_mpc_config(ps: &PointSet, cfg: &PipelineConfig) -> Result<MpcConfig, Emb
     let r_est = cfg
         .r
         .unwrap_or_else(|| crate::params::pipeline_r(n, working_dim_est));
-    let diag_est = treeemb_geom::BoundingBox::of(ps).diagonal() * (1.0 + cfg.xi);
+    if let Some(point) = crate::params::first_non_finite(ps) {
+        return Err(EmbedError::NonFiniteInput { point });
+    }
+    let diag_est = crate::params::finite_diagonal(ps)? * (1.0 + cfg.xi);
     let grid_words_est = crate::params::estimate_grid_words(
         n,
         working_dim_est,
@@ -476,6 +480,8 @@ fn run_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::GridParams;
+    use crate::seq::SeqEmbedder;
     use treeemb_geom::{generators, metrics};
 
     fn quick_cfg() -> PipelineConfig {
@@ -696,6 +702,29 @@ mod tests {
             let msg = run(&ps, &cfg).unwrap_err().to_string();
             assert!(msg.contains(field) && msg.contains(value), "{msg}");
         }
+    }
+
+    /// A coordinate span whose bounding-box diagonal overflows `f64`
+    /// (here 1e300) is a typed error through both embedders, not a
+    /// panic in the scale schedule.
+    #[test]
+    fn overflowing_diagonal_is_a_typed_error_in_both_embedders() {
+        let ps = PointSet::from_rows(&[vec![0.0, 0.0], vec![1e300, 1.0], vec![2.0, 3.0]]);
+        let is_diagonal_error = |e: &EmbedError| matches!(e, EmbedError::InvalidConfig { field: "diagonal", value, .. } if value == "inf");
+        let seq = HybridParams::for_dataset(&ps, 2)
+            .and_then(|params| SeqEmbedder::new(params).embed(&ps, 1));
+        assert!(is_diagonal_error(seq.as_ref().unwrap_err()), "{seq:?}");
+        let grid = GridParams::for_dataset(&ps).unwrap_err();
+        assert!(is_diagonal_error(&grid), "{grid:?}");
+        let mpc = run(&ps, &quick_cfg()).unwrap_err();
+        assert!(is_diagonal_error(&mpc), "{mpc:?}");
+        assert!(mpc.to_string().contains("diagonal"), "{mpc}");
+        // An infinite coordinate is named as such before the diagonal.
+        let inf = PointSet::from_rows(&[vec![0.0, 0.0], vec![f64::INFINITY, 1.0]]);
+        assert_eq!(
+            run(&inf, &quick_cfg()).unwrap_err(),
+            EmbedError::NonFiniteInput { point: 1 }
+        );
     }
 
     #[test]

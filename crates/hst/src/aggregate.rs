@@ -4,7 +4,7 @@
 //! EMD needs `|A ∩ subtree| − |B ∩ subtree|`, densest ball needs point
 //! counts per node, MST needs representatives per child cluster.
 
-use crate::tree::{Hst, NodeId, PointId};
+use crate::tree::{Hst, PointId};
 
 impl Hst {
     /// Generic bottom-up subtree fold. `leaf_value(point)` seeds leaves
@@ -50,13 +50,6 @@ impl Hst {
             (x, None) => *x,
             (Some(x), Some(y)) => Some(*x.min(y)),
         })
-    }
-
-    /// Nodes at a given depth.
-    pub fn nodes_at_depth(&self, depth: u32) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&id| self.node(id).depth == depth)
-            .collect()
     }
 }
 
@@ -108,13 +101,5 @@ mod tests {
         assert_eq!(reps[t.root()], Some(0));
         let bb = t.parent(t.leaf_of(2)).unwrap();
         assert_eq!(reps[bb], Some(2));
-    }
-
-    #[test]
-    fn nodes_at_depth_counts_levels() {
-        let t = fixture();
-        assert_eq!(t.nodes_at_depth(0), vec![t.root()]);
-        assert_eq!(t.nodes_at_depth(1).len(), 2);
-        assert_eq!(t.nodes_at_depth(2).len(), 3);
     }
 }

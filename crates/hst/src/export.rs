@@ -1,5 +1,5 @@
-//! Human-readable renderings of trees (debugging, Figure-1-style
-//! inspection, and documentation examples).
+//! Graphviz rendering of trees (`treeemb embed --dot`; debugging and
+//! Figure-1-style inspection).
 
 use crate::tree::Hst;
 use std::fmt::Write;
@@ -30,32 +30,6 @@ impl Hst {
         s.push_str("}\n");
         s
     }
-
-    /// Indented ASCII rendering, one node per line.
-    pub fn to_ascii(&self) -> String {
-        let mut s = String::new();
-        let mut stack = vec![(self.root(), 0usize)];
-        while let Some((id, indent)) = stack.pop() {
-            let node = self.node(id);
-            let pad = "  ".repeat(indent);
-            match node.point {
-                Some(p) => {
-                    let _ = writeln!(s, "{pad}p{p} (w={:.3})", node.weight_to_parent);
-                }
-                None if node.parent.is_some() => {
-                    let _ = writeln!(s, "{pad}* (w={:.3})", node.weight_to_parent);
-                }
-                None => {
-                    let _ = writeln!(s, "{pad}root");
-                }
-            }
-            // Reverse for natural top-down order when popping.
-            for &c in node.children.iter().rev() {
-                stack.push((c, indent + 1));
-            }
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -74,19 +48,5 @@ mod tests {
         assert!(dot.contains("p0"));
         assert!(dot.contains("2.500"));
         assert_eq!(dot.matches("->").count(), 2);
-    }
-
-    #[test]
-    fn ascii_indents_by_depth() {
-        let mut b = HstBuilder::new();
-        let r = b.add_root();
-        let c = b.add_child(r, 2.0, None);
-        b.add_child(c, 1.0, Some(0));
-        let t = b.finish().unwrap();
-        let art = t.to_ascii();
-        let lines: Vec<&str> = art.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("root"));
-        assert!(lines[2].starts_with("    p0"));
     }
 }

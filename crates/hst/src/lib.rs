@@ -12,9 +12,8 @@
 //! * [`metric`] — `dist_T`, LCA, path lengths;
 //! * [`aggregate`] — subtree folds (point counts, weighted mass) used by
 //!   the EMD / densest-ball / MST applications;
-//! * [`export`] — DOT and ASCII renderings;
+//! * [`export`] — Graphviz DOT rendering;
 //! * [`persist`] — JSON save/load of trees (edge-list documents);
-//! * [`oracle`] — O(1)-query distance oracle (Euler tour + sparse RMQ);
 //! * [`compress`] — unary-chain compression (metric-preserving).
 
 #![forbid(unsafe_code)]
@@ -24,10 +23,8 @@ pub mod builder;
 pub mod compress;
 pub mod export;
 pub mod metric;
-pub mod oracle;
 pub mod persist;
 pub mod tree;
 
 pub use builder::{EdgeRec, HstBuilder, HstError};
-pub use oracle::DistanceOracle;
 pub use tree::{Hst, NodeId};

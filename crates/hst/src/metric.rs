@@ -42,21 +42,6 @@ impl Hst {
         }
         self.node_distance(self.leaf_of(p), self.leaf_of(q))
     }
-
-    /// Full pairwise tree-distance matrix (for audits; `O(n² · height)`).
-    #[allow(clippy::needless_range_loop)] // p/q index both points and the matrix
-    pub fn distance_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.num_points();
-        let mut m = vec![vec![0.0; n]; n];
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let d = self.distance(p, q);
-                m[p][q] = d;
-                m[q][p] = d;
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -111,14 +96,16 @@ mod tests {
     #[test]
     fn metric_axioms_on_fixture() {
         let t = fixture();
-        let m = t.distance_matrix();
         let n = t.num_points();
         for i in 0..n {
-            assert_eq!(m[i][i], 0.0);
+            assert_eq!(t.distance(i, i), 0.0);
             for j in 0..n {
-                assert_eq!(m[i][j], m[j][i], "symmetry");
+                assert_eq!(t.distance(i, j), t.distance(j, i), "symmetry");
                 for k in 0..n {
-                    assert!(m[i][k] <= m[i][j] + m[j][k] + 1e-12, "triangle inequality");
+                    assert!(
+                        t.distance(i, k) <= t.distance(i, j) + t.distance(j, k) + 1e-12,
+                        "triangle inequality"
+                    );
                 }
             }
         }

@@ -35,7 +35,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "deprecated-shim",
-        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns, par_for_each_mut, PoolCore, JobCore, sort_dedup_by_key)",
+        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns, par_for_each_mut, PoolCore, JobCore, sort_dedup_by_key, primitives::sort, sort_two_level, sort_single_level, DistanceOracle, LabelStats, by_label, squeeze_for, squeeze_min, distance_matrix, nodes_at_depth, to_ascii, total_space_words)",
     },
     RuleInfo {
         id: "config-literal",
@@ -492,6 +492,36 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                     "`{}` was removed: the executor is par_map_indexed over scoped threads, \
                      and distributed dedup is primitives::shuffle::dedup_by_key",
                     tok.text
+                ),
+            );
+        }
+        if matches!(
+            tok.text.as_str(),
+            "sort_two_level"
+                | "sort_single_level"
+                | "DistanceOracle"
+                | "LabelStats"
+                | "by_label"
+                | "squeeze_for"
+                | "squeeze_min"
+                | "distance_matrix"
+                | "nodes_at_depth"
+                | "to_ascii"
+                | "total_space_words"
+        ) || (tok.text == "primitives" && t(i + 1) == "::" && t(i + 2) == "sort")
+        {
+            push(
+                tok,
+                "deprecated-shim",
+                format!(
+                    "`{}` was removed: the MPC and tree substrate carries only what an \
+                     algorithm, experiment, CLI path or the benchmark calls (squeezes are \
+                     cluster-wide; per-machine capacity is MpcConfig::machine_capacities)",
+                    if tok.text == "primitives" {
+                        "primitives::sort"
+                    } else {
+                        tok.text.as_str()
+                    }
                 ),
             );
         }

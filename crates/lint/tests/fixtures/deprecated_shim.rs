@@ -3,7 +3,9 @@
 // partition-key paths, the parallel pair audits, the fault-plan JSON
 // parser and the runtime knobs with no observable effect (checkpoint
 // policy, env overrides, simulated backoff, stragglers), the persistent
-// worker pool's protocol and in-place for-each, and the sort-based dedup
+// worker pool's protocol and in-place for-each, the sort-based dedup, and
+// the substrate nothing called (sample sort, distance oracle, per-label
+// aggregation, machine-scoped squeezes, uncalled tree and config helpers)
 // were deleted;
 // the lint keeps them from coming back — even in test code.
 
@@ -44,6 +46,26 @@ fn resurrect_worker_pool(items: &mut [u64], rt: &mut Runtime, d: Dist<u64>) {
     let pool = PoolCore::<usize>::new(); //~ DENY deprecated-shim
     let job = JobCore::new(8, 2); //~ DENY deprecated-shim
     let _ = sort_dedup_by_key(rt, d, |x| *x); //~ DENY deprecated-shim
+}
+
+fn resurrect_uncalled_substrate(rt: &mut Runtime, d: Dist<u64>, t: &Hst, m: &Metrics) {
+    let _ = treeemb_mpc::primitives::sort::sort_by_key(rt, d, |x| *x); //~ DENY deprecated-shim
+    let _ = sort_two_level(rt, d, |x| *x); //~ DENY deprecated-shim
+    let _ = sort_single_level(rt, d, |x| *x); //~ DENY deprecated-shim
+    let _ = DistanceOracle::new(t); //~ DENY deprecated-shim
+    let _: LabelStats = todo!(); //~ DENY deprecated-shim
+    let _ = m.by_label(); //~ DENY deprecated-shim
+    let _ = plan().squeeze_for(0, 1); //~ DENY deprecated-shim
+    let _ = plan().squeeze_min(0); //~ DENY deprecated-shim
+    let _ = t.distance_matrix(); //~ DENY deprecated-shim
+    let _ = t.nodes_at_depth(1); //~ DENY deprecated-shim
+    let _ = t.to_ascii(); //~ DENY deprecated-shim
+    let _ = rt.config().total_space_words(); //~ DENY deprecated-shim
+}
+
+fn sanctioned_substrate(rt: &mut Runtime, d: Dist<u64>, mut v: Vec<u64>) {
+    v.sort_by_key(|x| *x);
+    let _ = treeemb_mpc::primitives::shuffle::group_fold(rt, d, |x| *x, |_, g| g.len());
 }
 
 fn sanctioned_json(text: &str) {

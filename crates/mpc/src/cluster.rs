@@ -4,7 +4,7 @@
 use crate::config::{MpcConfig, RuntimeBuilder};
 use crate::error::{CapacityPhase, MpcError, MpcResult};
 use crate::exec;
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::metrics::{Metrics, RoundStats};
 use crate::words::{self, Words};
 
@@ -18,13 +18,6 @@ pub struct Dist<T> {
 }
 
 impl<T> Dist<T> {
-    /// An empty collection over `m` machines.
-    pub fn empty(m: usize) -> Self {
-        Self {
-            parts: (0..m).map(|_| Vec::new()).collect(),
-        }
-    }
-
     /// Wraps explicit shards.
     pub fn from_parts(parts: Vec<Vec<T>>) -> Self {
         Self { parts }
@@ -109,11 +102,6 @@ impl<U: Words> Emitter<U> {
             self.bad_dest.get_or_insert(to);
         }
     }
-
-    /// Words queued so far.
-    pub fn out_words(&self) -> usize {
-        self.out_words
-    }
 }
 
 /// Fault-injection state attached to a runtime (see [`crate::fault`]).
@@ -180,27 +168,21 @@ impl Runtime {
     /// an attached fault plan has in force. Capacity-driven sizing plans
     /// against this bound.
     pub fn capacity(&self) -> usize {
-        let base = self.cfg.min_capacity_words();
-        match &self.faults {
-            None => base,
-            Some(f) => match f.plan.squeeze_min(self.metrics.rounds()) {
-                Some(squeezed) => squeezed.min(base),
-                None => base,
-            },
-        }
+        self.squeezed(self.cfg.min_capacity_words())
     }
 
     /// Effective capacity of one machine at the current round (its
-    /// configured capacity shrunk by applicable squeezes).
+    /// configured capacity shrunk by any squeeze in force).
     pub fn capacity_of(&self, machine: MachineId) -> usize {
-        let base = self.cfg.capacity_of(machine);
-        match &self.faults {
-            None => base,
-            Some(f) => match f.plan.squeeze_for(self.metrics.rounds(), machine) {
-                Some(squeezed) => squeezed.min(base),
-                None => base,
-            },
-        }
+        self.squeezed(self.cfg.capacity_of(machine))
+    }
+
+    /// `configured` capped by the squeeze in force at the current round.
+    fn squeezed(&self, configured: usize) -> usize {
+        self.faults
+            .as_ref()
+            .and_then(|f| f.plan.squeeze_at(self.metrics.rounds()))
+            .map_or(configured, |cap| cap.min(configured))
     }
 
     /// Effective capacities of every machine at the current round.
@@ -232,79 +214,30 @@ impl Runtime {
             .map_or_else(Vec::new, |f| std::mem::take(&mut f.log))
     }
 
-    /// Records the capacity squeezes an attached fault plan has in force
-    /// (once per round index). Called by every entry point that consults
-    /// capacities, so the fault log names the squeeze no matter where
-    /// the squeezed run fails. Heterogeneous *configured* capacities are
-    /// not faults and are never logged here.
+    /// Records the capacity squeeze an attached fault plan has in force
+    /// (at most one event per round index). Called by every entry point
+    /// that consults capacities, so the fault log names the squeeze no
+    /// matter where the squeezed run fails. Heterogeneous *configured*
+    /// capacities are not faults and are never logged here.
     fn note_squeeze(&mut self) {
-        let Some(plan) = self.faults.as_ref().map(|f| f.plan.clone()) else {
+        let round = self.metrics.rounds();
+        let Some(sq) = self.faults.as_ref().and_then(|f| f.plan.squeeze_at(round)) else {
             return;
         };
-        let round = self.metrics.rounds();
-        if self
+        let cap = sq.min(self.cfg.capacity_words);
+        let logged = self
             .fault_log()
             .iter()
-            .any(|e| e.kind == FaultKind::Squeeze && e.round == round)
-        {
-            return;
-        }
-        let mut events: Vec<FaultEvent> = Vec::new();
-        if let Some(sq) = plan.squeeze_at(round) {
-            let cap = sq.min(self.cfg.capacity_words);
-            if cap < self.cfg.capacity_words {
-                events.push(FaultEvent {
-                    round,
-                    attempt: 0,
-                    kind: FaultKind::Squeeze,
-                    machine: 0,
-                    msg_index: usize::MAX,
-                    value: cap as u64,
-                });
-            }
-        }
-        // Machine-scoped squeezes, one event per distinct machine (the
-        // `msg_index == machine` marker lets `FaultPlan::from_events`
-        // rebuild the scope).
-        let mut squeezed: Vec<usize> = plan
-            .scheduled
-            .iter()
-            .filter_map(|s| match s {
-                FaultSpec::Squeeze {
-                    from_round,
-                    machine: Some(m),
-                    ..
-                } if *from_round <= round => Some(*m),
-                _ => None,
-            })
-            .collect();
-        squeezed.sort_unstable();
-        squeezed.dedup();
-        for m in squeezed {
-            let value = plan
-                .scheduled
-                .iter()
-                .filter_map(|s| match s {
-                    FaultSpec::Squeeze {
-                        from_round,
-                        capacity_words,
-                        machine: Some(mm),
-                    } if *from_round <= round && *mm == m => Some(*capacity_words),
-                    _ => None,
-                })
-                .min()
-                .expect("machine collected from a matching spec");
-            events.push(FaultEvent {
+            .any(|e| e.kind == FaultKind::Squeeze && e.round == round);
+        if cap < self.cfg.capacity_words && !logged {
+            self.record_fault(FaultEvent {
                 round,
                 attempt: 0,
                 kind: FaultKind::Squeeze,
-                machine: m,
-                msg_index: m,
-                value: value as u64,
+                machine: 0,
+                msg_index: usize::MAX,
+                value: cap as u64,
             });
-        }
-        for ev in events {
-            self.record_fault(ev);
         }
     }
 
@@ -434,8 +367,9 @@ impl Runtime {
     /// **Crash recovery.** When the attached fault plan can crash a
     /// machine ([`FaultPlan::can_crash`]) the round's input is
     /// snapshotted before execution, word-metered against total space.
-    /// A machine that crashes (loses its shard; [`FaultSpec::Crash`] or
-    /// the plan's crash rate) is re-executed from the snapshot —
+    /// A machine that crashes (loses its shard; a scheduled
+    /// [`Crash`](crate::fault::FaultSpec::Crash) or the plan's crash
+    /// rate) is re-executed from the snapshot —
     /// determinism makes the replay bit-identical — up to the plan's
     /// `max_recoveries` budget; each restore is logged as a
     /// [`FaultKind::Recover`] event and counted in
@@ -1081,6 +1015,7 @@ pub fn mix_seed(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSpec;
     use proptest::prelude::*;
 
     fn small_rt(cap: usize, machines: usize) -> Runtime {
@@ -1169,19 +1104,17 @@ mod tests {
             machines in 1usize..12,
             cap in 8usize..40,
             overrides in collection::vec((0usize..12, 1usize..40), 0..4),
-            squeeze in (0usize..3, 0usize..12, 2usize..30),
+            squeeze in (0usize..2, 2usize..30),
         ) {
             let mut b = Runtime::builder().capacity_words(cap).machines(machines);
             for &(machine, words) in overrides.iter().filter(|o| o.0 < machines) {
                 b = b.machine_capacity(machine, words);
             }
-            let (kind, machine, words) = squeeze;
-            if kind > 0 {
-                let scope = (kind == 2).then_some(machine % machines);
+            let (squeezed, words) = squeeze;
+            if squeezed == 1 {
                 b = b.fault_plan(FaultPlan::new(3).with_fault(FaultSpec::Squeeze {
                     from_round: 0,
                     capacity_words: words,
-                    machine: scope,
                 }));
             }
             let mut rt = b.build();
@@ -1202,7 +1135,7 @@ mod tests {
             }
             let shard_max = dist.max_part_words();
             prop_assert_eq!(rt.gather(dist), recs);
-            if overrides.is_empty() && kind == 0 {
+            if overrides.is_empty() && squeezed == 0 {
                 let total: usize = widths.iter().sum();
                 let bound = total.div_ceil(machines) + widths.iter().max().unwrap_or(&0);
                 prop_assert!(shard_max <= bound, "{shard_max} > {bound}");
@@ -1319,6 +1252,46 @@ mod tests {
             matches!(err, MpcError::CapacityExceeded { machine: 1, .. }),
             "{err}"
         );
+    }
+
+    /// A cluster-wide squeeze caps every machine's configured capacity:
+    /// machine `m` runs at `min(configured_m, squeeze)`, and the cluster
+    /// capacity is the minimum of that over machines.
+    #[test]
+    fn squeeze_caps_each_heterogeneous_capacity() {
+        let configured = [64usize, 16, 100, 64];
+        let plan = FaultPlan::new(0)
+            .with_fault(FaultSpec::Squeeze {
+                from_round: 1,
+                capacity_words: 32,
+            })
+            .with_fault(FaultSpec::Squeeze {
+                from_round: 2,
+                capacity_words: 8,
+            });
+        let mut rt = Runtime::builder()
+            .capacity_words(64)
+            .machines(4)
+            .machine_capacity(1, 16)
+            .machine_capacity(2, 100)
+            .fault_plan(plan)
+            .threads(2)
+            .build();
+        let mut dist = rt.distribute((0..4u64).collect()).unwrap();
+        for (round, squeeze) in [(0, usize::MAX), (1, 32), (2, 8)] {
+            assert_eq!(rt.metrics().rounds(), round);
+            let expect: Vec<usize> = configured.iter().map(|&c| c.min(squeeze)).collect();
+            let got: Vec<usize> = (0..4).map(|m| rt.capacity_of(m)).collect();
+            assert_eq!(got, expect, "round {round}");
+            assert_eq!(
+                rt.capacity(),
+                *expect.iter().min().unwrap(),
+                "round {round}"
+            );
+            dist = rt
+                .round("keep", dist, |_, shard, _em: &mut Emitter<u64>| shard)
+                .unwrap();
+        }
     }
 
     #[test]
@@ -1683,7 +1656,7 @@ mod tests {
                 for (dest, rec) in &o.msgs {
                     em.send(*dest, rec.clone());
                 }
-                assert_eq!(em.out_words(), o.out_words);
+                assert_eq!(em.out_words, o.out_words);
                 MachineOut {
                     kept: o.kept.clone(),
                     em,

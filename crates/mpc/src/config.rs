@@ -150,12 +150,6 @@ impl MpcConfig {
             .min()
             .unwrap_or(self.capacity_words)
     }
-
-    /// Total space of the cluster in words (`Σ` per-machine capacity;
-    /// `M · s` for a homogeneous cluster).
-    pub fn total_space_words(&self) -> usize {
-        (0..self.num_machines).map(|m| self.capacity_of(m)).sum()
-    }
 }
 
 /// Builder for [`Runtime`] — the one construction path for simulated
@@ -169,8 +163,7 @@ impl MpcConfig {
 ///    — explicit sizing ([`MpcConfig::explicit`]); `input_words`
 ///    defaults to the cluster's total space when not given.
 /// 3. [`RuntimeBuilder::input_words`] alone — fully scalable sizing
-///    ([`MpcConfig::fully_scalable`]) with `ε` from
-///    [`RuntimeBuilder::epsilon`] (default 0.5).
+///    ([`MpcConfig::fully_scalable`]) with `ε = 0.5`.
 ///
 /// ```
 /// use treeemb_mpc::cluster::Runtime;
@@ -190,7 +183,6 @@ impl MpcConfig {
 pub struct RuntimeBuilder {
     config: Option<MpcConfig>,
     input_words: Option<usize>,
-    epsilon: Option<f64>,
     capacity_words: Option<usize>,
     machines: Option<usize>,
     machine_capacities: Vec<(usize, usize)>,
@@ -215,12 +207,6 @@ impl RuntimeBuilder {
     /// Input size `N` in machine words.
     pub fn input_words(mut self, words: usize) -> Self {
         self.input_words = Some(words);
-        self
-    }
-
-    /// Scalability exponent for fully scalable sizing (mode 3).
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = Some(epsilon);
         self
     }
 
@@ -290,8 +276,7 @@ impl RuntimeBuilder {
                     "RuntimeBuilder: set .config(..), .capacity_words(..) + .machines(..), \
                      or .input_words(..)",
                 );
-                let mut cfg =
-                    MpcConfig::fully_scalable(input, self.epsilon.unwrap_or(DEFAULT_EPSILON));
+                let mut cfg = MpcConfig::fully_scalable(input, DEFAULT_EPSILON);
                 if let Some(c) = cap {
                     cfg = cfg.with_capacity(c);
                 }
@@ -358,12 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn total_space_is_machines_times_capacity() {
-        let cfg = MpcConfig::explicit(100, 10, 7);
-        assert_eq!(cfg.total_space_words(), 70);
-    }
-
-    #[test]
     fn machine_capacity_overrides_one_machine() {
         let cfg = MpcConfig::explicit(100, 10, 4)
             .with_machine_capacity(2, 3)
@@ -373,7 +352,6 @@ mod tests {
         assert_eq!(cfg.capacity_of(1), 20);
         assert_eq!(cfg.capacity_of(2), 4);
         assert_eq!(cfg.min_capacity_words(), 4);
-        assert_eq!(cfg.total_space_words(), 10 + 20 + 4 + 10);
     }
 
     #[test]
@@ -396,8 +374,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_fully_scalable_mode_uses_epsilon() {
-        let rt = Runtime::builder().input_words(1 << 20).epsilon(0.5).build();
+    fn builder_fully_scalable_mode_uses_default_epsilon() {
+        let rt = Runtime::builder().input_words(1 << 20).build();
         assert_eq!(rt.capacity(), 1 << 10);
     }
 

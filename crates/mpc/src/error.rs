@@ -174,7 +174,7 @@ mod tests {
             phase: CapacityPhase::Send,
             words: 100,
             capacity: 64,
-            label: "sort".into(),
+            label: "shuffle".into(),
         };
         let s = e.to_string();
         assert!(s.contains("machine 3") && s.contains("round 7") && s.contains("send"));
@@ -191,7 +191,7 @@ mod tests {
     fn only_retries_exhausted_is_retryable() {
         let transient = MpcError::RetriesExhausted {
             round: 2,
-            label: "sort:route".into(),
+            label: "join:route".into(),
             attempts: 4,
         };
         assert!(transient.is_retryable());

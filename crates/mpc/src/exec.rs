@@ -96,13 +96,6 @@ pub struct ExecStats {
     pub worker_busy_ns: Vec<u64>,
 }
 
-impl ExecStats {
-    /// Total busy nanoseconds across callers and helpers.
-    pub fn busy_ns(&self) -> u64 {
-        self.caller_busy_ns + self.worker_busy_ns.iter().sum::<u64>()
-    }
-}
-
 /// Snapshots the executor's cumulative counters.
 pub fn stats() -> ExecStats {
     let spawned = COUNTERS.workers_spawned.load(Ordering::Relaxed);
@@ -428,7 +421,8 @@ mod tests {
         assert!(after.sequential_jobs > before.sequential_jobs);
         assert!(after.tasks > before.tasks + n as u64);
         assert!(after.chunk_claims > before.chunk_claims);
-        assert!(after.busy_ns() > before.busy_ns());
+        let busy = |s: &ExecStats| s.caller_busy_ns + s.worker_busy_ns.iter().sum::<u64>();
+        assert!(busy(&after) > busy(&before));
         assert!(after.workers_spawned >= 7);
         assert_eq!(after.worker_busy_ns.len(), after.workers_spawned);
     }

@@ -5,13 +5,12 @@
 //! drop/duplication on the exchange path, transient machine
 //! unavailability with a bounded retry budget, machine crashes that
 //! lose a shard mid-round (recovered from the round checkpoint, see
-//! `DESIGN.md`), and capacity squeezes — cluster-wide or per machine —
-//! that shrink `s` mid-run. The runtime consults
-//! the plan at fixed points of [`crate::cluster::Runtime::round`]; every
-//! decision is a pure function of `(plan seed, round, attempt, machine,
-//! message index)`, so a fixed plan reproduces the identical fault
-//! sequence and the identical run outcome across repeated runs and
-//! across thread counts.
+//! `DESIGN.md`), and cluster-wide capacity squeezes that shrink `s`
+//! mid-run. The runtime consults the plan at fixed points of
+//! [`crate::cluster::Runtime::round`]; every decision is a pure
+//! function of `(plan seed, round, attempt, machine, message index)`,
+//! so a fixed plan reproduces the identical fault sequence and the
+//! identical run outcome across repeated runs and across thread counts.
 //!
 //! **Failure model.** Exchange faults (drop, duplication, machine
 //! unavailability) are *detected* by the simulated exchange protocol —
@@ -113,18 +112,16 @@ pub enum FaultSpec {
         /// Unavailable machine.
         machine: usize,
     },
-    /// From round `from_round` onward the effective per-machine
-    /// capacity shrinks to `capacity_words` (never grows; multiple
-    /// squeezes take the minimum). Non-retryable. With `machine: Some`
-    /// only that machine is squeezed (heterogeneous capacity); `None`
-    /// squeezes the whole cluster.
+    /// From round `from_round` onward every machine's effective
+    /// capacity shrinks to at most `capacity_words` (never grows;
+    /// multiple squeezes take the minimum). Non-retryable. Per-machine
+    /// capacities are configuration, not faults: see
+    /// [`MpcConfig::machine_capacities`](crate::config::MpcConfig).
     Squeeze {
         /// First affected round.
         from_round: usize,
         /// New effective capacity in words.
         capacity_words: usize,
-        /// Affected machine; `None` = every machine.
-        machine: Option<usize>,
     },
     /// Machine `machine` crashes and loses its shard during execution
     /// attempt `attempt` of round `round` (attempt 0 is the initial
@@ -186,9 +183,8 @@ pub struct FaultEvent {
     pub kind: FaultKind,
     /// Affected machine (source machine for message faults).
     pub machine: usize,
-    /// Message index for drop/duplicate faults. For squeeze events the
-    /// field doubles as the scope marker: `usize::MAX` = cluster-wide,
-    /// otherwise the squeezed machine. `usize::MAX` for all other kinds.
+    /// Message index for drop/duplicate faults; `usize::MAX` for all
+    /// other kinds.
     pub msg_index: usize,
     /// Kind-specific value: effective capacity (words) for squeeze,
     /// restored words for recover, 0 otherwise.
@@ -320,9 +316,6 @@ impl FaultPlan {
                 FaultKind::Squeeze => FaultSpec::Squeeze {
                     from_round: e.round,
                     capacity_words: e.value as usize,
-                    // msg_index doubles as the scope marker: MAX =
-                    // cluster-wide, otherwise the squeezed machine.
-                    machine: (e.msg_index != usize::MAX).then_some(e.machine),
                 },
                 FaultKind::Crash => FaultSpec::Crash {
                     round: e.round,
@@ -434,10 +427,8 @@ impl FaultPlan {
         None
     }
 
-    /// Cluster-wide capacity cap in force at `round`, if any
-    /// machine-unscoped squeeze applies (the minimum over applicable
-    /// squeezes). Machine-scoped squeezes are consulted through
-    /// [`FaultPlan::squeeze_for`].
+    /// Capacity cap in force at `round`, if any squeeze applies (the
+    /// minimum over applicable squeezes).
     pub fn squeeze_at(&self, round: usize) -> Option<usize> {
         self.scheduled
             .iter()
@@ -445,42 +436,6 @@ impl FaultPlan {
                 FaultSpec::Squeeze {
                     from_round,
                     capacity_words,
-                    machine: None,
-                } if *from_round <= round => Some(*capacity_words),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Capacity cap in force for `machine` at `round`, combining
-    /// cluster-wide and machine-scoped squeezes (the minimum over all
-    /// applicable squeezes).
-    pub fn squeeze_for(&self, round: usize, machine: usize) -> Option<usize> {
-        self.scheduled
-            .iter()
-            .filter_map(|s| match s {
-                FaultSpec::Squeeze {
-                    from_round,
-                    capacity_words,
-                    machine: m,
-                } if *from_round <= round && m.is_none_or(|m| m == machine) => {
-                    Some(*capacity_words)
-                }
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Tightest capacity cap in force for *any* machine at `round` —
-    /// the cluster-minimum effective capacity under this plan.
-    pub(crate) fn squeeze_min(&self, round: usize) -> Option<usize> {
-        self.scheduled
-            .iter()
-            .filter_map(|s| match s {
-                FaultSpec::Squeeze {
-                    from_round,
-                    capacity_words,
-                    ..
                 } if *from_round <= round => Some(*capacity_words),
                 _ => None,
             })
@@ -559,16 +514,11 @@ impl FaultPlan {
                 FaultSpec::Squeeze {
                     from_round,
                     capacity_words,
-                    machine,
                 } => {
                     let _ = write!(
                         out,
-                        "{{\"kind\": \"squeeze\", \"from_round\": {from_round}, \"capacity_words\": {capacity_words}"
+                        "{{\"kind\": \"squeeze\", \"from_round\": {from_round}, \"capacity_words\": {capacity_words}}}"
                     );
-                    if let Some(m) = machine {
-                        let _ = write!(out, ", \"machine\": {m}");
-                    }
-                    out.push('}');
                 }
                 FaultSpec::Crash {
                     round,
@@ -593,7 +543,10 @@ impl FaultPlan {
     /// Parses a plan from the JSON [`Self::to_json`] emits. Unknown
     /// keys are ignored; missing keys take their defaults. An integer
     /// that is negative, fractional or too large for its field is an
-    /// error naming the key, never a silent truncation.
+    /// error naming the key, never a silent truncation. A squeeze that
+    /// names a `machine` is an error: squeezes are cluster-wide, and
+    /// ignoring the key would widen a one-machine squeeze to every
+    /// machine.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let value = json::parse(text)?;
         let obj = value.as_obj().ok_or("fault plan must be a JSON object")?;
@@ -648,7 +601,7 @@ fn parse_spec(v: &Value) -> Result<FaultSpec, String> {
         .and_then(Value::as_str)
         .ok_or("scheduled fault missing kind")?;
     // Every field but `kind` is a non-negative integer of its field's
-    // type; only a squeeze's `machine` may be absent.
+    // type.
     fn field<T: TryFrom<u64>>(v: &Value, kind: &str, key: &str) -> Result<T, String> {
         let x = v
             .get(key)
@@ -673,15 +626,16 @@ fn parse_spec(v: &Value) -> Result<FaultSpec, String> {
             attempt: field(v, kind, "attempt")?,
             machine: field(v, kind, "machine")?,
         },
+        "squeeze" if v.get("machine").is_some() => {
+            return Err(
+                "squeeze fault machine is not supported: squeezes are cluster-wide, \
+                        and per-machine capacity is configuration (machine_capacities)"
+                    .into(),
+            )
+        }
         "squeeze" => FaultSpec::Squeeze {
             from_round: field(v, kind, "from_round")?,
             capacity_words: field(v, kind, "capacity_words")?,
-            // Optional for backward compatibility with plans emitted
-            // before machine-scoped squeezes existed.
-            machine: v
-                .get("machine")
-                .map(|m| int(m, "squeeze fault machine"))
-                .transpose()?,
         },
         "crash" => FaultSpec::Crash {
             round: field(v, kind, "round")?,
@@ -842,44 +796,15 @@ mod tests {
             .with_fault(FaultSpec::Squeeze {
                 from_round: 3,
                 capacity_words: 100,
-                machine: None,
             })
             .with_fault(FaultSpec::Squeeze {
                 from_round: 5,
                 capacity_words: 40,
-                machine: None,
             });
         assert_eq!(p.squeeze_at(2), None);
         assert_eq!(p.squeeze_at(3), Some(100));
         assert_eq!(p.squeeze_at(5), Some(40));
         assert_eq!(p.squeeze_at(100), Some(40));
-    }
-
-    #[test]
-    fn machine_scoped_squeeze_hits_only_its_machine() {
-        let p = FaultPlan::new(0)
-            .with_fault(FaultSpec::Squeeze {
-                from_round: 1,
-                capacity_words: 50,
-                machine: Some(2),
-            })
-            .with_fault(FaultSpec::Squeeze {
-                from_round: 4,
-                capacity_words: 80,
-                machine: None,
-            });
-        // Machine-scoped squeezes are invisible to the cluster-wide view.
-        assert_eq!(p.squeeze_at(1), None);
-        assert_eq!(p.squeeze_at(4), Some(80));
-        // Per-machine view combines both scopes.
-        assert_eq!(p.squeeze_for(0, 2), None);
-        assert_eq!(p.squeeze_for(1, 2), Some(50));
-        assert_eq!(p.squeeze_for(1, 0), None);
-        assert_eq!(p.squeeze_for(4, 0), Some(80));
-        assert_eq!(p.squeeze_for(4, 2), Some(50));
-        // The cluster minimum sees every scope.
-        assert_eq!(p.squeeze_min(1), Some(50));
-        assert_eq!(p.squeeze_min(0), None);
     }
 
     #[test]
@@ -952,12 +877,6 @@ mod tests {
                 FaultSpec::Squeeze {
                     from_round: 3,
                     capacity_words: 64,
-                    machine: None,
-                },
-                FaultSpec::Squeeze {
-                    from_round: 2,
-                    capacity_words: 48,
-                    machine: Some(5),
                 },
                 FaultSpec::Crash {
                     round: 1,
@@ -980,7 +899,6 @@ mod tests {
     {"kind": "duplicate", "round": 2, "attempt": 1, "src": 0, "msg_index": 0},
     {"kind": "unavailable", "round": 4, "attempt": 0, "machine": 7},
     {"kind": "squeeze", "from_round": 3, "capacity_words": 64},
-    {"kind": "squeeze", "from_round": 2, "capacity_words": 48, "machine": 5},
     {"kind": "crash", "round": 1, "attempt": 1, "machine": 3}
   ]
 }
@@ -992,8 +910,7 @@ mod tests {
 
     #[test]
     fn machine_less_squeeze_json_still_parses() {
-        // Plans serialized before machine-scoped squeezes existed carry
-        // no "machine" key; they must keep parsing as cluster-wide.
+        // A squeeze carries no "machine" key; it parses as cluster-wide.
         let text = r#"{"scheduled": [{"kind": "squeeze", "from_round": 2, "capacity_words": 32}]}"#;
         let plan = FaultPlan::from_json(text).unwrap();
         assert_eq!(
@@ -1001,9 +918,17 @@ mod tests {
             vec![FaultSpec::Squeeze {
                 from_round: 2,
                 capacity_words: 32,
-                machine: None,
             }]
         );
+    }
+
+    /// Squeezes are cluster-wide; a `machine` key would have narrowed
+    /// one to a single machine, so dropping it silently would widen it.
+    #[test]
+    fn machine_scoped_squeeze_json_is_rejected() {
+        let text = r#"{"scheduled": [{"kind": "squeeze", "from_round": 2, "capacity_words": 32, "machine": 5}]}"#;
+        let err = FaultPlan::from_json(text).unwrap_err();
+        assert!(err.contains("machine"), "{err}");
     }
 
     #[test]
@@ -1043,16 +968,14 @@ mod tests {
         };
         let cases = [
             (r#"{"max_retries": 4294967297}"#.to_string(), "max_retries"),
-            (r#"{"max_recoveries": 4294967296}"#.to_string(), "max_recoveries"),
+            (
+                r#"{"max_recoveries": 4294967296}"#.to_string(),
+                "max_recoveries",
+            ),
             (r#"{"max_retries": -1}"#.to_string(), "max_retries"),
             (drop("4294967297"), "attempt"),
             (drop("1.0"), "attempt"),
             (r#"{"seed": 18446744073709551616}"#.to_string(), "seed"),
-            (
-                r#"{"scheduled": [{"kind": "squeeze", "from_round": 0, "capacity_words": 8, "machine": -2}]}"#
-                    .to_string(),
-                "machine",
-            ),
         ];
         for (text, key) in cases {
             let err = FaultPlan::from_json(&text).expect_err(&text);
@@ -1096,8 +1019,8 @@ mod tests {
                 round: 3,
                 attempt: 0,
                 kind: FaultKind::Squeeze,
-                machine: 4,
-                msg_index: 4,
+                machine: 0,
+                msg_index: usize::MAX,
                 value: 17,
             },
             FaultEvent {
@@ -1130,12 +1053,10 @@ mod tests {
                 FaultSpec::Squeeze {
                     from_round: 2,
                     capacity_words: 99,
-                    machine: None,
                 },
                 FaultSpec::Squeeze {
                     from_round: 3,
                     capacity_words: 17,
-                    machine: Some(4),
                 },
                 FaultSpec::Crash {
                     round: 4,
@@ -1195,7 +1116,6 @@ mod tests {
             plan.scheduled.push(FaultSpec::Squeeze {
                 from_round: r + 10,
                 capacity_words: 1 << 12,
-                machine: Some(r),
             });
         }
         plan.scheduled.insert(4, culprit);

@@ -23,11 +23,13 @@
 //!
 //! On top of the raw [`cluster::Runtime::round`] primitive, the
 //! [`primitives`] module provides the classic O(1)-round building blocks
-//! the paper's algorithms assume: broadcast trees, sample-sort,
-//! aggregation trees, hash shuffles, and distributed deduplication.
+//! the paper's algorithms assume: (accounted) broadcast trees, hash
+//! shuffles with distributed deduplication and group folds, hash joins,
+//! and aggregation trees.
 //!
 //! ```
 //! use treeemb_mpc::cluster::Runtime;
+//! use treeemb_mpc::primitives::{aggregate, shuffle};
 //!
 //! let mut rt = Runtime::builder()
 //!     .input_words(1 << 16)
@@ -37,9 +39,13 @@
 //!     .build();
 //! let data: Vec<u64> = (0..1000).collect();
 //! let dist = rt.distribute(data).unwrap();
-//! let sorted = treeemb_mpc::primitives::sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-//! assert!(rt.metrics().rounds() <= 8);
-//! assert_eq!(rt.gather(sorted), (0..1000).collect::<Vec<u64>>());
+//! // One shuffle round co-locates each residue class mod 10 …
+//! let sizes = shuffle::group_fold(&mut rt, dist, |x| x % 10, |_, g| g.len() as u64).unwrap();
+//! // … and an aggregation tree sums the group sizes on machine 0.
+//! let total = aggregate::sum_by(&mut rt, &sizes, |n| *n as f64).unwrap();
+//! assert_eq!(total, 1000.0);
+//! assert_eq!(rt.metrics().rounds_labeled("shuffle"), 1);
+//! assert!(rt.metrics().rounds() <= 3);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -46,21 +46,6 @@ impl RoundStats {
     }
 }
 
-/// Per-label aggregation of round statistics (see [`Metrics::by_label`]).
-#[derive(Debug, Clone)]
-pub struct LabelStats {
-    /// The round label (exact string, not a prefix).
-    pub label: String,
-    /// Rounds carrying this label.
-    pub rounds: usize,
-    /// Total words sent across those rounds.
-    pub sent_words: usize,
-    /// Peak single-machine residency across those rounds.
-    pub max_resident_words: usize,
-    /// Total wall time across those rounds.
-    pub wall_ns: u64,
-}
-
 /// Accumulated metrics of an MPC computation.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
@@ -177,44 +162,6 @@ impl Metrics {
     pub fn max_round_sent_words(&self) -> usize {
         self.rounds.iter().map(|r| r.sent_words).max().unwrap_or(0)
     }
-
-    /// Aggregates rounds by exact label, in first-appearance order:
-    /// rounds, sent words, peak residency, and wall time per label.
-    pub fn by_label(&self) -> Vec<LabelStats> {
-        let mut out: Vec<LabelStats> = Vec::new();
-        for r in &self.rounds {
-            match out.iter_mut().find(|l| l.label == r.label) {
-                Some(l) => {
-                    l.rounds += 1;
-                    l.sent_words += r.sent_words;
-                    l.max_resident_words = l.max_resident_words.max(r.max_resident_words);
-                    l.wall_ns += r.wall_ns();
-                }
-                None => out.push(LabelStats {
-                    label: r.label.clone(),
-                    rounds: 1,
-                    sent_words: r.sent_words,
-                    max_resident_words: r.max_resident_words,
-                    wall_ns: r.wall_ns(),
-                }),
-            }
-        }
-        out
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "rounds={} peak_machine_words={} peak_total_words={} sent_words={} max_round_sent_words={} violations={} recoveries={}",
-            self.rounds(),
-            self.peak_machine_words(),
-            self.peak_total_words(),
-            self.total_sent_words(),
-            self.max_round_sent_words(),
-            self.violations(),
-            self.recoveries()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -252,10 +199,10 @@ mod tests {
     #[test]
     fn labeled_round_counting() {
         let mut m = Metrics::new();
-        m.record_round(stats(0, "sort:sample", 1, 1));
-        m.record_round(stats(1, "sort:route", 1, 1));
+        m.record_round(stats(0, "fjlt:wht", 1, 1));
+        m.record_round(stats(1, "fjlt:project", 1, 1));
         m.record_round(stats(2, "broadcast", 1, 1));
-        assert_eq!(m.rounds_labeled("sort"), 2);
+        assert_eq!(m.rounds_labeled("fjlt"), 2);
         assert_eq!(m.rounds_labeled("broadcast"), 1);
     }
 
@@ -268,41 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn summary_contains_counters() {
-        let mut m = Metrics::new();
-        m.record_round(stats(0, "x", 7, 3));
-        let s = m.summary();
-        assert!(s.contains("rounds=1") && s.contains("sent_words=7"));
-        assert!(s.contains("max_round_sent_words=7") && s.contains("violations=0"));
-    }
-
-    #[test]
     fn words_attribute_by_label_prefix_like_rounds() {
         let mut m = Metrics::new();
-        m.record_round(stats(0, "sort:sample", 10, 1));
-        m.record_round(stats(1, "sort:route", 30, 1));
+        m.record_round(stats(0, "fjlt:wht", 10, 1));
+        m.record_round(stats(1, "fjlt:project", 30, 1));
         m.record_round(stats(2, "broadcast", 5, 1));
-        assert_eq!(m.words_labeled("sort"), 40);
+        assert_eq!(m.words_labeled("fjlt"), 40);
         assert_eq!(m.words_labeled("broadcast"), 5);
         assert_eq!(m.words_labeled("nope"), 0);
         assert_eq!(m.max_round_sent_words(), 30);
-    }
-
-    #[test]
-    fn by_label_aggregates_in_first_appearance_order() {
-        let mut m = Metrics::new();
-        m.record_round(stats(0, "wht", 10, 4));
-        m.record_round(stats(1, "project", 20, 9));
-        m.record_round(stats(2, "wht", 30, 2));
-        let labels = m.by_label();
-        assert_eq!(labels.len(), 2);
-        assert_eq!(labels[0].label, "wht");
-        assert_eq!(labels[0].rounds, 2);
-        assert_eq!(labels[0].sent_words, 40);
-        assert_eq!(labels[0].max_resident_words, 4);
-        assert_eq!(labels[0].wall_ns, 10);
-        assert_eq!(labels[1].label, "project");
-        assert_eq!(labels[1].rounds, 1);
     }
 
     #[test]
@@ -336,6 +257,5 @@ mod tests {
         m.record_round(clean);
         assert_eq!(m.recoveries(), 2);
         assert_eq!(m.peak_checkpoint_words(), 64);
-        assert!(m.summary().contains("recoveries=2"));
     }
 }

@@ -70,13 +70,6 @@ where
     Ok(parts.swap_remove(0).pop())
 }
 
-/// Global record count (words of bookkeeping: one u64 per machine).
-pub fn count<T: Words + Send + Sync + Clone>(rt: &mut Runtime, input: &Dist<T>) -> MpcResult<u64> {
-    let counts: Vec<Vec<u64>> = input.parts().iter().map(|p| vec![p.len() as u64]).collect();
-    let dist = Dist::from_parts(counts);
-    Ok(reduce(rt, dist, |s| s.first().copied(), |a, b| a + b)?.unwrap_or(0))
-}
-
 /// Global sum of a numeric projection.
 pub fn sum_by<T, F>(rt: &mut Runtime, input: &Dist<T>, f: F) -> MpcResult<f64>
 where
@@ -125,13 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_input_size() {
-        let mut rt = rt(20);
-        let dist = rt.distribute((0..777u64).collect()).unwrap();
-        assert_eq!(count(&mut rt, &dist).unwrap(), 777);
-    }
-
-    #[test]
     fn sum_matches_closed_form() {
         let mut rt = rt(20);
         let dist = rt.distribute((1..=100u64).collect()).unwrap();
@@ -162,7 +148,7 @@ mod tests {
             .config(MpcConfig::explicit(1 << 16, 64, 900).with_threads(8))
             .build();
         let dist = rt.distribute((0..4000u64).collect()).unwrap();
-        let _ = count(&mut rt, &dist).unwrap();
+        let _ = sum_by(&mut rt, &dist, |x| *x as f64).unwrap();
         // fanout = 32: 900 -> 29 -> 1, i.e. 2 steps.
         assert!(
             rt.metrics().rounds() <= 3,
@@ -175,7 +161,7 @@ mod tests {
     fn single_machine_reduction_needs_no_rounds() {
         let mut rt = rt(1);
         let dist = rt.distribute(vec![1u64, 2, 3]).unwrap();
-        assert_eq!(count(&mut rt, &dist).unwrap(), 3);
+        assert_eq!(sum_by(&mut rt, &dist, |x| *x as f64).unwrap(), 6.0);
         assert_eq!(rt.metrics().rounds(), 0);
     }
 }

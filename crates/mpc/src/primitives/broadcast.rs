@@ -1,72 +1,19 @@
 //! Broadcast tree: replicate a payload from machine 0 to every machine.
 
-use crate::cluster::{Dist, Runtime};
+use crate::cluster::Runtime;
 use crate::error::{MpcError, MpcResult};
-use crate::words;
-use crate::words::Words;
-
-/// Replicates `payload` (initially resident on machine 0) to every
-/// machine, returning a collection in which every shard equals the
-/// payload.
-///
-/// Uses a fanout-`f` forwarding tree where `f = max(1, s / |payload|)`,
-/// hence `⌈log_{f+1} M⌉` rounds — `O(1/ε)` when the payload fits in a
-/// constant fraction of local memory, exactly the regime of Algorithm 2
-/// (grids broadcast, Lemma 8).
-pub fn broadcast<T>(rt: &mut Runtime, payload: Vec<T>) -> MpcResult<Dist<T>>
-where
-    T: Words + Send + Sync + Clone,
-{
-    let _sp = treeemb_obs::span!("mpc.broadcast", "payload_words" = words::of_slice(&payload));
-    let m = rt.num_machines();
-    let payload_words = words::of_slice(&payload);
-    if payload_words > rt.capacity() {
-        return Err(MpcError::AlgorithmFailure(format!(
-            "broadcast payload of {payload_words} words exceeds local capacity {}",
-            rt.capacity()
-        )));
-    }
-    // Copies a holder can emit per round without breaching its send cap.
-    let fanout = (rt.capacity() / payload_words.max(1)).max(1);
-    let mut dist = Dist::empty(m);
-    let parts = dist.parts().len();
-    debug_assert_eq!(parts, m);
-    let mut parts_vec = dist.into_parts();
-    parts_vec[0] = payload;
-    dist = Dist::from_parts(parts_vec);
-
-    let mut holders = 1usize;
-    let mut step = 0usize;
-    while holders < m {
-        let new_total = (holders + holders * fanout).min(m);
-        let label = format!("broadcast:step{step}");
-        let h = holders;
-        dist = rt.round(&label, dist, move |id, shard, em| {
-            if id >= h || shard.is_empty() {
-                return shard;
-            }
-            // Holder `id` feeds targets h + id*fanout .. h + (id+1)*fanout.
-            let first = h + id * fanout;
-            let last = (first + fanout).min(new_total);
-            for t in first..last {
-                for rec in &shard {
-                    em.send(t, rec.clone());
-                }
-            }
-            shard
-        })?;
-        holders = new_total;
-        step += 1;
-    }
-    Ok(dist)
-}
 
 /// Accounted broadcast: meters the exact rounds and loads of
-/// [`broadcast`]ing a `payload_words`-word payload from machine 0 to
-/// every machine, **without materializing** the `M` copies. The data is
+/// broadcasting a `payload_words`-word payload from machine 0 to every
+/// machine, **without materializing** the `M` copies. The data is
 /// assumed available to machines through shared state (in this
 /// simulation, an `Arc`); the metering and capacity checks are what the
 /// MPC cost model requires.
+///
+/// The tree has fanout `f = max(1, s / |payload|)`: each holder sends
+/// `f` copies per round, hence `⌈log_{f+1} M⌉` rounds — `O(1/ε)` when
+/// the payload fits in a constant fraction of local memory, exactly the
+/// regime of Algorithm 2 (grids broadcast, Lemma 8).
 ///
 /// Also records the replicated payload in the total-space meter
 /// (`M × payload_words` resident words after the broadcast).
@@ -105,24 +52,31 @@ mod tests {
     use super::*;
     use crate::config::MpcConfig;
 
+    fn rt(capacity: usize, machines: usize) -> Runtime {
+        Runtime::builder()
+            .config(MpcConfig::explicit(64, capacity, machines).with_threads(4))
+            .build()
+    }
+
     #[test]
-    fn all_machines_receive_payload() {
-        let mut rt = Runtime::builder()
-            .config(MpcConfig::explicit(64, 32, 9).with_threads(4))
-            .build();
-        let out = broadcast(&mut rt, vec![10u64, 20, 30]).unwrap();
-        for i in 0..9 {
-            assert_eq!(out.part(i), &[10, 20, 30], "machine {i}");
-        }
+    fn every_machine_but_the_root_receives_one_copy() {
+        let mut rt = rt(32, 9);
+        broadcast_accounted(&mut rt, 3).unwrap();
+        assert_eq!(rt.metrics().total_sent_words(), 8 * 3);
+        assert_eq!(
+            rt.metrics().rounds_labeled("broadcast:"),
+            rt.metrics().rounds()
+        );
+        // The replicated payload is charged to every machine.
+        assert_eq!(rt.metrics().peak_machine_words(), 3);
+        assert_eq!(rt.metrics().peak_total_words(), 9 * 3);
     }
 
     #[test]
     fn round_count_is_logarithmic_in_machines() {
         // capacity 8, payload 4 words -> fanout 2 -> 3^k growth.
-        let mut rt = Runtime::builder()
-            .config(MpcConfig::explicit(64, 8, 81).with_threads(4))
-            .build();
-        broadcast(&mut rt, vec![1u64, 2, 3, 4]).unwrap();
+        let mut rt = rt(8, 81);
+        broadcast_accounted(&mut rt, 4).unwrap();
         assert_eq!(
             rt.metrics().rounds(),
             4,
@@ -132,32 +86,27 @@ mod tests {
 
     #[test]
     fn single_machine_needs_no_rounds() {
-        let mut rt = Runtime::builder()
-            .config(MpcConfig::explicit(64, 32, 1))
-            .build();
-        let out = broadcast(&mut rt, vec![5u64]).unwrap();
-        assert_eq!(out.part(0), &[5]);
+        let mut rt = rt(32, 1);
+        broadcast_accounted(&mut rt, 1).unwrap();
         assert_eq!(rt.metrics().rounds(), 0);
     }
 
     #[test]
     fn oversized_payload_is_rejected() {
-        let mut rt = Runtime::builder()
-            .config(MpcConfig::explicit(64, 4, 4))
-            .build();
-        let err = broadcast(&mut rt, (0..10u64).collect()).unwrap_err();
+        let mut rt = rt(4, 4);
+        let err = broadcast_accounted(&mut rt, 10).unwrap_err();
         assert!(matches!(err, MpcError::AlgorithmFailure(_)));
     }
 
     #[test]
     fn never_violates_capacity() {
         for machines in [2usize, 5, 17, 64] {
-            let mut rt = Runtime::builder()
-                .config(MpcConfig::explicit(64, 16, machines).with_threads(4))
-                .build();
-            let out = broadcast(&mut rt, vec![1u64, 2, 3, 4, 5]).unwrap();
-            assert_eq!(out.part(machines - 1), &[1, 2, 3, 4, 5]);
+            let mut rt = rt(16, machines);
+            broadcast_accounted(&mut rt, 5).unwrap();
             assert_eq!(rt.metrics().violations(), 0);
+            for r in rt.metrics().round_stats() {
+                assert!(r.max_out_words <= 16 && r.max_in_words <= 16, "{r:?}");
+            }
         }
     }
 }

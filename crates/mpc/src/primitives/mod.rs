@@ -2,11 +2,11 @@
 //! [`Runtime::round`](crate::cluster::Runtime::round).
 //!
 //! Every primitive uses `O(log_s M) = O(1/ε)` rounds, labels its internal
-//! rounds (`"broadcast:…"`, `"sort:…"`, …) so pipelines can attribute
-//! their round budgets, and respects capacity enforcement.
+//! rounds (`"broadcast:…"`, `"shuffle"`, `"join:route"`, `"reduce:…"`)
+//! so pipelines can attribute their round budgets, and respects
+//! capacity enforcement.
 
 pub mod aggregate;
 pub mod broadcast;
 pub mod join;
 pub mod shuffle;
-pub mod sort;

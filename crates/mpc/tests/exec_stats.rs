@@ -130,6 +130,5 @@ fn stats_snapshot_is_internally_consistent() {
     let _ = exec::par_map_indexed((0..32u64).collect(), 1, |_, x| x);
     let s = exec::stats();
     assert_eq!(s.worker_busy_ns.len(), s.workers_spawned);
-    assert!(s.busy_ns() >= s.caller_busy_ns);
     assert!(s.workers_spawned <= exec::MAX_WORKERS);
 }

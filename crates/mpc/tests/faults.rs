@@ -9,7 +9,7 @@
 use std::sync::{Mutex, MutexGuard};
 use treeemb_mpc::error::CapacityPhase;
 use treeemb_mpc::fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, FaultSpec};
-use treeemb_mpc::primitives::{broadcast, sort};
+use treeemb_mpc::primitives::{aggregate, join, shuffle};
 use treeemb_mpc::{Dist, MpcConfig, MpcError, Runtime};
 
 fn test_lock() -> MutexGuard<'static, ()> {
@@ -27,16 +27,43 @@ fn rt_with(threads: usize, plan: Option<FaultPlan>) -> Runtime {
     builder.build()
 }
 
-/// Runs sample-sort over a fixed input and returns (sorted output,
-/// fault log, per-round attempts).
-fn sort_run(threads: usize, plan: Option<FaultPlan>) -> (Vec<u64>, Vec<FaultEvent>, Vec<u32>) {
+/// Runs a three-round pipeline of the primitives Algorithm 2 uses over
+/// a fixed input: a group fold (one shuffle round) counts each residue
+/// class mod 97, a hash join (one round) tags every record with its
+/// class size, and an aggregation tree (one round) sums the tags.
+/// Returns (tagged records followed by the sum, fault log, per-round
+/// attempts).
+fn pipeline_run(threads: usize, plan: Option<FaultPlan>) -> (Vec<u64>, Vec<FaultEvent>, Vec<u32>) {
     let mut rt = rt_with(threads, plan);
     let input: Vec<u64> = (0..600u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9) % 1000)
         .collect();
     let dist = rt.distribute(input).unwrap();
-    let sorted = sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-    let out = rt.gather(sorted);
+    let sizes = shuffle::group_fold(
+        &mut rt,
+        dist.clone(),
+        |x| x % 97,
+        |k, g| (k, g.len() as u64),
+    )
+    .unwrap();
+    let tagged = join::join_by_key(
+        &mut rt,
+        dist,
+        sizes,
+        |x| x % 97,
+        |s| s.0,
+        |x, s| x * 1000 + s.1,
+    )
+    .unwrap();
+    let total = aggregate::reduce(
+        &mut rt,
+        tagged.clone(),
+        |s| Some(s.iter().sum::<u64>()),
+        |a, b| a + b,
+    )
+    .unwrap();
+    let mut out = rt.gather(tagged);
+    out.extend(total);
     let attempts = rt
         .metrics()
         .round_stats()
@@ -62,9 +89,9 @@ fn noisy_plan(seed: u64) -> FaultPlan {
 }
 
 #[test]
-fn retryable_faults_leave_sorted_output_bit_identical() {
+fn retryable_faults_leave_pipeline_output_bit_identical() {
     let _g = test_lock();
-    let (clean, clean_log, _) = sort_run(4, None);
+    let (clean, clean_log, clean_attempts) = pipeline_run(4, None);
     assert!(clean_log.is_empty());
     // Background rates plus one scheduled drop so at least one exchange
     // retry is guaranteed regardless of where the seeded faults land.
@@ -74,7 +101,7 @@ fn retryable_faults_leave_sorted_output_bit_identical() {
         src: 0,
         msg_index: 0,
     });
-    let (faulted, log, attempts) = sort_run(4, Some(plan));
+    let (faulted, log, attempts) = pipeline_run(4, Some(plan));
     assert_eq!(faulted, clean, "retryable faults must not change output");
     assert!(
         !log.is_empty(),
@@ -84,18 +111,28 @@ fn retryable_faults_leave_sorted_output_bit_identical() {
         attempts.iter().any(|&a| a > 1),
         "some round should have retried (attempts: {attempts:?})"
     );
+    assert_eq!(
+        attempts.len(),
+        clean_attempts.len(),
+        "retries must not add metered rounds"
+    );
 }
 
 #[test]
 fn fault_log_and_outcome_identical_across_runs_and_thread_counts() {
     let _g = test_lock();
-    let (out1, log1, att1) = sort_run(4, Some(noisy_plan(99)));
-    let (out2, log2, att2) = sort_run(4, Some(noisy_plan(99)));
+    let (out1, log1, att1) = pipeline_run(4, Some(noisy_plan(99)));
+    assert!(
+        !log1.is_empty(),
+        "the noisy plan should have injected faults"
+    );
+    assert!(att1.iter().any(|&a| a > 1), "attempts: {att1:?}");
+    let (out2, log2, att2) = pipeline_run(4, Some(noisy_plan(99)));
     assert_eq!(out1, out2);
     assert_eq!(log1, log2, "same plan + seed must replay identically");
     assert_eq!(att1, att2);
     for threads in [1, 2, 7] {
-        let (out_t, log_t, att_t) = sort_run(threads, Some(noisy_plan(99)));
+        let (out_t, log_t, att_t) = pipeline_run(threads, Some(noisy_plan(99)));
         assert_eq!(out_t, out1, "threads={threads} changed the output");
         assert_eq!(log_t, log1, "threads={threads} changed the fault log");
         assert_eq!(att_t, att1, "threads={threads} changed retry counts");
@@ -105,8 +142,11 @@ fn fault_log_and_outcome_identical_across_runs_and_thread_counts() {
 #[test]
 fn different_seeds_give_different_fault_sequences() {
     let _g = test_lock();
-    let (_, log_a, _) = sort_run(2, Some(noisy_plan(1)));
-    let (_, log_b, _) = sort_run(2, Some(noisy_plan(2)));
+    let (_, log_a, att_a) = pipeline_run(2, Some(noisy_plan(1)));
+    let (_, log_b, att_b) = pipeline_run(2, Some(noisy_plan(2)));
+    assert!(!log_a.is_empty() && !log_b.is_empty());
+    assert!(att_a.iter().any(|&a| a > 1), "attempts: {att_a:?}");
+    assert!(att_b.iter().any(|&a| a > 1), "attempts: {att_b:?}");
     assert_ne!(log_a, log_b);
 }
 
@@ -187,7 +227,6 @@ fn capacity_squeeze_shrinks_effective_capacity_and_fails_typed() {
     let plan = FaultPlan::new(0).with_fault(FaultSpec::Squeeze {
         from_round: 1,
         capacity_words: 4,
-        machine: None,
     });
     let mut rt = rt_with(2, Some(plan));
     assert_eq!(rt.capacity(), 256, "squeeze not yet in force");
@@ -232,32 +271,22 @@ fn capacity_squeeze_shrinks_effective_capacity_and_fails_typed() {
 }
 
 #[test]
-fn broadcast_under_retryable_faults_is_conformant() {
-    let _g = test_lock();
-    let payload: Vec<u64> = (0..40).map(|i| i * 3 + 1).collect();
-    let mut clean_rt = rt_with(2, None);
-    let clean = broadcast::broadcast(&mut clean_rt, payload.clone()).unwrap();
-    let mut rt = rt_with(2, Some(noisy_plan(5)));
-    let faulted = broadcast::broadcast(&mut rt, payload).unwrap();
-    assert_eq!(clean.parts(), faulted.parts());
-    assert_eq!(
-        clean_rt.metrics().rounds(),
-        rt.metrics().rounds(),
-        "retries must not add metered rounds"
-    );
-}
-
-#[test]
 fn replayed_event_log_reproduces_the_identical_fault_sequence() {
     let _g = test_lock();
     // Run a seeded plan, reconstruct an explicit plan from its event
     // log, and replay: the explicit plan must fire the same faults.
-    let (out_seeded, log_seeded, _) = sort_run(2, Some(noisy_plan(123)));
+    let (out_seeded, log_seeded, att_seeded) = pipeline_run(2, Some(noisy_plan(123)));
+    assert!(!log_seeded.is_empty());
+    assert!(
+        att_seeded.iter().any(|&a| a > 1),
+        "attempts: {att_seeded:?}"
+    );
     let explicit = FaultPlan::from_events(&log_seeded, 12);
     assert!(explicit.rates.is_zero());
-    let (out_explicit, log_explicit, _) = sort_run(2, Some(explicit));
+    let (out_explicit, log_explicit, att_explicit) = pipeline_run(2, Some(explicit));
     assert_eq!(out_explicit, out_seeded);
     assert_eq!(log_explicit, log_seeded);
+    assert_eq!(att_explicit, att_seeded);
 }
 
 #[test]
@@ -266,7 +295,7 @@ fn fault_events_appear_in_the_trace() {
     treeemb_obs::capture_start();
     treeemb_obs::drain();
     // One round that fires every fault kind: machine 1 crashes and is
-    // recovered, machine 5 runs squeezed (with room to spare), and the
+    // recovered, the cluster runs squeezed (with room to spare), and the
     // exchange fails three times — machine 2 unavailable, then a drop,
     // then a duplicate — before the fourth attempt delivers.
     let plan = FaultPlan::new(0)
@@ -278,7 +307,6 @@ fn fault_events_appear_in_the_trace() {
         .with_fault(FaultSpec::Squeeze {
             from_round: 0,
             capacity_words: 200,
-            machine: Some(5),
         })
         .with_fault(FaultSpec::Unavailable {
             round: 0,
@@ -331,8 +359,8 @@ fn fault_events_appear_in_the_trace() {
 #[test]
 fn empty_plan_changes_nothing_and_logs_nothing() {
     let _g = test_lock();
-    let (clean, _, att_clean) = sort_run(2, None);
-    let (armed, log, att_armed) = sort_run(2, Some(FaultPlan::new(42)));
+    let (clean, _, att_clean) = pipeline_run(2, None);
+    let (armed, log, att_armed) = pipeline_run(2, Some(FaultPlan::new(42)));
     assert_eq!(clean, armed);
     assert!(log.is_empty());
     assert_eq!(att_clean, att_armed);
@@ -373,7 +401,6 @@ fn map_local_and_distribute_respect_squeezed_capacity() {
     let plan = FaultPlan::new(0).with_fault(FaultSpec::Squeeze {
         from_round: 0,
         capacity_words: 2,
-        machine: None,
     });
     let mut rt = rt_with(1, Some(plan.clone()));
     // distribute packs by the squeezed capacity: 8 machines × 2 words.

@@ -8,6 +8,7 @@
 
 use std::sync::Mutex;
 use std::sync::MutexGuard;
+use treeemb_mpc::primitives::{aggregate, join, shuffle};
 use treeemb_mpc::{MpcConfig, Runtime};
 
 fn test_lock() -> MutexGuard<'static, ()> {
@@ -64,15 +65,22 @@ fn round_spans_carry_word_counters_and_nest_under_primitives() {
         .config(MpcConfig::explicit(1 << 12, 256, 8).with_threads(4))
         .build();
     let dist = rt.distribute((0..64u64).collect()).unwrap();
-    let sorted = treeemb_mpc::primitives::sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-    assert_eq!(rt.gather(sorted).len(), 64);
+    let groups =
+        shuffle::group_fold(&mut rt, dist.clone(), |x| x % 5, |k, g| (k, g.len() as u64)).unwrap();
+    let joined =
+        join::join_by_key(&mut rt, dist, groups, |x| x % 5, |g| g.0, |x, g| x + g.1).unwrap();
+    let total = aggregate::reduce(
+        &mut rt,
+        joined,
+        |s| Some(s.iter().sum::<u64>()),
+        |a, b| a + b,
+    )
+    .unwrap();
+    let class_size = |x: u64| (0..64u64).filter(|y| y % 5 == x % 5).count() as u64;
+    assert_eq!(total, Some((0..64u64).map(|x| x + class_size(x)).sum()));
     treeemb_obs::capture_stop();
     let events = treeemb_obs::drain();
 
-    let sort_span = events
-        .iter()
-        .find(|e| e.name == "mpc.sort")
-        .expect("mpc.sort span");
     let round_spans: Vec<_> = events
         .iter()
         .filter(|e| e.name.starts_with("mpc.round:"))
@@ -87,12 +95,25 @@ fn round_spans_carry_word_counters_and_nest_under_primitives() {
                 r.name
             );
         }
-        // Rounds belonging to the sort nest strictly inside its span.
-        if r.name.contains("sort") {
-            assert!(r.depth > sort_span.depth);
-            assert!(r.start_ns >= sort_span.start_ns);
-            assert!(r.start_ns + r.dur_ns <= sort_span.start_ns + sort_span.dur_ns);
+    }
+    // Each primitive's rounds nest strictly inside its span.
+    for (primitive, label) in [
+        ("mpc.group_fold", "mpc.round:shuffle"),
+        ("mpc.join", "mpc.round:join:"),
+        ("mpc.reduce", "mpc.round:reduce:"),
+    ] {
+        let span = events
+            .iter()
+            .find(|e| e.name == primitive)
+            .unwrap_or_else(|| panic!("{primitive} span"));
+        let mut nested = 0;
+        for r in round_spans.iter().filter(|r| r.name.starts_with(label)) {
+            assert!(r.depth > span.depth, "{} under {primitive}", r.name);
+            assert!(r.start_ns >= span.start_ns);
+            assert!(r.start_ns + r.dur_ns <= span.start_ns + span.dur_ns);
+            nested += 1;
         }
+        assert!(nested > 0, "{primitive} ran no {label} round");
     }
     // Round spans and metrics agree on attribution: the span-side word
     // counters sum to the meter's total.

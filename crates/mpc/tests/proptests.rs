@@ -2,7 +2,7 @@
 //! every input* and *deterministic under any thread count*.
 
 use proptest::prelude::*;
-use treeemb_mpc::primitives::{aggregate, shuffle, sort};
+use treeemb_mpc::primitives::{aggregate, join, shuffle};
 use treeemb_mpc::{MpcConfig, Runtime};
 
 fn runtime(cap: usize, machines: usize, threads: usize) -> Runtime {
@@ -13,35 +13,6 @@ fn runtime(cap: usize, machines: usize, threads: usize) -> Runtime {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn sort_matches_std_sort(
-        data in proptest::collection::vec(0u64..1_000_000, 0..600),
-        machines in 1usize..40,
-    ) {
-        let mut rt = runtime(1024, machines, 4);
-        let dist = rt.distribute(data.clone()).unwrap();
-        let sorted = sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-        let got = rt.gather(sorted);
-        let mut expect = data;
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn two_level_sort_matches_std_sort(
-        data in proptest::collection::vec(0u64..100_000, 0..500),
-        machines in 60usize..140,
-    ) {
-        // Capacity 100 < 2*machines forces the two-level path.
-        let mut rt = runtime(100, machines, 4);
-        let dist = rt.distribute(data.clone()).unwrap();
-        let sorted = sort::sort_two_level(&mut rt, dist, |x| *x).unwrap();
-        let got = rt.gather(sorted);
-        let mut expect = data;
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
 
     #[test]
     fn shuffle_preserves_multiset(
@@ -65,7 +36,10 @@ proptest! {
     ) {
         let mut rt = runtime(1024, machines, 4);
         let dist = rt.distribute(data.clone()).unwrap();
-        prop_assert_eq!(aggregate::count(&mut rt, &dist).unwrap(), data.len() as u64);
+        let count = aggregate::reduce(&mut rt, dist.clone(), |s| Some(s.len() as u64), |a, b| a + b)
+            .unwrap()
+            .unwrap_or(0);
+        prop_assert_eq!(count, data.len() as u64);
         let sum = aggregate::sum_by(&mut rt, &dist, |x| *x as f64).unwrap();
         prop_assert!((sum - data.iter().sum::<u64>() as f64).abs() < 1e-6);
         let max = aggregate::max_by(&mut rt, &dist, |x| *x).unwrap();
@@ -81,10 +55,23 @@ proptest! {
             let mut rt = runtime(2048, machines, threads);
             let dist = rt.distribute(data.clone()).unwrap();
             let shuffled = shuffle::shuffle_by_key(&mut rt, dist, |x| x / 3).unwrap();
-            let sorted = sort::sort_by_key(&mut rt, shuffled, |x| *x).unwrap();
+            let sums = shuffle::group_fold(&mut rt, shuffled.clone(), |x| x % 101, |k, g| {
+                (k, g.iter().sum::<u64>())
+            })
+            .unwrap();
+            let joined =
+                join::join_by_key(&mut rt, shuffled, sums, |x| x % 101, |s| s.0, |x, s| x ^ s.1)
+                    .unwrap();
+            let total = aggregate::reduce(
+                &mut rt,
+                joined.clone(),
+                |s| Some(s.iter().sum::<u64>()),
+                |a, b| a + b,
+            )
+            .unwrap();
             // Shard boundaries AND contents must be identical.
-            let parts: Vec<Vec<u64>> = sorted.parts().to_vec();
-            (parts, rt.metrics().rounds(), rt.metrics().total_sent_words())
+            let parts: Vec<Vec<u64>> = joined.parts().to_vec();
+            (parts, total, rt.metrics().rounds(), rt.metrics().total_sent_words())
         };
         let a = run(1);
         let b = run(8);

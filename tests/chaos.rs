@@ -64,7 +64,6 @@ fn capacity_squeeze_is_a_typed_error_from_the_full_pipeline() {
     let plan = FaultPlan::new(5).with_fault(FaultSpec::Squeeze {
         from_round: 2,
         capacity_words: 32,
-        machine: None,
     });
     let mut cfg = pipeline_cfg(2);
     cfg.faults = Some(plan);

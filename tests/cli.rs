@@ -109,6 +109,22 @@ fn bad_usage_reports_errors() {
     assert!(err.contains("--trees"), "stderr: {err}");
 }
 
+/// A coordinate span whose bounding-box diagonal overflows `f64` is a
+/// clean error naming the diagonal, not a library panic (exit 101).
+#[test]
+fn overflowing_coordinates_are_a_typed_error() {
+    let huge = tmp("huge.csv");
+    std::fs::write(&huge, "0,0\n1e300,1\n2,3\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_treeemb"))
+        .args(["embed", "--input", &huge])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert_ne!(out.status.code(), Some(101), "panicked: {err}");
+    assert!(err.contains("diagonal"), "stderr: {err}");
+}
+
 #[test]
 fn help_prints_usage() {
     let (ok, out, _) = treeemb(&["help"]);

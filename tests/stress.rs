@@ -10,7 +10,6 @@ use treeemb::core::params::HybridParams;
 use treeemb::core::pipeline::{run, PipelineConfig};
 use treeemb::core::seq::SeqEmbedder;
 use treeemb::geom::generators;
-use treeemb::hst::DistanceOracle;
 
 #[test]
 #[ignore = "release-mode scale test (~seconds)"]
@@ -29,9 +28,6 @@ fn embed_ten_thousand_points() {
             assert!(emb.tree_distance(i, j) >= e * (1.0 - 1e-9));
         }
     }
-    // The oracle handles a 10k-leaf tree.
-    let oracle = DistanceOracle::new(&emb.tree);
-    assert_eq!(oracle.distance(0, n - 1), emb.tree_distance(0, n - 1));
 }
 
 #[test]
