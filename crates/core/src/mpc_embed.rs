@@ -19,12 +19,12 @@
 
 use crate::error::EmbedError;
 use crate::params::HybridParams;
-use crate::seq::{hybrid_level_seed, Embedding};
+use crate::seq::{Embedding, SeqEmbedder};
 use std::sync::Arc;
 use treeemb_geom::PointSet;
 use treeemb_hst::builder::{from_edge_list, EdgeRec};
 use treeemb_mpc::primitives::{aggregate, broadcast, shuffle};
-use treeemb_mpc::{exec, Runtime, Words};
+use treeemb_mpc::{Runtime, Words};
 use treeemb_partition::ids::StructuralHash;
 use treeemb_partition::{for_each_node_id, HybridLevel};
 
@@ -151,22 +151,11 @@ pub fn embed_mpc_full(
 
     // Step 1: build grids once (machine 0's role) and broadcast their
     // raw shift vectors so Lemma 8's local-space claim is exercised.
-    // Each level has its own seed, so building them in parallel yields
-    // the same grids.
+    // Same derivation as the sequential embedder; each sequence fills its
+    // shift blocks on first read, during the scan.
     let grids_sp = treeemb_obs::span!("embed.grids");
-    let levels: Arc<Vec<HybridLevel>> = Arc::new(exec::par_map_indexed(
-        params.levels.clone(),
-        rt.config().threads,
-        |i, w| {
-            HybridLevel::new(
-                params.dim,
-                params.r,
-                w,
-                params.grids_per_bucket,
-                hybrid_level_seed(seed, i),
-            )
-        },
-    ));
+    let levels: Arc<Vec<HybridLevel>> =
+        Arc::new(SeqEmbedder::new(params.clone()).build_levels(seed));
     // The broadcast is metered (rounds, loads, capacity, pinned
     // residency) without materializing M copies of the shift vectors;
     // machines read the grids through shared state, as real clusters

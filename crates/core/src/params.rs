@@ -80,6 +80,13 @@ impl HybridParams {
         if !min_sep.is_finite() || min_sep <= 0.0 {
             return Err(EmbedError::BadSeparation(min_sep));
         }
+        if !(fail_prob > 0.0 && fail_prob < 1.0) {
+            return Err(EmbedError::InvalidConfig {
+                field: "fail_prob",
+                value: fail_prob.to_string(),
+                expected: "a value in (0, 1)".into(),
+            });
+        }
         if let Some(point) = first_non_finite(ps) {
             return Err(EmbedError::NonFiniteInput { point });
         }
@@ -88,16 +95,7 @@ impl HybridParams {
         let sqrt_r = (r as f64).sqrt();
         let diag = finite_diagonal(ps)?.max(min_sep);
         let w0 = pow2_at_least(diag / 2.0);
-        let w_floor = min_sep / (2.0 * sqrt_r);
-        let mut levels = Vec::new();
-        let mut w = w0;
-        loop {
-            levels.push(w);
-            if w < w_floor {
-                break;
-            }
-            w /= 2.0;
-        }
+        let levels: Vec<f64> = level_scales(w0, min_sep / (2.0 * sqrt_r)).collect();
         let m = dim / r;
         // Union bound over points, buckets, and levels (Lemma 7).
         let targets = ps.len() * r * levels.len();
@@ -181,18 +179,18 @@ pub fn estimate_grid_words(
     let m = dim_p / r;
     let sqrt_r = (r as f64).sqrt();
     let w0 = pow2_at_least(diag.max(min_sep) / 2.0);
-    let floor = min_sep / (2.0 * sqrt_r);
-    let mut levels = 0usize;
-    let mut w = w0;
-    loop {
-        levels += 1;
-        if w < floor {
-            break;
-        }
-        w /= 2.0;
-    }
+    let levels = level_scales(w0, min_sep / (2.0 * sqrt_r)).count();
     let u = coverage::grids_needed(m, n * r * levels, fail_prob);
     levels * r * u * (m + 2)
+}
+
+/// The level scales `w₀, w₀/2, …`, ending with the first one below
+/// `floor`. Also ends at `0` or after `w₀` when `floor` is not a
+/// positive number, so every schedule is finite.
+fn level_scales(w0: f64, floor: f64) -> impl Iterator<Item = f64> {
+    std::iter::successors(Some(w0), move |&w| {
+        (w >= floor && w > 0.0).then_some(w / 2.0)
+    })
 }
 
 /// Smallest `dim' ≥ dim` with `r | dim'`.
@@ -242,16 +240,7 @@ impl GridParams {
         // Same convention as the hybrid schedule: r-independent top
         // scale Θ(diag) (domination needs only w0 ≥ diag/(2√d)).
         let w0 = pow2_at_least(diag / 2.0);
-        let w_floor = min_sep / sqrt_d;
-        let mut levels = Vec::new();
-        let mut w = w0;
-        loop {
-            levels.push(w);
-            if w < w_floor {
-                break;
-            }
-            w /= 2.0;
-        }
+        let levels = level_scales(w0, min_sep / sqrt_d).collect();
         Ok(Self { dim, levels })
     }
 
@@ -417,6 +406,24 @@ mod tests {
             GridParams::for_dataset(&inf).unwrap_err(),
             EmbedError::NonFiniteInput { point: 0 }
         ));
+    }
+
+    #[test]
+    fn fail_prob_outside_unit_interval_is_rejected() {
+        let ps = generators::uniform_cube(16, 4, 64, 3);
+        for fail_prob in [0.0, 1.0, 2.0, f64::NAN] {
+            let err = HybridParams::for_dataset_with_sep(&ps, 2, 1.0, fail_prob).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EmbedError::InvalidConfig {
+                        field: "fail_prob",
+                        ..
+                    }
+                ),
+                "{fail_prob}: {err:?}"
+            );
+        }
     }
 
     #[test]

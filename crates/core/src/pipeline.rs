@@ -257,9 +257,11 @@ pub fn run(ps: &PointSet, cfg: &PipelineConfig) -> Result<PipelineReport, EmbedE
 /// always empty and the result matches [`run`] exactly.
 ///
 /// A configuration value the runtime cannot be sized with (zero
-/// threads, capacity or machines, `ε ∉ (0, 1)`, a machine-capacity
-/// override outside the cluster or of zero words) is reported as
-/// [`EmbedError::InvalidConfig`] before any runtime is built.
+/// threads, capacity or machines, `ε`, `ξ` or `fail_prob` outside
+/// `(0, 1)`, a machine-capacity override outside the cluster or of zero
+/// words) is reported as [`EmbedError::InvalidConfig`], and a `min_sep`
+/// that is not positive and finite as [`EmbedError::BadSeparation`],
+/// before any runtime is built.
 pub fn run_faulted(
     ps: &PointSet,
     cfg: &PipelineConfig,
@@ -294,7 +296,9 @@ pub fn run_faulted(
     unreachable!("the last attempt always returns");
 }
 
-/// Rejects the scalar knobs `MpcConfig`'s constructors assert on.
+/// Rejects the scalar knobs `MpcConfig`'s constructors assert on, and
+/// the schedule inputs (`ξ`, `fail_prob`, `min_sep`) that
+/// `size_mpc_config`'s estimates need in range.
 fn validate(cfg: &PipelineConfig) -> Result<(), EmbedError> {
     let invalid = |field, value: &dyn std::fmt::Display, expected: &str| {
         Err(EmbedError::InvalidConfig {
@@ -317,6 +321,15 @@ fn validate(cfg: &PipelineConfig) -> Result<(), EmbedError> {
     }
     if cfg.r == Some(0) {
         return invalid("r", &0, "at least 1");
+    }
+    if !(cfg.xi > 0.0 && cfg.xi < 1.0) {
+        return invalid("xi", &cfg.xi, "a value in (0, 1)");
+    }
+    if !(cfg.fail_prob > 0.0 && cfg.fail_prob < 1.0) {
+        return invalid("fail_prob", &cfg.fail_prob, "a value in (0, 1)");
+    }
+    if !cfg.min_sep.is_finite() || cfg.min_sep <= 0.0 {
+        return Err(EmbedError::BadSeparation(cfg.min_sep));
     }
     Ok(())
 }
@@ -701,6 +714,30 @@ mod tests {
             assert!(events.is_empty());
             let msg = run(&ps, &cfg).unwrap_err().to_string();
             assert!(msg.contains(field) && msg.contains(value), "{msg}");
+        }
+    }
+
+    /// Schedule inputs out of range are typed errors, not a hang in the
+    /// level loop or a panic in the JL or coverage formulas.
+    #[test]
+    fn bad_schedule_values_are_typed_errors() {
+        let ps = generators::uniform_cube(64, 8, 1024, 1);
+        let b = PipelineConfig::builder;
+        for bad in [0.0, 1.0, 2.0, f64::NAN] {
+            for (cfg, field) in [(b().xi(bad), "xi"), (b().fail_prob(bad), "fail_prob")] {
+                let err = run(&ps, &cfg.build()).unwrap_err();
+                assert!(
+                    matches!(err, EmbedError::InvalidConfig { field: f, .. } if f == field),
+                    "{field} = {bad}: {err:?}"
+                );
+            }
+        }
+        for bad in [0.0, -1.0, f64::NAN] {
+            let err = run(&ps, &b().min_sep(bad).build()).unwrap_err();
+            assert!(
+                matches!(err, EmbedError::BadSeparation(s) if s.to_bits() == bad.to_bits()),
+                "{err:?}"
+            );
         }
     }
 

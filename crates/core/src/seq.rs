@@ -125,8 +125,9 @@ impl SeqEmbedder {
         &self.params
     }
 
-    /// Materializes the per-level hybrid partitionings for `seed`
-    /// (shared with the MPC embedder — identical derivation).
+    /// Builds the per-level hybrid partitionings for `seed` (shared with
+    /// the MPC embedder — identical derivation). Grid shifts are filled
+    /// on first read, so this allocates no shift storage.
     pub fn build_levels(&self, seed: u64) -> Vec<HybridLevel> {
         self.params
             .levels

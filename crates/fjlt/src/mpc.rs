@@ -11,11 +11,17 @@
 //!    all index bits outside the group (one shuffle round), applies the
 //!    `b` stages locally, and re-emits. `⌈log₂(d)/b⌉ = O(1/ε)` rounds —
 //!    the same schedule as the MPC FFT of \[45\] that the paper invokes;
-//! 3. **P** — every coordinate fans out to the nonzeros of `P`'s column,
-//!    and contributions are summed by destination coordinate (one
-//!    shuffle round + local fold). Every machine could derive `P` from
-//!    the broadcast seed; the simulation derives it once and shares the
-//!    copy read-only, which is the same pure function, memoized;
+//! 3. **P** — every machine could derive `P` from the broadcast seed;
+//!    the simulation derives it once and shares the copy read-only,
+//!    which is the same pure function, memoized. When the WHT ran in at
+//!    most one super-round (`8·d_pad ≤ capacity`, every bench scale),
+//!    each point's whole vector already sits on one machine, which
+//!    applies `P` locally with no communication. Otherwise (the paper's
+//!    `d > s` case) every coordinate fans out to the nonzeros of `P`'s
+//!    column, and contributions are summed by destination coordinate
+//!    (one shuffle round + local fold). The local path adds each
+//!    output's contributions in the order that fold would receive them
+//!    from the point's one machine, so skipping the round keeps the bits;
 //! 4. **gather** — output records are collected into a `k`-dimensional
 //!    [`PointSet`].
 //!
@@ -153,43 +159,71 @@ pub fn fjlt_mpc(rt: &mut Runtime, ps: &PointSet, params: &FjltParams) -> MpcResu
     }
     drop(wht_sp);
 
-    // Phase P: sparse fan-out + aggregation.
+    // Phase P: apply the sparse projection and scale.
     let project_sp = treeemb_obs::span!("fjlt.project");
     let p = fjlt_projection(params.k, params.d_pad, params.q, params.p_seed());
     let p = &p;
-    let routed = rt.round("fjlt:project", dist, move |_, shard, em| {
-        for r in shard {
-            for (i, pij) in p.column(r.idx as usize) {
-                let key = ((r.pt as u64) << 32) | i as u64;
-                let dest = (mix2(key, 0x9B0B) % m as u64) as usize;
-                em.send(
-                    dest,
-                    Coord {
-                        pt: r.pt,
-                        idx: i,
-                        val: pij * r.val,
-                    },
-                );
+    let (k, scale) = (params.k, params.output_scale());
+    let summed = if b >= total_bits {
+        // At most one WHT super-round ran, so each point's vector is one
+        // run of index-ascending records on one machine (module doc).
+        rt.map_local(dist, move |_, shard| {
+            let mut acc: Vec<Option<f64>> = vec![None; k];
+            let mut out = Vec::new();
+            for run in shard.chunk_by(|a, b| a.pt == b.pt) {
+                for r in run {
+                    for (i, pij) in p.column(r.idx as usize) {
+                        *acc[i as usize].get_or_insert(0.0) += pij * r.val;
+                    }
+                }
+                for (i, a) in acc.iter_mut().enumerate() {
+                    if let Some(val) = a.take() {
+                        out.push(Coord {
+                            pt: run[0].pt,
+                            idx: i as u32,
+                            val: val * scale,
+                        });
+                    }
+                }
             }
-        }
-        Vec::new()
-    })?;
-    let scale = params.output_scale();
-    let summed = rt.map_local(routed, move |_, shard| {
-        let mut acc: std::collections::BTreeMap<(u32, u32), f64> =
-            std::collections::BTreeMap::new();
-        for r in shard {
-            *acc.entry((r.pt, r.idx)).or_insert(0.0) += r.val;
-        }
-        acc.into_iter()
-            .map(|((pt, idx), val)| Coord {
-                pt,
-                idx,
-                val: val * scale,
-            })
-            .collect()
-    })?;
-
+            out
+        })?
+    } else {
+        // A point's vector spans machines: every coordinate fans out to
+        // the nonzeros of its column of P, and contributions are summed
+        // by destination coordinate.
+        let routed = rt.round("fjlt:project", dist, move |_, shard, em| {
+            for r in shard {
+                for (i, pij) in p.column(r.idx as usize) {
+                    let key = ((r.pt as u64) << 32) | i as u64;
+                    let dest = (mix2(key, 0x9B0B) % m as u64) as usize;
+                    em.send(
+                        dest,
+                        Coord {
+                            pt: r.pt,
+                            idx: i,
+                            val: pij * r.val,
+                        },
+                    );
+                }
+            }
+            Vec::new()
+        })?;
+        rt.map_local(routed, move |_, shard| {
+            let mut acc: std::collections::BTreeMap<(u32, u32), f64> =
+                std::collections::BTreeMap::new();
+            for r in shard {
+                *acc.entry((r.pt, r.idx)).or_insert(0.0) += r.val;
+            }
+            acc.into_iter()
+                .map(|((pt, idx), val)| Coord {
+                    pt,
+                    idx,
+                    val: val * scale,
+                })
+                .collect()
+        })?
+    };
     drop(project_sp);
 
     // Gather into a dense k-dimensional point set.
@@ -207,7 +241,7 @@ mod tests {
     use super::*;
     use crate::fjlt::Fjlt;
     use treeemb_geom::generators;
-    use treeemb_mpc::MpcConfig;
+    use treeemb_mpc::{FaultKind, FaultPlan, FaultSpec, MpcConfig};
 
     fn runtime(cap: usize, machines: usize) -> Runtime {
         Runtime::builder()
@@ -268,19 +302,33 @@ mod tests {
         assert_eq!(rounds[1], rounds[2]);
     }
 
+    /// 64 machines of 64 words: `8·d_pad` exceeds capacity for
+    /// `d_pad = 64`, so the WHT takes several super-rounds and `P` is
+    /// applied by the distributed round. Lenient, because that fan-out
+    /// legitimately overloads a 64-word machine.
+    fn spread_runtime(plan: Option<FaultPlan>) -> Runtime {
+        let mut builder = Runtime::builder().config(
+            MpcConfig::explicit(1 << 16, 64, 64)
+                .with_threads(4)
+                .lenient(),
+        );
+        if let Some(plan) = plan {
+            builder = builder.fault_plan(plan);
+        }
+        builder.build()
+    }
+
+    fn spread_input() -> (PointSet, FjltParams) {
+        (
+            generators::uniform_cube(8, 64, 128, 2),
+            FjltParams::explicit(64, 8, 0.5, 3),
+        )
+    }
+
     #[test]
     fn wht_rounds_shrink_with_capacity() {
-        let ps = generators::uniform_cube(8, 64, 128, 2);
-        let params = FjltParams::explicit(64, 8, 0.5, 3);
-        // Lenient: this test only cares about WHT round counts, and the
-        // P fan-out legitimately overloads a 64-word machine.
-        let mut small = Runtime::builder()
-            .config(
-                MpcConfig::explicit(1 << 16, 64, 64)
-                    .with_threads(4)
-                    .lenient(),
-            )
-            .build();
+        let (ps, params) = spread_input();
+        let mut small = spread_runtime(None);
         let _ = fjlt_mpc(&mut small, &ps, &params).unwrap();
         let mut big = runtime(1 << 14, 64);
         let _ = fjlt_mpc(&mut big, &ps, &params).unwrap();
@@ -291,6 +339,77 @@ mod tests {
             big_wht, 1,
             "big capacity should do the WHT in one super-round"
         );
+    }
+
+    /// The distributed projection and the machine-local one compute the
+    /// same map; only the fold order differs between the two
+    /// configurations.
+    #[test]
+    fn local_and_distributed_projection_agree() {
+        let (ps, params) = spread_input();
+        let mut small = spread_runtime(None);
+        let spread = fjlt_mpc(&mut small, &ps, &params).unwrap();
+        let mut big = runtime(1 << 14, 64);
+        let local = fjlt_mpc(&mut big, &ps, &params).unwrap();
+        assert!(small.metrics().rounds_labeled("fjlt:wht") >= 2);
+        assert_eq!(small.metrics().rounds_labeled("fjlt:project"), 1);
+        assert_eq!(big.metrics().rounds_labeled("fjlt:project"), 0);
+        for (a, b) in spread.as_flat().iter().zip(local.as_flat()) {
+            assert!((a - b).abs() <= 1e-12 * a.abs().max(b.abs()), "{a} vs {b}");
+        }
+    }
+
+    /// Retried drops and duplicates in the distributed `fjlt:project`
+    /// round leave the output bits unchanged.
+    #[test]
+    fn distributed_projection_survives_retryable_faults() {
+        let (ps, params) = spread_input();
+        let mut clean_rt = spread_runtime(None);
+        let clean = fjlt_mpc(&mut clean_rt, &ps, &params).unwrap();
+        let project = clean_rt
+            .metrics()
+            .round_stats()
+            .iter()
+            .find(|r| r.label == "fjlt:project")
+            .expect("the distributed path ran")
+            .round;
+        let mut plan = FaultPlan::new(11).with_max_retries(3);
+        for src in 0..64 {
+            plan = plan
+                .with_fault(FaultSpec::Drop {
+                    round: project,
+                    attempt: 0,
+                    src,
+                    msg_index: 0,
+                })
+                .with_fault(FaultSpec::Duplicate {
+                    round: project,
+                    attempt: 0,
+                    src,
+                    msg_index: 1,
+                });
+        }
+        let mut rt = spread_runtime(Some(plan));
+        let out = fjlt_mpc(&mut rt, &ps, &params).unwrap();
+        assert_eq!(
+            out.as_flat()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            clean
+                .as_flat()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
+        let log = rt.fault_log();
+        assert!(log
+            .iter()
+            .any(|e| e.kind == FaultKind::Drop && e.round == project));
+        assert!(log
+            .iter()
+            .any(|e| e.kind == FaultKind::Duplicate && e.round == project));
+        assert!(rt.metrics().retried_rounds() >= 1);
     }
 
     /// `f64::to_bits` of `fjlt_mpc`'s output on a fixed input. How `P`

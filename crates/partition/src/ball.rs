@@ -6,6 +6,7 @@
 //! (`BuildGrids` in Algorithm 1) and each point joins the first ball
 //! that covers it.
 
+use std::sync::OnceLock;
 use treeemb_linalg::random;
 
 /// One grid of balls: lattice `shift + ℓ·Z^d`, ball radius `w = ℓ/4`
@@ -114,14 +115,23 @@ const RNE_MAGIC: f64 = 6_755_399_441_055_744.0;
 /// every `t = (x − s)/ℓ` stays well inside `RNE_MAGIC`'s exact range.
 const LANE_GUARD: f64 = 1e15;
 
+/// Grids per lazily filled block of a [`GridSequence`]. A multiple of
+/// [`LANES`], so no lane step of [`GridSequence::first_covering`]
+/// crosses a block boundary.
+const BLOCK: usize = 64;
+const _: () = assert!(BLOCK.is_multiple_of(LANES));
+
 /// An ordered sequence of independently shifted ball grids at one scale
 /// (the output of `BuildGrids`).
 ///
-/// All `U` shifts live in one flat row-major buffer (grid `u` occupies
-/// `shifts[u·m .. (u+1)·m]`), so the first-covering-grid scan walks
-/// memory linearly and the sequence costs one allocation, not one per
-/// grid. [`Self::grids`] rebuilds the per-grid [`BallGrid`] form on
-/// demand.
+/// The `U` shifts live in row-major blocks of 64 grids (grid `u`
+/// occupies `dim` consecutive words of block `u / 64`), so the
+/// first-covering-grid scan walks memory linearly. A block is filled on
+/// first touch: most scans stop in the first few blocks, so a sequence
+/// holds only the prefix its callers reach. Grid `u`'s shift is a pure
+/// function of `(seed, u)`, so the content does not depend on which
+/// thread fills a block. [`Self::grids`] rebuilds the per-grid
+/// [`BallGrid`] form on demand.
 #[derive(Debug, Clone)]
 pub struct GridSequence {
     count: usize,
@@ -129,8 +139,9 @@ pub struct GridSequence {
     cell: f64,
     inv_cell: f64,
     radius: f64,
-    /// Grid `u`'s shift occupies `shifts[u*dim .. (u+1)*dim]`.
-    shifts: Vec<f64>,
+    seed: u64,
+    /// Block `b` holds the shifts of grids `b*BLOCK .. min((b+1)*BLOCK, U)`.
+    blocks: Box<[OnceLock<Box<[f64]>>]>,
 }
 
 impl GridSequence {
@@ -148,7 +159,8 @@ impl GridSequence {
     /// trade-off.
     ///
     /// Grid `u`'s shift is [`BallGrid::from_seed`]'s under seed
-    /// `mix2(seed, u)`, written straight into the flat buffer.
+    /// `mix2(seed, u)`, written into its block when the block is first
+    /// read.
     pub fn build_with_cell_factor(
         dim: usize,
         w: f64,
@@ -160,17 +172,16 @@ impl GridSequence {
         assert!(factor >= 2.0, "balls must stay disjoint (factor >= 2)");
         let cell = factor * w;
         assert!(cell > 0.0 && w > 0.0, "scales must be positive");
-        let mut shifts = Vec::with_capacity(count * dim);
-        for u in 0..count {
-            shifts.extend(seeded_shift(dim, cell, random::mix2(seed, u as u64)));
-        }
         Self {
             count,
             dim,
             cell,
             inv_cell: 1.0 / cell,
             radius: w,
-            shifts,
+            seed,
+            blocks: (0..count.div_ceil(BLOCK))
+                .map(|_| OnceLock::new())
+                .collect(),
         }
     }
 
@@ -194,18 +205,48 @@ impl GridSequence {
         self.radius
     }
 
-    /// The grids, in priority order, materialized on demand from the
-    /// flat shift buffer. Tests scan them as the reference for
-    /// [`Self::first_covering`]; the scan itself never builds them.
+    /// The grids, in priority order, materialized from the shift
+    /// blocks (filling all of them). Tests scan them as the reference
+    /// for [`Self::first_covering`]; the scan itself never builds them.
     #[must_use]
     pub fn grids(&self) -> Vec<BallGrid> {
-        (0..self.count)
-            .map(|u| BallGrid::new(self.cell, self.radius, self.shift(u).to_vec()))
+        self.shifts_from(0)
+            .map(|(_, s)| BallGrid::new(self.cell, self.radius, s.to_vec()))
             .collect()
     }
 
+    /// The shifts of block `b`, filled on first read.
+    fn block(&self, b: usize) -> &[f64] {
+        self.blocks[b].get_or_init(|| {
+            let grids = b * BLOCK..self.count.min((b + 1) * BLOCK);
+            let mut shifts = Vec::with_capacity(grids.len() * self.dim);
+            for u in grids {
+                shifts.extend(seeded_shift(
+                    self.dim,
+                    self.cell,
+                    random::mix2(self.seed, u as u64),
+                ));
+            }
+            shifts.into_boxed_slice()
+        })
+    }
+
+    /// `(u, shift of grid u)` for every grid `u ≥ from`, in order.
+    fn shifts_from(&self, from: usize) -> impl Iterator<Item = (usize, &[f64])> {
+        let step = self.dim.max(1);
+        (from / BLOCK..self.blocks.len()).flat_map(move |b| {
+            let first = b * BLOCK;
+            self.block(b)
+                .chunks_exact(step)
+                .enumerate()
+                .skip(from.saturating_sub(first))
+                .map(move |(i, s)| (first + i, s))
+        })
+    }
+
     fn shift(&self, u: usize) -> &[f64] {
-        &self.shifts[u * self.dim..(u + 1) * self.dim]
+        let at = (u % BLOCK) * self.dim;
+        &self.block(u / BLOCK)[at..at + self.dim]
     }
 
     /// Index of the first grid whose ball covers `p`: the same answer,
@@ -234,23 +275,25 @@ impl GridSequence {
         let mut base = 0;
         if p.iter().all(|x| x.abs() * self.inv_cell < LANE_GUARD) {
             let r2 = self.radius * self.radius;
-            for block in self.shifts.chunks_exact(LANES * self.dim.max(1)) {
-                let hits = self.covered_lanes(p, block, r2);
-                if hits != 0 {
-                    return Some((base + hits.trailing_zeros() as usize) as u32);
+            for b in 0..self.blocks.len() {
+                for lanes in self.block(b).chunks_exact(LANES * self.dim.max(1)) {
+                    let hits = self.covered_lanes(p, lanes, r2);
+                    if hits != 0 {
+                        return Some((base + hits.trailing_zeros() as usize) as u32);
+                    }
+                    base += LANES;
                 }
-                base += LANES;
             }
         }
         self.first_covering_scalar(p, base)
     }
 
-    /// Bit `l` set iff grid `l` of `block` (`LANES` row-major shifts)
+    /// Bit `l` set iff grid `l` of `lanes` (`LANES` row-major shifts)
     /// covers `p`; see [`Self::first_covering`] for why this matches
     /// the scalar loop.
-    fn covered_lanes(&self, p: &[f64], block: &[f64], r2: f64) -> u32 {
+    fn covered_lanes(&self, p: &[f64], lanes: &[f64], r2: f64) -> u32 {
         let mut sq = [0.0f64; LANES];
-        for (acc, shift) in sq.iter_mut().zip(block.chunks_exact(self.dim)) {
+        for (acc, shift) in sq.iter_mut().zip(lanes.chunks_exact(self.dim)) {
             for (x, s) in p.iter().zip(shift) {
                 let t = (x - s) * self.inv_cell;
                 let e = (t - ((t + RNE_MAGIC) - RNE_MAGIC)) * self.cell;
@@ -267,8 +310,7 @@ impl GridSequence {
     /// early exit.
     fn first_covering_scalar(&self, p: &[f64], from: usize) -> Option<u32> {
         let r2 = self.radius * self.radius;
-        let tail = &self.shifts[from * self.dim..];
-        for (u, shift) in tail.chunks_exact(self.dim.max(1)).enumerate() {
+        for (u, shift) in self.shifts_from(from) {
             let mut sq = 0.0;
             let mut covered = true;
             for (x, s) in p.iter().zip(shift) {
@@ -281,7 +323,7 @@ impl GridSequence {
                 }
             }
             if covered {
-                return Some((from + u) as u32);
+                return Some(u as u32);
             }
         }
         None
@@ -463,7 +505,7 @@ mod tests {
         // is exact; at factor 2 such a tie lies on the ball's boundary.
         let mut exact_ties = 0;
         for dim in 1..=8 {
-            for count in [1, 7, 8, 9, 65, 1039] {
+            for count in [1, 7, 8, 9, 63, 64, 65, 128, 129, 1039] {
                 for factor in [2.0, 4.0] {
                     let cell = factor * 0.5;
                     let seed = (dim * 10_000 + count) as u64;
@@ -514,6 +556,54 @@ mod tests {
             }
         }
         assert!(exact_ties > 0, "no exact tie was constructed");
+    }
+
+    /// Blocks filled concurrently, in different orders, hold what a
+    /// serial scan of a fresh sequence sees.
+    #[test]
+    fn concurrent_block_fills_match_a_serial_scan() {
+        let (dim, w, count, seed) = (6, 0.5, 1039, 3);
+        let points: Vec<Vec<f64>> = (0..16u64)
+            .map(|i| {
+                let mut p: Vec<f64> = (0..dim as u64)
+                    .map(|j| (random::unit_f64(7, i * 8 + j) - 0.5) * 40.0)
+                    .collect();
+                if i % 4 == 0 {
+                    // Beyond the lane guard: the scalar scan.
+                    p[0] = 4e16 * 4.0 * w;
+                }
+                p
+            })
+            .collect();
+        let fresh = GridSequence::build(dim, w, count, seed);
+        let serial: Vec<Option<u32>> = points.iter().map(|p| fresh.first_covering(p)).collect();
+        assert!(serial.contains(&None), "no point fills every block");
+        assert!(
+            points
+                .iter()
+                .zip(&serial)
+                .any(|(p, u)| p[0].abs() > LANE_GUARD && u.is_none_or(|u| u as usize >= BLOCK)),
+            "no scalar scan crosses a block"
+        );
+        let shared = GridSequence::build(dim, w, count, seed);
+        let scan = |order: Vec<usize>| {
+            let mut got = vec![None; points.len()];
+            for i in order {
+                got[i] = shared.first_covering(&points[i]);
+            }
+            got
+        };
+        let (fwd, rev) = std::thread::scope(|s| {
+            let fwd = s.spawn(|| scan((0..points.len()).collect()));
+            let rev = s.spawn(|| scan((0..points.len()).rev().collect()));
+            (fwd.join().unwrap(), rev.join().unwrap())
+        });
+        assert_eq!(fwd, serial);
+        assert_eq!(rev, serial);
+        let per_grid: Vec<BallGrid> = (0..count)
+            .map(|u| BallGrid::from_seed(dim, 4.0 * w, w, random::mix2(seed, u as u64)))
+            .collect();
+        assert_eq!(shared.grids(), per_grid);
     }
 
     #[test]

@@ -104,8 +104,8 @@ fn mpc_highdim_counters_are_pinned() {
         let (got, jl) = pipeline_counters(&ps, threads);
         assert!(jl, "32x512 must take the FJLT path");
         let want = Counters {
-            rounds: 8,
-            sent_words: 2_459_078_499,
+            rounds: 7,
+            sent_words: 2_458_855_615,
             peak_machine_words: 12_740_132,
             tree_nodes: 669,
             grid_probes: 3_432_611,
