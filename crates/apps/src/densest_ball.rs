@@ -31,9 +31,8 @@ pub fn densest_cluster(emb: &Embedding, max_tree_diameter: f64) -> DenseCluster 
     // Height in weight: the max weight-path from the node down to a leaf.
     let mut down = vec![0.0f64; t.num_nodes()];
     for id in t.post_order() {
-        let node = t.node(id);
         let mut h: f64 = 0.0;
-        for &c in &node.children {
+        for &c in t.children(id) {
             h = h.max(down[c] + t.node(c).weight_to_parent);
         }
         down[id] = h;

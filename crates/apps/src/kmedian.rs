@@ -58,13 +58,13 @@ pub fn tree_kmedian(emb: &Embedding, k: usize) -> KMedianResult {
     // down[v]: distance from v to any leaf below (uniform; asserted).
     let mut down = vec![f64::NAN; n_nodes];
     for id in t.post_order() {
-        let node = t.node(id);
-        if node.children.is_empty() {
+        let children = t.children(id);
+        if children.is_empty() {
             down[id] = 0.0;
             continue;
         }
         let mut val = f64::NAN;
-        for &c in &node.children {
+        for &c in children {
             let through = t.node(c).weight_to_parent + down[c];
             if val.is_nan() {
                 val = through;
@@ -86,9 +86,9 @@ pub fn tree_kmedian(emb: &Embedding, k: usize) -> KMedianResult {
     // t.children(v)); empty for leaves.
     let mut choice: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n_nodes];
     for id in t.post_order() {
-        let node = t.node(id);
+        let children = t.children(id);
         let cap = k.min(counts[id]);
-        if node.children.is_empty() {
+        if children.is_empty() {
             // A leaf: either no median (defer) or a median here.
             dp[id] = vec![0.0; cap + 1];
             choice[id] = vec![Vec::new(); cap + 1];
@@ -101,7 +101,7 @@ pub fn tree_kmedian(emb: &Embedding, k: usize) -> KMedianResult {
         // separately 0 (defer everything).
         let mut acc: Vec<f64> = vec![0.0];
         let mut acc_choice: Vec<Vec<usize>> = vec![Vec::new()];
-        for &c in &node.children {
+        for &c in children {
             let child_cap = k.min(counts[c]);
             let exit_cost = counts[c] as f64 * 2.0 * down[id];
             let new_len = (acc.len() - 1 + child_cap).min(cap) + 1;
@@ -148,16 +148,16 @@ pub fn tree_kmedian(emb: &Embedding, k: usize) -> KMedianResult {
         if j == 0 {
             continue;
         }
-        let node = t.node(id);
-        if node.children.is_empty() {
-            if let Some(p) = node.point {
+        let children = t.children(id);
+        if children.is_empty() {
+            if let Some(p) = t.node(id).point {
                 medians.push(p);
             }
             continue;
         }
         let alloc = &choice[id][j];
-        debug_assert_eq!(alloc.len(), node.children.len());
-        for (&c, &j_c) in node.children.iter().zip(alloc) {
+        debug_assert_eq!(alloc.len(), children.len());
+        for (&c, &j_c) in children.iter().zip(alloc) {
             stack.push((c, j_c));
         }
     }

@@ -69,7 +69,6 @@ impl HstBuilder {
         self.nodes.push(Node {
             parent: None,
             weight_to_parent: 0.0,
-            children: Vec::new(),
             point: None,
             depth: 0,
         });
@@ -89,13 +88,10 @@ impl HstBuilder {
         self.nodes.push(Node {
             parent: Some(parent),
             weight_to_parent: weight,
-            children: Vec::new(),
-            point: None,
+            point,
             depth,
         });
-        self.nodes[parent].children.push(id);
         if let Some(p) = point {
-            self.nodes[id].point = Some(p);
             self.points.push((p, id));
         }
         id
@@ -120,11 +116,7 @@ impl HstBuilder {
             }
             leaf_of[p] = id;
         }
-        Ok(Hst {
-            nodes: self.nodes,
-            root,
-            leaf_of,
-        })
+        Ok(Hst::from_arena(self.nodes, root, leaf_of))
     }
 }
 
@@ -147,6 +139,13 @@ pub struct EdgeRec {
 ///
 /// `n_points` fixes the leaf-map size; every point in `0..n_points` must
 /// appear exactly once.
+///
+/// Assembly is two sorts, a merge-join and one BFS pass, with no
+/// per-node search: `known` lists the node keys, `children` the
+/// `(parent key, known index)` pairs, and one pass over both gives every
+/// known node its run of children. The BFS over those runs writes the
+/// arena, children in node-key order, so the arena does not depend on
+/// edge-list order.
 pub fn from_edge_list(edges: &[EdgeRec], n_points: usize) -> Result<Hst, HstError> {
     // Locate the root (parent == node).
     let mut root_key: Option<u64> = None;
@@ -166,45 +165,76 @@ pub fn from_edge_list(edges: &[EdgeRec], n_points: usize) -> Result<Hst, HstErro
     let mut known: Vec<(u64, usize)> = edges.iter().enumerate().map(|(i, e)| (e.node, i)).collect();
     known.sort_unstable();
     known.dedup_by_key(|k| k.0);
-    let is_known = |key: u64| known.binary_search_by_key(&key, |k| k.0).is_ok();
-    if let Some(e) = edges
-        .iter()
-        .find(|e| e.parent != e.node && !is_known(e.parent))
-    {
-        return Err(HstError::MissingParent(e.parent));
-    }
 
-    // Children grouped under parents, each run ordered by node key, so
-    // the arena does not depend on edge-list order.
-    let mut children: Vec<(u64, u64, usize)> = known
+    // Children grouped under parents; within a run the known index,
+    // like the node key, ascends.
+    let mut children: Vec<(u64, usize)> = known
         .iter()
-        .map(|&(node, i)| (edges[i].parent, node, i))
-        .filter(|&(parent, node, _)| parent != node)
+        .enumerate()
+        .filter_map(|(k, &(node, i))| (edges[i].parent != node).then_some((edges[i].parent, k)))
         .collect();
     children.sort_unstable();
 
+    // Merge-join: `children[first_child[k]..first_child[k + 1]]` are the
+    // children of `known[k]`. A child whose parent key falls between
+    // known keys has an unknown parent.
+    let mut first_child = Vec::with_capacity(known.len() + 1);
+    let mut c = 0;
+    let mut unknown_parent = false;
+    for &(key, _) in &known {
+        let skipped = children[c..].iter().take_while(|ch| ch.0 < key).count();
+        unknown_parent |= skipped > 0;
+        c += skipped;
+        first_child.push(c);
+        c += children[c..].iter().take_while(|ch| ch.0 == key).count();
+    }
+    unknown_parent |= c < children.len();
+    first_child.push(children.len());
+    // `MissingParent` names the first edge in edge-list order whose
+    // parent is unknown; a repeated record outside `known` can be that
+    // edge too, so repeats also take the exact scan.
+    if unknown_parent || known.len() < edges.len() {
+        let is_known = |key: u64| known.binary_search_by_key(&key, |k| k.0).is_ok();
+        if let Some(e) = edges
+            .iter()
+            .find(|e| e.parent != e.node && !is_known(e.parent))
+        {
+            return Err(HstError::MissingParent(e.parent));
+        }
+    }
+
+    // Each child's payload, copied into `children` order so the BFS
+    // reads a run contiguously instead of one random record per node.
+    let payload: Vec<(f64, Option<PointId>)> = children
+        .iter()
+        .map(|&(_, k)| {
+            let e = &edges[known[k].1];
+            (e.weight, e.point)
+        })
+        .collect();
+
     // BFS from the root, building the arena: the arena ids are assigned
-    // in BFS order, so `keys[id]` doubles as the queue. A cycle through
-    // the root would place nodes forever; more placements than nodes
-    // stops it.
+    // in BFS order, so `queue[id]` (the known index of arena node `id`)
+    // doubles as the queue. A cycle through the root would place nodes
+    // forever; more placements than nodes stops it.
     let mut b = HstBuilder {
         nodes: Vec::with_capacity(known.len()),
         ..HstBuilder::default()
     };
     b.add_root();
-    let mut keys: Vec<u64> = Vec::with_capacity(known.len());
-    keys.push(root_key);
+    let mut queue: Vec<usize> = Vec::with_capacity(known.len());
+    queue.push(known.partition_point(|k| k.0 < root_key));
     let mut arena = 0usize;
-    while arena < keys.len() && keys.len() <= known.len() {
-        let key = keys[arena];
-        let first = children.partition_point(|c| c.0 < key);
-        for &(_, node, i) in children[first..].iter().take_while(|c| c.0 == key) {
-            b.add_child(arena, edges[i].weight, edges[i].point);
-            keys.push(node);
+    while arena < queue.len() && queue.len() <= known.len() {
+        let k = queue[arena];
+        for c in first_child[k]..first_child[k + 1] {
+            let (weight, point) = payload[c];
+            b.add_child(arena, weight, point);
+            queue.push(children[c].1);
         }
         arena += 1;
     }
-    if keys.len() != known.len() {
+    if queue.len() != known.len() {
         return Err(HstError::NotATree);
     }
     let t = b.finish()?;

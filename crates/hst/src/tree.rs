@@ -13,8 +13,6 @@ pub struct Node {
     pub parent: Option<NodeId>,
     /// Weight of the edge to the parent; `0.0` for the root.
     pub weight_to_parent: f64,
-    /// Children, in insertion order.
-    pub children: Vec<NodeId>,
     /// The input point this leaf represents, if a leaf.
     pub point: Option<PointId>,
     /// Depth (root = 0).
@@ -28,9 +26,47 @@ pub struct Hst {
     pub(crate) root: NodeId,
     /// `leaf_of[p]` = arena id of point `p`'s leaf.
     pub(crate) leaf_of: Vec<NodeId>,
+    /// `child_ids[child_start[id]..child_start[id + 1]]` = the children
+    /// of `id`, ascending.
+    child_start: Vec<usize>,
+    child_ids: Vec<NodeId>,
 }
 
 impl Hst {
+    /// Wraps a validated arena, indexing children from the parent
+    /// pointers with a stable counting sort over ids. Builders give every
+    /// node a larger id than its parent and siblings ids in insertion
+    /// order, so each child list is in insertion order.
+    pub(crate) fn from_arena(nodes: Vec<Node>, root: NodeId, leaf_of: Vec<NodeId>) -> Hst {
+        // Count children per parent, then prefix-sum: `child_start[p]`
+        // is the end of `p`'s run until the fill below walks it back.
+        let mut child_start = vec![0usize; nodes.len() + 1];
+        for p in nodes.iter().filter_map(|n| n.parent) {
+            child_start[p] += 1;
+        }
+        let mut end = 0;
+        for s in &mut child_start {
+            end += *s;
+            *s = end;
+        }
+        // Filling each run from its back in descending id order leaves
+        // it ascending and `child_start[p]` at its start.
+        let mut child_ids = vec![0; end];
+        for (id, n) in nodes.iter().enumerate().rev() {
+            if let Some(p) = n.parent {
+                child_start[p] -= 1;
+                child_ids[child_start[p]] = id;
+            }
+        }
+        Hst {
+            nodes,
+            root,
+            leaf_of,
+            child_start,
+            child_ids,
+        }
+    }
+
     /// Number of nodes.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
@@ -67,10 +103,10 @@ impl Hst {
         self.nodes[id].parent
     }
 
-    /// Children of `id`.
+    /// Children of `id`, in insertion order (ascending ids).
     #[must_use]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id].children
+        &self.child_ids[self.child_start[id]..self.child_start[id + 1]]
     }
 
     /// Iterator over all node ids, root first (ids are assigned in
@@ -112,7 +148,7 @@ impl Hst {
                 out.push(id);
             } else {
                 stack.push((id, true));
-                for &c in &self.nodes[id].children {
+                for &c in self.children(id) {
                     stack.push((c, false));
                 }
             }
@@ -128,7 +164,7 @@ impl Hst {
             if let Some(p) = self.nodes[n].point {
                 out.push(p);
             }
-            stack.extend(self.nodes[n].children.iter().copied());
+            stack.extend_from_slice(self.children(n));
         }
         out
     }

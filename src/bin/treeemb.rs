@@ -168,6 +168,11 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
     let seed: u64 = get(flags, "seed")?.unwrap_or(42);
     let kind: String = get(flags, "kind")?.unwrap_or_else(|| "uniform".into());
     let out: String = req(flags, "out")?;
+    for (flag, value) in [("n", n as u64), ("d", d as u64), ("delta", delta)] {
+        if value == 0 {
+            return Err(format!("--{flag} must be at least 1"));
+        }
+    }
     let ps = match kind.as_str() {
         "uniform" => generators::uniform_cube(n, d, delta, seed),
         "clusters" => generators::gaussian_clusters(n, d, (n / 20).max(2), 3.0, delta, seed),

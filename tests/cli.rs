@@ -109,6 +109,25 @@ fn bad_usage_reports_errors() {
     assert!(err.contains("--trees"), "stderr: {err}");
 }
 
+/// `gen` with a zero size is a usage error naming the flag (exit 1), not
+/// a library panic (exit 101) or a file no other subcommand reads.
+#[test]
+fn gen_rejects_zero_sizes() {
+    let pts = tmp("zero-size.csv");
+    for flag in ["--n", "--d", "--delta"] {
+        let mut args = vec!["gen", "--n", "5", "--d", "2", "--delta", "8", "--out", &pts];
+        let at = args.iter().position(|a| *a == flag).unwrap();
+        args[at + 1] = "0";
+        let out = Command::new(env!("CARGO_BIN_EXE_treeemb"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} 0: {err}");
+        assert!(err.contains(&format!("{flag} must")), "{flag} 0: {err}");
+    }
+}
+
 /// A coordinate span whose bounding-box diagonal overflows `f64` is a
 /// clean error naming the diagonal, not a library panic (exit 101).
 #[test]

@@ -1,10 +1,11 @@
 //! Exact work-counter gate: small fixed inputs of the benchmark's three
 //! workload shapes, run at 1 and 2 executor threads, must reproduce
 //! pinned deterministic counters — MPC rounds, total sent words, peak
-//! machine words, tree nodes and grid probes. None of these depend on
-//! the host or the thread count, so a change that moves one is a change
-//! in what the program computes or meters, and must update the literal
-//! here on purpose.
+//! machine words, tree nodes and grid probes — and a fingerprint of the
+//! tree arena itself (FNV-1a of `tree.to_json()`, which lists nodes in
+//! arena order). None of these depend on the host or the thread count,
+//! so a change that moves one is a change in what the program computes
+//! or meters, and must update the literal here on purpose.
 
 use treeemb::core::params::HybridParams;
 use treeemb::core::pipeline::{run, PipelineConfig, PipelineReport};
@@ -27,6 +28,14 @@ struct Counters {
     peak_machine_words: usize,
     tree_nodes: usize,
     grid_probes: u64,
+    tree_fnv: u64,
+}
+
+/// 64-bit FNV-1a of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// `first_covering` replayed over every (level, point, bucket) of the
@@ -76,6 +85,7 @@ fn pipeline_counters(ps: &PointSet, threads: usize) -> (Counters, bool) {
         peak_machine_words: report.peak_machine_words,
         tree_nodes: report.embedding.tree.num_nodes(),
         grid_probes: grid_probes(&working, &report.params),
+        tree_fnv: fnv1a(&report.embedding.tree.to_json()),
     };
     (counters, report.jl_applied)
 }
@@ -92,6 +102,7 @@ fn mpc_lowdim_counters_are_pinned() {
             peak_machine_words: 324_480,
             tree_nodes: 7_673,
             grid_probes: 1_496_670,
+            tree_fnv: 0x8d65_939c_e441_284d,
         };
         assert_eq!(got, want, "threads {threads}");
     }
@@ -109,6 +120,7 @@ fn mpc_highdim_counters_are_pinned() {
             peak_machine_words: 12_740_132,
             tree_nodes: 669,
             grid_probes: 3_432_611,
+            tree_fnv: 0x11b3_1907_8745_addb,
         };
         assert_eq!(got, want, "threads {threads}");
     }
@@ -122,9 +134,14 @@ fn seq_clustered_counters_are_pinned() {
         let emb = SeqEmbedder::new(params.clone())
             .embed_parallel(&ps, EMBED_SEED, threads)
             .expect("embed");
-        let got = (emb.tree.num_nodes(), grid_probes(&ps, &params));
-        // (tree nodes, grid probes); no MPC runtime is involved.
-        let want = (802, 1_493_122);
+        let got = (
+            emb.tree.num_nodes(),
+            grid_probes(&ps, &params),
+            fnv1a(&emb.tree.to_json()),
+        );
+        // (tree nodes, grid probes, arena fingerprint); no MPC runtime
+        // is involved.
+        let want = (802, 1_493_122, 0x69a0_0363_65fd_ca21);
         assert_eq!(got, want, "threads {threads}");
     }
 }
