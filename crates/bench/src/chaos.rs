@@ -18,7 +18,7 @@ use treeemb_fjlt::fjlt::FjltParams;
 use treeemb_fjlt::mpc::fjlt_mpc;
 use treeemb_geom::generators;
 use treeemb_mpc::fault::{shrink_plan, FaultEvent, FaultPlan, FaultRates, FaultSpec};
-use treeemb_mpc::{FaultKind, Runtime};
+use treeemb_mpc::{FaultKind, MpcConfig, Runtime};
 use treeemb_obs::json;
 
 /// Which pipeline stage a chaos check drives.
@@ -123,14 +123,12 @@ fn stage_runtime(
     plan: Option<&FaultPlan>,
     hetero: f64,
 ) -> Runtime {
-    let mut builder = Runtime::builder()
-        .input_words(words_for(n, d))
-        .capacity_words(capacity)
-        .machines(STAGE_MACHINES)
-        .threads(threads);
+    let mut cfg =
+        MpcConfig::explicit(words_for(n, d), capacity, STAGE_MACHINES).with_threads(threads);
     for (machine, words) in hetero_overrides(capacity, hetero) {
-        builder = builder.machine_capacity(machine, words);
+        cfg = cfg.with_machine_capacity(machine, words);
     }
+    let mut builder = Runtime::builder().config(cfg);
     if let Some(p) = plan {
         builder = builder.fault_plan(p.clone());
     }

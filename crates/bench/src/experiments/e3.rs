@@ -40,7 +40,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             // MPC run (capacity sized for the WHT classes + P fan-out).
             let cap = (8 * n * params.d_pad / 4).max(1 << 14);
             let mut rt = Runtime::builder()
-                .config(MpcConfig::explicit(n * d, cap, 8).with_threads(4).lenient())
+                .config(MpcConfig::explicit(n * d, cap, 8).with_threads(4))
                 .build();
             let par = fjlt_mpc(&mut rt, &ps, &params).expect("mpc fjlt failed");
             let mut max_diff: f64 = 0.0;

@@ -40,8 +40,6 @@ pub struct PipelineConfig {
     pub min_sep: f64,
     /// Coverage failure probability budget.
     pub fail_prob: f64,
-    /// Scalability exponent `ε` used when `capacity` is not given.
-    pub epsilon: f64,
     /// Explicit per-machine capacity override (words).
     pub capacity: Option<usize>,
     /// Explicit machine count override.
@@ -71,7 +69,6 @@ impl Default for PipelineConfig {
             seed: 0x7EED,
             min_sep: 1.0,
             fail_prob: 1e-3,
-            epsilon: 0.6,
             capacity: None,
             machines: None,
             threads: 4,
@@ -91,8 +88,7 @@ impl PipelineConfig {
     }
 }
 
-/// Builder for [`PipelineConfig`], mirroring
-/// [`treeemb_mpc::RuntimeBuilder`] for the pipeline-level knobs.
+/// Builder for [`PipelineConfig`]: one setter per pipeline-level knob.
 ///
 /// ```
 /// use treeemb_core::pipeline::PipelineConfig;
@@ -138,12 +134,6 @@ impl PipelineBuilder {
     /// Coverage failure probability budget.
     pub fn fail_prob(mut self, fail_prob: f64) -> Self {
         self.cfg.fail_prob = fail_prob;
-        self
-    }
-
-    /// Scalability exponent `ε` used when no explicit capacity is given.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.cfg.epsilon = epsilon;
         self
     }
 
@@ -257,7 +247,7 @@ pub fn run(ps: &PointSet, cfg: &PipelineConfig) -> Result<PipelineReport, EmbedE
 /// always empty and the result matches [`run`] exactly.
 ///
 /// A configuration value the runtime cannot be sized with (zero
-/// threads, capacity or machines, `ε`, `ξ` or `fail_prob` outside
+/// threads, capacity or machines, `ξ` or `fail_prob` outside
 /// `(0, 1)`, a machine-capacity override outside the cluster or of zero
 /// words) is reported as [`EmbedError::InvalidConfig`], and a `min_sep`
 /// that is not positive and finite as [`EmbedError::BadSeparation`],
@@ -310,9 +300,6 @@ fn validate(cfg: &PipelineConfig) -> Result<(), EmbedError> {
     if cfg.threads == 0 {
         return invalid("threads", &cfg.threads, "at least 1");
     }
-    if !(cfg.epsilon > 0.0 && cfg.epsilon < 1.0) {
-        return invalid("epsilon", &cfg.epsilon, "a value in (0, 1)");
-    }
     if cfg.capacity == Some(0) {
         return invalid("capacity", &0, "at least 1 word");
     }
@@ -333,6 +320,10 @@ fn validate(cfg: &PipelineConfig) -> Result<(), EmbedError> {
     }
     Ok(())
 }
+
+/// Scalability exponent `ε` of the fully scalable sizing
+/// (`s = N^ε`) used when no explicit capacity is given.
+const EPSILON: f64 = 0.6;
 
 /// Pre-sizes the MPC configuration for `ps`: machines must hold the
 /// broadcast grids (Lemma 8). At asymptotic n the fully scalable `N^ε`
@@ -365,7 +356,7 @@ fn size_mpc_config(ps: &PointSet, cfg: &PipelineConfig) -> Result<MpcConfig, Emb
     let mut mpc_cfg = if let Some(cap) = cfg.capacity {
         MpcConfig::explicit(input_words, cap, cfg.machines.unwrap_or(8))
     } else {
-        let scalable = MpcConfig::fully_scalable(input_words, cfg.epsilon);
+        let scalable = MpcConfig::fully_scalable(input_words, EPSILON);
         let cap = scalable
             .capacity_words
             .max(grid_words_est.saturating_mul(4));
@@ -688,8 +679,6 @@ mod tests {
         let b = PipelineConfig::builder;
         let cases = [
             (b().threads(0), "threads", "0"),
-            (b().epsilon(1.0), "epsilon", "1"),
-            (b().epsilon(0.0), "epsilon", "0"),
             (b().capacity_words(0), "capacity", "0"),
             (b().machines(0), "machines", "0"),
             (b().r(0), "r", "0"),
@@ -775,6 +764,5 @@ mod tests {
         );
         assert_eq!(report.metrics.peak_total_words(), report.peak_total_words);
         assert_eq!(report.metrics.round_stats().len(), report.rounds);
-        assert_eq!(report.metrics.violations(), 0);
     }
 }

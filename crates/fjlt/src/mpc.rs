@@ -302,16 +302,12 @@ mod tests {
         assert_eq!(rounds[1], rounds[2]);
     }
 
-    /// 64 machines of 64 words: `8·d_pad` exceeds capacity for
+    /// 256 machines of 256 words: `8·d_pad` exceeds capacity for
     /// `d_pad = 64`, so the WHT takes several super-rounds and `P` is
-    /// applied by the distributed round. Lenient, because that fan-out
-    /// legitimately overloads a 64-word machine.
+    /// applied by the distributed round.
     fn spread_runtime(plan: Option<FaultPlan>) -> Runtime {
-        let mut builder = Runtime::builder().config(
-            MpcConfig::explicit(1 << 16, 64, 64)
-                .with_threads(4)
-                .lenient(),
-        );
+        let mut builder =
+            Runtime::builder().config(MpcConfig::explicit(1 << 16, 256, 256).with_threads(4));
         if let Some(plan) = plan {
             builder = builder.fault_plan(plan);
         }

@@ -35,7 +35,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "deprecated-shim",
-        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns, par_for_each_mut, PoolCore, JobCore, sort_dedup_by_key, primitives::sort, sort_two_level, sort_single_level, DistanceOracle, LabelStats, by_label, squeeze_for, squeeze_min, distance_matrix, nodes_at_depth, to_ascii, total_space_words)",
+        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns, lenient, par_for_each_mut, PoolCore, JobCore, sort_dedup_by_key, primitives::sort, sort_two_level, sort_single_level, DistanceOracle, LabelStats, by_label, squeeze_for, squeeze_min, distance_matrix, nodes_at_depth, to_ascii, total_space_words)",
     },
     RuleInfo {
         id: "config-literal",
@@ -467,7 +467,12 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
         }
         if matches!(
             tok.text.as_str(),
-            "CheckpointPolicy" | "from_env" | "EnvOverrides" | "backoff_ns" | "straggle_ns"
+            "CheckpointPolicy"
+                | "from_env"
+                | "EnvOverrides"
+                | "backoff_ns"
+                | "straggle_ns"
+                | "lenient"
         ) {
             push(
                 tok,
@@ -475,8 +480,8 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 format!(
                     "`{}` was removed: a knob with no observable effect in the deterministic \
                      simulation (rounds checkpoint iff the fault plan can crash; retries are \
-                     counted, not slept; configuration comes from the builders, not the \
-                     environment)",
+                     counted, not slept; every capacity overrun is an error; configuration \
+                     comes from the builders, not the environment)",
                     tok.text
                 ),
             );
@@ -546,9 +551,14 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                     tok,
                     "config-literal",
                     format!(
-                        "`{} {{ … }}` literal bypasses the builder's validation and defaults; \
-                         construct through {}::builder()",
-                        tok.text, tok.text
+                        "`{} {{ … }}` literal bypasses the constructors' validation and \
+                         defaults; construct through {}",
+                        tok.text,
+                        if tok.text == "MpcConfig" {
+                            "MpcConfig::explicit / MpcConfig::fully_scalable"
+                        } else {
+                            "PipelineConfig::builder()"
+                        }
                     ),
                 );
             }

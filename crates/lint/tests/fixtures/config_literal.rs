@@ -1,6 +1,6 @@
 // lint-fixture: crates/geom/src/violations.rs
-// Struct-literal construction of the config types bypasses builder
-// validation and is denied outside their defining modules.
+// Struct-literal construction of the config types bypasses their
+// constructors' validation and is denied outside their defining modules.
 
 fn literal_configs() {
     let m = MpcConfig { //~ DENY config-literal
@@ -14,7 +14,7 @@ fn literal_configs() {
 }
 
 fn builders_ok() {
-    let m = MpcConfig::builder().input_words(64).build();
+    let m = MpcConfig::explicit(64, 16, 4).with_threads(2);
     let p = PipelineConfig::builder().xi(0.5).build();
     // Type positions and impls never trip the heuristic:
     let _: Option<MpcConfig> = None;

@@ -2,7 +2,8 @@
 // The deprecated construction/mutation shims, the second and third
 // partition-key paths, the parallel pair audits, the fault-plan JSON
 // parser and the runtime knobs with no observable effect (checkpoint
-// policy, env overrides, simulated backoff, stragglers), the persistent
+// policy, env overrides, simulated backoff, stragglers, lenient capacity
+// metering), the persistent
 // worker pool's protocol and in-place for-each, the sort-based dedup, and
 // the substrate nothing called (sample sort, distance oracle, per-label
 // aggregation, machine-scoped squeezes, uncalled tree and config helpers)
@@ -39,6 +40,7 @@ fn resurrect_unobservable_knobs(mut plan: FaultPlan, rates: FaultRates) {
     let _ = Runtime::builder().checkpoint(CheckpointPolicy::Always); //~ DENY deprecated-shim
     plan.backoff_ns = 1_000; //~ DENY deprecated-shim
     let _ = rates.straggle_ns; //~ DENY deprecated-shim
+    let _ = MpcConfig::explicit(64, 16, 4).lenient(); //~ DENY deprecated-shim
 }
 
 fn resurrect_worker_pool(items: &mut [u64], rt: &mut Runtime, d: Dist<u64>) {
@@ -84,8 +86,7 @@ fn sanctioned_node_ids(levels: &[HybridLevel], p: &[f64]) {
 
 fn sanctioned() {
     let _rt = Runtime::builder()
-        .input_words(64)
-        .machines(4)
+        .config(MpcConfig::explicit(64, 16, 4))
         .fault_plan(plan())
         .build();
 }

@@ -128,12 +128,14 @@ impl Runtime {
     /// Starts building a runtime — the one supported construction path.
     ///
     /// ```
-    /// use treeemb_mpc::cluster::Runtime;
-    /// let rt = Runtime::builder().machines(4).capacity_words(256).build();
+    /// use treeemb_mpc::{MpcConfig, Runtime};
+    /// let rt = Runtime::builder()
+    ///     .config(MpcConfig::explicit(1024, 256, 4))
+    ///     .build();
     /// assert_eq!(rt.num_machines(), 4);
     /// ```
     pub fn builder() -> RuntimeBuilder {
-        RuntimeBuilder::new()
+        RuntimeBuilder::default()
     }
 
     /// Assembles a runtime from fully resolved parts (the builder's
@@ -361,8 +363,9 @@ impl Runtime {
     /// shard in the output collection is its kept records followed by
     /// received records in source-machine order (deterministic).
     ///
-    /// Capacity checks (strict mode), per machine against its effective
-    /// capacity: input ≤ s, sent ≤ s, received ≤ s, kept + received ≤ s.
+    /// Capacity checks, per machine against its effective capacity:
+    /// input ≤ s, sent ≤ s, received ≤ s, kept + received ≤ s. An
+    /// overrun is [`MpcError::CapacityExceeded`].
     ///
     /// **Crash recovery.** When the attached fault plan can crash a
     /// machine ([`FaultPlan::can_crash`]) the round's input is
@@ -389,8 +392,6 @@ impl Runtime {
             "collection spans a different cluster"
         );
         let round_idx = self.metrics.rounds();
-        let strict = self.cfg.strict;
-        let mut violations = 0usize;
         let t_start_ns = treeemb_obs::now_ns();
         let mut sp = treeemb_obs::Span::enter_with(|| format!("mpc.round:{label}"));
         sp.arg("round", round_idx as u64);
@@ -412,17 +413,14 @@ impl Runtime {
             }
         }
         if let Some((i, w)) = worst_input {
-            if strict {
-                return Err(MpcError::CapacityExceeded {
-                    machine: i,
-                    round: round_idx,
-                    phase: CapacityPhase::Input,
-                    words: w,
-                    capacity: caps[i],
-                    label: label.into(),
-                });
-            }
-            violations += 1;
+            return Err(MpcError::CapacityExceeded {
+                machine: i,
+                round: round_idx,
+                phase: CapacityPhase::Input,
+                words: w,
+                capacity: caps[i],
+                label: label.into(),
+            });
         }
 
         // Phase 1b: checkpoint + crash planning. When the plan can crash
@@ -596,20 +594,17 @@ impl Runtime {
             max_out,
             max_in,
             max_resident,
-            violations: exchange_violations,
         } = deliver(
             outputs,
             &ExchangeCtx {
                 label,
                 round: round_idx,
                 caps: &caps,
-                strict,
                 overlay_words: self.overlay_words,
                 blocks,
                 threads: self.cfg.threads,
             },
         )?;
-        violations += exchange_violations;
 
         sp.arg("sent_words", sent_total as u64);
         sp.arg("max_out_words", max_out as u64);
@@ -625,7 +620,6 @@ impl Runtime {
             max_out_words: max_out,
             max_in_words: max_in,
             max_resident_words: max_resident,
-            violations,
             t_start_ns,
             t_end_ns: treeemb_obs::now_ns(),
             attempts,
@@ -657,19 +651,17 @@ impl Runtime {
         let parts = exec::par_map_indexed(input.into_parts(), self.cfg.threads, f);
         let dist = Dist::from_parts(parts);
         sp.arg("out_words", dist.total_words() as u64);
-        if self.cfg.strict {
-            for (i, p) in dist.parts().iter().enumerate() {
-                let w = words::of_slice(p);
-                if w > caps[i] {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: i,
-                        round: self.metrics.rounds(),
-                        phase: CapacityPhase::Residency,
-                        words: w,
-                        capacity: caps[i],
-                        label: "map_local".into(),
-                    });
-                }
+        for (i, p) in dist.parts().iter().enumerate() {
+            let w = words::of_slice(p);
+            if w > caps[i] {
+                return Err(MpcError::CapacityExceeded {
+                    machine: i,
+                    round: self.metrics.rounds(),
+                    phase: CapacityPhase::Residency,
+                    words: w,
+                    capacity: caps[i],
+                    label: "map_local".into(),
+                });
             }
         }
         self.metrics.record_total_resident(dist.total_words());
@@ -695,7 +687,8 @@ impl Runtime {
     /// are checked against the cluster-minimum capacity (conservative on
     /// heterogeneous clusters: the stated loads are per-machine maxima).
     ///
-    /// Fails (strict mode) if any stated load exceeds capacity.
+    /// Fails with [`MpcError::CapacityExceeded`] if any stated load
+    /// exceeds capacity.
     pub fn record_accounted_round(
         &mut self,
         label: &str,
@@ -707,24 +700,20 @@ impl Runtime {
         self.note_squeeze();
         let cap = self.capacity();
         let round = self.metrics.rounds();
-        let mut violations = 0usize;
         for (phase, words) in [
             (CapacityPhase::Send, max_out_words),
             (CapacityPhase::Receive, max_in_words),
             (CapacityPhase::Residency, max_resident_words),
         ] {
             if words > cap {
-                if self.cfg.strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: 0,
-                        round,
-                        phase,
-                        words,
-                        capacity: cap,
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
+                return Err(MpcError::CapacityExceeded {
+                    machine: 0,
+                    round,
+                    phase,
+                    words,
+                    capacity: cap,
+                    label: label.into(),
+                });
             }
         }
         if treeemb_obs::enabled() {
@@ -746,7 +735,6 @@ impl Runtime {
             max_out_words,
             max_in_words,
             max_resident_words,
-            violations,
             t_start_ns: now,
             t_end_ns: now,
             attempts: 1,
@@ -812,7 +800,6 @@ struct ExchangeCtx<'a> {
     round: usize,
     /// Effective capacity per machine.
     caps: &'a [usize],
-    strict: bool,
     overlay_words: usize,
     /// The blocks every emitter of the round queued into.
     blocks: Blocks,
@@ -820,27 +807,18 @@ struct ExchangeCtx<'a> {
 }
 
 impl ExchangeCtx<'_> {
-    /// Checks `words` against `machine`'s capacity: over capacity is an
-    /// error in strict mode and a counted violation otherwise.
-    fn check(
-        &self,
-        machine: MachineId,
-        phase: CapacityPhase,
-        words: usize,
-        violations: &mut usize,
-    ) -> MpcResult<()> {
+    /// Checks `words` against `machine`'s capacity: over capacity is
+    /// [`MpcError::CapacityExceeded`].
+    fn check(&self, machine: MachineId, phase: CapacityPhase, words: usize) -> MpcResult<()> {
         if words > self.caps[machine] {
-            if self.strict {
-                return Err(MpcError::CapacityExceeded {
-                    machine,
-                    round: self.round,
-                    phase,
-                    words,
-                    capacity: self.caps[machine],
-                    label: self.label.into(),
-                });
-            }
-            *violations += 1;
+            return Err(MpcError::CapacityExceeded {
+                machine,
+                round: self.round,
+                phase,
+                words,
+                capacity: self.caps[machine],
+                label: self.label.into(),
+            });
         }
         Ok(())
     }
@@ -853,7 +831,6 @@ struct Delivery<U> {
     max_out: usize,
     max_in: usize,
     max_resident: usize,
-    violations: usize,
 }
 
 /// Delivers a round's messages. Machine `i`'s shard is its kept records,
@@ -879,14 +856,13 @@ fn deliver<U: Words + Send>(
         "blocks" = blocks.count
     );
 
-    let mut violations = 0usize;
     let (mut sent_total, mut max_out) = (0usize, 0usize);
     let mut kept = Vec::with_capacity(m);
     let mut by_block: Vec<Vec<Vec<(MachineId, U)>>> =
         (0..blocks.count).map(|_| Vec::with_capacity(m)).collect();
     for (src, out) in outputs.into_iter().enumerate() {
         let words = out.em.out_words;
-        ctx.check(src, CapacityPhase::Send, words, &mut violations)?;
+        ctx.check(src, CapacityPhase::Send, words)?;
         sent_total += words;
         max_out = max_out.max(words);
         if let Some(dest) = out.em.bad_dest {
@@ -921,14 +897,14 @@ fn deliver<U: Words + Send>(
 
     let max_in = received.iter().map(|r| r.in_words).max().unwrap_or(0);
     for (dest, r) in received.iter().enumerate() {
-        ctx.check(dest, CapacityPhase::Receive, r.in_words, &mut violations)?;
+        ctx.check(dest, CapacityPhase::Receive, r.in_words)?;
     }
     let mut max_resident = 0usize;
     let mut parts = Vec::with_capacity(m);
     for (i, r) in received.into_iter().enumerate() {
         let resident = r.kept_words + r.in_words + ctx.overlay_words;
         max_resident = max_resident.max(resident);
-        ctx.check(i, CapacityPhase::Residency, resident, &mut violations)?;
+        ctx.check(i, CapacityPhase::Residency, resident)?;
         parts.push(r.shard);
     }
     Ok(Delivery {
@@ -937,7 +913,6 @@ fn deliver<U: Words + Send>(
         max_out,
         max_in,
         max_resident,
-        violations,
     })
 }
 
@@ -1020,10 +995,7 @@ mod tests {
 
     fn small_rt(cap: usize, machines: usize) -> Runtime {
         Runtime::builder()
-            .input_words(64)
-            .capacity_words(cap)
-            .machines(machines)
-            .threads(4)
+            .config(MpcConfig::explicit(64, cap, machines).with_threads(4))
             .build()
     }
 
@@ -1046,9 +1018,7 @@ mod tests {
         // 4-word machines cannot hold the trailing 3 + 3 + 2 words, so
         // machine 0 also takes the first 3-word record.
         let mut rt = Runtime::builder()
-            .capacity_words(4)
-            .machines(3)
-            .machine_capacity(0, 10)
+            .config(MpcConfig::explicit(12, 4, 3).with_machine_capacity(0, 10))
             .build();
         let widths = [1usize, 1, 1, 1, 1, 1, 3, 3, 2];
         let recs: Vec<Vec<u64>> = widths.iter().map(|&w| vec![7; w - 1]).collect();
@@ -1067,10 +1037,11 @@ mod tests {
     #[test]
     fn distribute_respects_heterogeneous_capacities() {
         let mut rt = Runtime::builder()
-            .capacity_words(8)
-            .machines(3)
-            .machine_capacity(0, 2)
-            .threads(2)
+            .config(
+                MpcConfig::explicit(24, 8, 3)
+                    .with_machine_capacity(0, 2)
+                    .with_threads(2),
+            )
             .build();
         // Water level 5: machine 0's quota is its 2-word capacity.
         let dist = rt.distribute((0..12u64).collect()).unwrap();
@@ -1106,10 +1077,11 @@ mod tests {
             overrides in collection::vec((0usize..12, 1usize..40), 0..4),
             squeeze in (0usize..2, 2usize..30),
         ) {
-            let mut b = Runtime::builder().capacity_words(cap).machines(machines);
+            let mut cfg = MpcConfig::explicit(cap * machines, cap, machines);
             for &(machine, words) in overrides.iter().filter(|o| o.0 < machines) {
-                b = b.machine_capacity(machine, words);
+                cfg = cfg.with_machine_capacity(machine, words);
             }
+            let mut b = Runtime::builder().config(cfg);
             let (squeezed, words) = squeeze;
             if squeezed == 1 {
                 b = b.fault_plan(FaultPlan::new(3).with_fault(FaultSpec::Squeeze {
@@ -1180,7 +1152,7 @@ mod tests {
     }
 
     #[test]
-    fn send_capacity_violation_is_strict_error() {
+    fn send_capacity_violation_is_an_error() {
         let mut rt = small_rt(4, 4);
         let dist = rt.distribute(vec![0u64]).unwrap();
         let err = rt
@@ -1209,8 +1181,8 @@ mod tests {
     fn receive_overflow_detected() {
         let mut rt = small_rt(8, 4);
         let dist = rt.distribute((0..24u64).collect()).unwrap();
-        // All machines flood machine 0: each sends <= 8 (ok) but machine 0
-        // receives 24 > 8.
+        // All machines flood machine 0: each sends 6 <= 8 (ok) but
+        // machine 0 receives 24 > 8, which fails the round unmetered.
         let err = rt
             .round("hotspot", dist, |_, shard, em| {
                 for v in shard {
@@ -1219,13 +1191,18 @@ mod tests {
                 Vec::new()
             })
             .unwrap_err();
-        match err {
-            MpcError::CapacityExceeded { machine, phase, .. } => {
-                assert_eq!(machine, 0);
-                assert!(phase == CapacityPhase::Receive || phase == CapacityPhase::Residency);
+        assert_eq!(
+            err,
+            MpcError::CapacityExceeded {
+                machine: 0,
+                round: 0,
+                phase: CapacityPhase::Receive,
+                words: 24,
+                capacity: 8,
+                label: "hotspot".into(),
             }
-            other => panic!("unexpected error {other}"),
-        }
+        );
+        assert_eq!(rt.metrics().rounds(), 0);
     }
 
     #[test]
@@ -1234,10 +1211,11 @@ mod tests {
         // than that to it must fail even though the cluster default
         // would allow it.
         let mut rt = Runtime::builder()
-            .capacity_words(32)
-            .machines(2)
-            .machine_capacity(1, 4)
-            .threads(2)
+            .config(
+                MpcConfig::explicit(64, 32, 2)
+                    .with_machine_capacity(1, 4)
+                    .with_threads(2),
+            )
             .build();
         let dist = rt.distribute((0..8u64).collect()).unwrap();
         let err = rt
@@ -1270,12 +1248,13 @@ mod tests {
                 capacity_words: 8,
             });
         let mut rt = Runtime::builder()
-            .capacity_words(64)
-            .machines(4)
-            .machine_capacity(1, 16)
-            .machine_capacity(2, 100)
+            .config(
+                MpcConfig::explicit(256, 64, 4)
+                    .with_machine_capacity(1, 16)
+                    .with_machine_capacity(2, 100)
+                    .with_threads(2),
+            )
             .fault_plan(plan)
-            .threads(2)
             .build();
         let mut dist = rt.distribute((0..4u64).collect()).unwrap();
         for (round, squeeze) in [(0, usize::MAX), (1, 32), (2, 8)] {
@@ -1295,34 +1274,47 @@ mod tests {
     }
 
     #[test]
-    fn lenient_mode_meters_instead_of_failing() {
-        let mut rt = Runtime::builder()
-            .input_words(64)
-            .capacity_words(8)
-            .machines(4)
-            .lenient()
-            .build();
-        let dist = rt.distribute((0..24u64).collect()).unwrap();
-        let out = rt
-            .round("hotspot", dist, |_, shard, em| {
-                for v in shard {
-                    em.send(0, v);
-                }
-                Vec::new()
+    fn map_local_and_accounted_round_overruns_are_capacity_errors() {
+        let mut rt = small_rt(8, 2);
+        let dist = rt.distribute((0..8u64).collect()).unwrap();
+        let err = rt
+            .map_local(dist, |i, shard| {
+                let copies = if i == 1 { 3 } else { 1 };
+                shard
+                    .into_iter()
+                    .flat_map(|v| std::iter::repeat_n(v, copies))
+                    .collect::<Vec<u64>>()
             })
-            .unwrap();
-        assert_eq!(out.part(0).len(), 24);
-        assert!(rt.metrics().violations() > 0);
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MpcError::CapacityExceeded {
+                machine: 1,
+                round: 0,
+                phase: CapacityPhase::Residency,
+                words: 12,
+                capacity: 8,
+                label: "map_local".into(),
+            }
+        );
+        let err = rt.record_accounted_round("bcast", 10, 4, 9, 5).unwrap_err();
+        assert_eq!(
+            err,
+            MpcError::CapacityExceeded {
+                machine: 0,
+                round: 0,
+                phase: CapacityPhase::Receive,
+                words: 9,
+                capacity: 8,
+                label: "bcast".into(),
+            }
+        );
+        assert_eq!(rt.metrics().rounds(), 0);
     }
 
     #[test]
-    fn bad_destination_is_an_error_even_lenient() {
-        let mut rt = Runtime::builder()
-            .input_words(64)
-            .capacity_words(8)
-            .machines(2)
-            .lenient()
-            .build();
+    fn bad_destination_is_an_error() {
+        let mut rt = small_rt(8, 2);
         let dist = rt.distribute(vec![1u64]).unwrap();
         let err = rt
             .round("oops", dist, |_, shard, em| {
@@ -1392,10 +1384,7 @@ mod tests {
             machine: 0,
         });
         let mut rt = Runtime::builder()
-            .input_words(64)
-            .capacity_words(64)
-            .machines(4)
-            .threads(4)
+            .config(MpcConfig::explicit(64, 64, 4).with_threads(4))
             .fault_plan(plan)
             .build();
         let got = route_round(&mut rt, values).unwrap();
@@ -1434,10 +1423,7 @@ mod tests {
             });
         }
         let mut rt = Runtime::builder()
-            .input_words(64)
-            .capacity_words(64)
-            .machines(4)
-            .threads(2)
+            .config(MpcConfig::explicit(64, 64, 4).with_threads(2))
             .fault_plan(plan)
             .build();
         let err = route_round(&mut rt, (0..16).collect()).unwrap_err();
@@ -1481,9 +1467,8 @@ mod tests {
         outputs: Vec<FlatOut<U>>,
         ctx: &ExchangeCtx<'_>,
     ) -> MpcResult<Delivery<U>> {
-        let (caps, strict, label, round_idx) = (ctx.caps, ctx.strict, ctx.label, ctx.round);
+        let (caps, label, round_idx) = (ctx.caps, ctx.label, ctx.round);
         let m = caps.len();
-        let mut violations = 0usize;
         let mut sent_total = 0usize;
         let mut max_out = 0usize;
         let mut parts: Vec<Vec<U>> = Vec::with_capacity(m);
@@ -1491,17 +1476,14 @@ mod tests {
         let mut routed: Vec<Vec<(MachineId, U)>> = (0..m).map(|_| Vec::new()).collect();
         for (src, out) in outputs.iter().enumerate() {
             if out.out_words > caps[src] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: src,
-                        round: round_idx,
-                        phase: CapacityPhase::Send,
-                        words: out.out_words,
-                        capacity: caps[src],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
+                return Err(MpcError::CapacityExceeded {
+                    machine: src,
+                    round: round_idx,
+                    phase: CapacityPhase::Send,
+                    words: out.out_words,
+                    capacity: caps[src],
+                    label: label.into(),
+                });
             }
             sent_total += out.out_words;
             max_out = max_out.max(out.out_words);
@@ -1519,17 +1501,14 @@ mod tests {
         let max_in = in_words.iter().copied().max().unwrap_or(0);
         for (dest, &w) in in_words.iter().enumerate() {
             if w > caps[dest] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: dest,
-                        round: round_idx,
-                        phase: CapacityPhase::Receive,
-                        words: w,
-                        capacity: caps[dest],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
+                return Err(MpcError::CapacityExceeded {
+                    machine: dest,
+                    round: round_idx,
+                    phase: CapacityPhase::Receive,
+                    words: w,
+                    capacity: caps[dest],
+                    label: label.into(),
+                });
             }
         }
         let mut outputs = outputs;
@@ -1546,17 +1525,14 @@ mod tests {
             let resident = kept_words[i] + in_words[i] + ctx.overlay_words;
             max_resident = max_resident.max(resident);
             if resident > caps[i] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: i,
-                        round: round_idx,
-                        phase: CapacityPhase::Residency,
-                        words: resident,
-                        capacity: caps[i],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
+                return Err(MpcError::CapacityExceeded {
+                    machine: i,
+                    round: round_idx,
+                    phase: CapacityPhase::Residency,
+                    words: resident,
+                    capacity: caps[i],
+                    label: label.into(),
+                });
             }
             parts.push(shard);
         }
@@ -1566,22 +1542,15 @@ mod tests {
             max_out,
             max_in,
             max_resident,
-            violations,
         })
     }
 
     /// A delivery's observable result, comparable across exchanges.
-    type Observed = MpcResult<(Vec<Vec<Vec<u64>>>, [usize; 5])>;
+    type Observed = MpcResult<(Vec<Vec<Vec<u64>>>, [usize; 4])>;
 
     fn observe(d: MpcResult<Delivery<Vec<u64>>>) -> Observed {
         d.map(|d| {
-            let loads = [
-                d.sent_total,
-                d.max_out,
-                d.max_in,
-                d.max_resident,
-                d.violations,
-            ];
+            let loads = [d.sent_total, d.max_out, d.max_in, d.max_resident];
             (d.parts, loads)
         })
     }
@@ -1682,7 +1651,7 @@ mod tests {
                 }
                 let (max_out, max_in, max_res) = loads(&outputs);
                 // Uniform capacities just under each load class (so the
-                // strict run fails in that phase), then roomy ones; one
+                // round fails in that phase), then roomy ones; one
                 // machine gets a tighter capacity than the rest.
                 let levels = [
                     max_out.saturating_sub(1),
@@ -1695,32 +1664,26 @@ mod tests {
                     if li == 3 {
                         caps[(seed as usize) % m] = max_res.saturating_sub(1);
                     }
-                    for strict in [true, false] {
-                        for threads in [1usize, 2, 4] {
-                            let ctx = ExchangeCtx {
-                                label: "eq",
-                                round: 3,
-                                caps: &caps,
-                                strict,
-                                overlay_words: 1,
-                                blocks: Blocks::new(m, threads),
-                                threads,
-                            };
-                            let want = observe(serial_deliver(outputs.clone(), &ctx));
-                            let got = observe(deliver(emitted(&outputs, ctx.blocks), &ctx));
-                            assert_eq!(
-                                got, want,
-                                "m {m} seed {seed} caps {li} strict {strict} threads {threads}"
-                            );
-                            seen.insert(match &want {
-                                Ok(_) => "ok".to_string(),
-                                Err(MpcError::CapacityExceeded { phase, .. }) => {
-                                    format!("{phase:?}")
-                                }
-                                Err(MpcError::BadDestination { .. }) => "bad-dest".into(),
-                                Err(e) => panic!("unexpected {e}"),
-                            });
-                        }
+                    for threads in [1usize, 2, 4] {
+                        let ctx = ExchangeCtx {
+                            label: "eq",
+                            round: 3,
+                            caps: &caps,
+                            overlay_words: 1,
+                            blocks: Blocks::new(m, threads),
+                            threads,
+                        };
+                        let want = observe(serial_deliver(outputs.clone(), &ctx));
+                        let got = observe(deliver(emitted(&outputs, ctx.blocks), &ctx));
+                        assert_eq!(got, want, "m {m} seed {seed} caps {li} threads {threads}");
+                        seen.insert(match &want {
+                            Ok(_) => "ok".to_string(),
+                            Err(MpcError::CapacityExceeded { phase, .. }) => {
+                                format!("{phase:?}")
+                            }
+                            Err(MpcError::BadDestination { .. }) => "bad-dest".into(),
+                            Err(e) => panic!("unexpected {e}"),
+                        });
                     }
                 }
             }
@@ -1774,7 +1737,6 @@ mod tests {
                     label: "hashed",
                     round: 0,
                     caps: &caps,
-                    strict: true,
                     overlay_words: 0,
                     blocks: Blocks::new(m, 1),
                     threads: 1,
@@ -1806,10 +1768,8 @@ mod tests {
                 ("crash", Some(crash)),
             ] {
                 for threads in [1usize, 2, 4] {
-                    let mut b = Runtime::builder()
-                        .capacity_words(1 << 20)
-                        .machines(m)
-                        .threads(threads);
+                    let cfg = MpcConfig::explicit(m << 20, 1 << 20, m).with_threads(threads);
+                    let mut b = Runtime::builder().config(cfg);
                     if let Some(plan) = plan.clone() {
                         b = b.fault_plan(plan);
                     }

@@ -1,16 +1,16 @@
-//! MPC cluster configuration: the [`RuntimeBuilder`] construction path
-//! and the [`MpcConfig`] knob set it produces.
+//! MPC cluster configuration: the [`MpcConfig`] knob set and the
+//! [`RuntimeBuilder`] that turns it into a [`Runtime`].
 
 use crate::cluster::Runtime;
 use crate::fault::FaultPlan;
 
 /// Configuration for a simulated MPC cluster.
 ///
-/// The one supported construction path is
-/// [`Runtime::builder()`](crate::cluster::Runtime::builder) /
-/// [`RuntimeBuilder`]; the associated constructors here
-/// ([`MpcConfig::fully_scalable`], [`MpcConfig::explicit`]) remain the
-/// sizing primitives the builder resolves to. The struct is
+/// [`MpcConfig::fully_scalable`] or [`MpcConfig::explicit`] sizes it,
+/// the `with_*` methods refine it, and
+/// [`Runtime::builder()`](crate::cluster::Runtime::builder)`.config(..)`
+/// turns it into a runtime. The runtime enforces every capacity: an
+/// overrun fails the computation. The struct is
 /// `#[non_exhaustive]`: downstream code reads and tweaks fields but
 /// cannot literal-construct it, so new knobs can be added without
 /// breaking callers.
@@ -25,9 +25,6 @@ pub struct MpcConfig {
     pub num_machines: usize,
     /// OS threads used to execute machines concurrently.
     pub threads: usize,
-    /// When true (the default), capacity violations abort the computation
-    /// with an error; when false they are only recorded in the metrics.
-    pub strict: bool,
     /// Heterogeneous per-machine capacity overrides as
     /// `(machine, words)` pairs; machines not listed keep
     /// [`MpcConfig::capacity_words`]. See [`MpcConfig::capacity_of`].
@@ -38,10 +35,6 @@ pub struct MpcConfig {
 /// algorithms routinely need constant-factor slack in total space; the
 /// paper's bounds all carry an `O(·)`.
 const MACHINE_SLACK: usize = 4;
-
-/// Scalability exponent [`RuntimeBuilder`] assumes when sized from
-/// `input_words` alone.
-const DEFAULT_EPSILON: f64 = 0.5;
 
 impl MpcConfig {
     /// Fully scalable configuration: `s = ⌈N^ε⌉` (at least 16 words so
@@ -62,7 +55,6 @@ impl MpcConfig {
             capacity_words,
             num_machines,
             threads: default_threads(),
-            strict: true,
             machine_capacities: Vec::new(),
         }
     }
@@ -76,7 +68,6 @@ impl MpcConfig {
             capacity_words,
             num_machines,
             threads: default_threads(),
-            strict: true,
             machine_capacities: Vec::new(),
         }
     }
@@ -122,13 +113,6 @@ impl MpcConfig {
         self
     }
 
-    /// Meter capacity violations instead of failing on them. Useful for
-    /// experiments that chart *how close* an algorithm runs to the bound.
-    pub fn lenient(mut self) -> Self {
-        self.strict = false;
-        self
-    }
-
     /// Configured capacity of `machine`: its heterogeneous override if
     /// one is set, [`MpcConfig::capacity_words`] otherwise.
     pub fn capacity_of(&self, machine: usize) -> usize {
@@ -153,28 +137,22 @@ impl MpcConfig {
 }
 
 /// Builder for [`Runtime`] — the one construction path for simulated
-/// clusters.
-///
-/// Three sizing modes, resolved in this order:
-///
-/// 1. [`RuntimeBuilder::config`] — start from an existing [`MpcConfig`];
-///    other setters override it.
-/// 2. [`RuntimeBuilder::capacity_words`] + [`RuntimeBuilder::machines`]
-///    — explicit sizing ([`MpcConfig::explicit`]); `input_words`
-///    defaults to the cluster's total space when not given.
-/// 3. [`RuntimeBuilder::input_words`] alone — fully scalable sizing
-///    ([`MpcConfig::fully_scalable`]) with `ε = 0.5`.
+/// clusters: an [`MpcConfig`] (from [`MpcConfig::explicit`] or
+/// [`MpcConfig::fully_scalable`], refined with its `with_*` methods)
+/// plus an optional [`FaultPlan`].
 ///
 /// ```
 /// use treeemb_mpc::cluster::Runtime;
+/// use treeemb_mpc::config::MpcConfig;
 /// use treeemb_mpc::fault::FaultPlan;
 ///
 /// let rt = Runtime::builder()
-///     .machines(8)
-///     .capacity_words(1 << 12)
-///     .machine_capacity(3, 1 << 10) // one smaller machine
+///     .config(
+///         MpcConfig::explicit(1 << 15, 1 << 12, 8)
+///             .with_machine_capacity(3, 1 << 10) // one smaller machine
+///             .with_threads(2),
+///     )
 ///     .fault_plan(FaultPlan::new(42))
-///     .threads(2)
 ///     .build();
 /// assert_eq!(rt.num_machines(), 8);
 /// assert_eq!(rt.capacity(), 1 << 10);
@@ -182,62 +160,13 @@ impl MpcConfig {
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeBuilder {
     config: Option<MpcConfig>,
-    input_words: Option<usize>,
-    capacity_words: Option<usize>,
-    machines: Option<usize>,
-    machine_capacities: Vec<(usize, usize)>,
-    threads: Option<usize>,
-    lenient: bool,
     fault_plan: Option<FaultPlan>,
 }
 
 impl RuntimeBuilder {
-    /// An empty builder (equivalent to `Runtime::builder()`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts from an existing configuration; later setters override
-    /// individual knobs.
+    /// Sets the cluster configuration.
     pub fn config(mut self, cfg: MpcConfig) -> Self {
         self.config = Some(cfg);
-        self
-    }
-
-    /// Input size `N` in machine words.
-    pub fn input_words(mut self, words: usize) -> Self {
-        self.input_words = Some(words);
-        self
-    }
-
-    /// Per-machine capacity `s` in words.
-    pub fn capacity_words(mut self, words: usize) -> Self {
-        self.capacity_words = Some(words);
-        self
-    }
-
-    /// Machine count `M`.
-    pub fn machines(mut self, machines: usize) -> Self {
-        self.machines = Some(machines);
-        self
-    }
-
-    /// Heterogeneous capacity override for one machine.
-    pub fn machine_capacity(mut self, machine: usize, words: usize) -> Self {
-        self.machine_capacities.push((machine, words));
-        self
-    }
-
-    /// Executor thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Meter capacity violations instead of failing on them (see
-    /// [`MpcConfig::lenient`]); without it the runtime is strict.
-    pub fn lenient(mut self) -> Self {
-        self.lenient = true;
         self
     }
 
@@ -247,54 +176,14 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Resolves the configuration and constructs the runtime.
+    /// Constructs the runtime.
     ///
     /// # Panics
-    /// Panics when no sizing mode applies (neither `config`, nor
-    /// `capacity_words` + `machines`, nor `input_words` was set), or on
-    /// invalid knob values (zero capacities, out-of-range machines).
+    /// Panics when no configuration was given.
     pub fn build(self) -> Runtime {
-        let mut cfg = match (self.config, self.capacity_words, self.machines) {
-            (Some(mut cfg), cap, m) => {
-                if let Some(c) = cap {
-                    cfg = cfg.with_capacity(c);
-                }
-                if let Some(m) = m {
-                    cfg = cfg.with_machines(m);
-                }
-                if let Some(n) = self.input_words {
-                    cfg.input_words = n.max(1);
-                }
-                cfg
-            }
-            (None, Some(cap), Some(m)) => {
-                let input = self.input_words.unwrap_or_else(|| cap.saturating_mul(m));
-                MpcConfig::explicit(input.max(1), cap, m)
-            }
-            (None, cap, m) => {
-                let input = self.input_words.expect(
-                    "RuntimeBuilder: set .config(..), .capacity_words(..) + .machines(..), \
-                     or .input_words(..)",
-                );
-                let mut cfg = MpcConfig::fully_scalable(input, DEFAULT_EPSILON);
-                if let Some(c) = cap {
-                    cfg = cfg.with_capacity(c);
-                }
-                if let Some(m) = m {
-                    cfg = cfg.with_machines(m);
-                }
-                cfg
-            }
-        };
-        if let Some(t) = self.threads {
-            cfg = cfg.with_threads(t);
-        }
-        if self.lenient {
-            cfg = cfg.lenient();
-        }
-        for (machine, words) in self.machine_capacities {
-            cfg = cfg.with_machine_capacity(machine, words);
-        }
+        let cfg = self.config.expect(
+            "RuntimeBuilder: set .config(..) from MpcConfig::explicit or MpcConfig::fully_scalable",
+        );
         Runtime::assemble(cfg, self.fault_plan)
     }
 }
@@ -328,12 +217,10 @@ mod tests {
         let cfg = MpcConfig::fully_scalable(1024, 0.5)
             .with_capacity(77)
             .with_machines(5)
-            .with_threads(2)
-            .lenient();
+            .with_threads(2);
         assert_eq!(cfg.capacity_words, 77);
         assert_eq!(cfg.num_machines, 5);
         assert_eq!(cfg.threads, 2);
-        assert!(!cfg.strict);
     }
 
     #[test]
@@ -361,11 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_explicit_mode_sizes_like_explicit() {
+    fn builder_uses_the_given_config() {
         let rt = Runtime::builder()
-            .machines(7)
-            .capacity_words(10)
-            .threads(2)
+            .config(MpcConfig::explicit(70, 10, 7).with_threads(2))
             .build();
         assert_eq!(rt.num_machines(), 7);
         assert_eq!(rt.capacity(), 10);
@@ -374,31 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_fully_scalable_mode_uses_default_epsilon() {
-        let rt = Runtime::builder().input_words(1 << 20).build();
-        assert_eq!(rt.capacity(), 1 << 10);
-    }
-
-    #[test]
-    fn builder_config_mode_applies_overrides() {
-        let base = MpcConfig::explicit(64, 8, 4);
-        let rt = Runtime::builder()
-            .config(base)
-            .capacity_words(16)
-            .machines(2)
-            .lenient()
-            .build();
-        assert_eq!(rt.capacity(), 16);
-        assert_eq!(rt.num_machines(), 2);
-        assert!(!rt.config().strict);
-    }
-
-    #[test]
     fn builder_attaches_plan_and_hetero_capacities() {
         let rt = Runtime::builder()
-            .machines(4)
-            .capacity_words(100)
-            .machine_capacity(3, 40)
+            .config(MpcConfig::explicit(400, 100, 4).with_machine_capacity(3, 40))
             .fault_plan(FaultPlan::new(7))
             .build();
         assert_eq!(rt.config().capacity_of(3), 40);
@@ -407,8 +270,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RuntimeBuilder")]
-    fn builder_without_sizing_panics() {
-        let _ = Runtime::builder().threads(2).build();
+    #[should_panic(expected = "MpcConfig::explicit")]
+    fn builder_without_config_panics() {
+        let _ = Runtime::builder().fault_plan(FaultPlan::new(1)).build();
     }
 }

@@ -28,14 +28,11 @@
 //! and aggregation trees.
 //!
 //! ```
-//! use treeemb_mpc::cluster::Runtime;
 //! use treeemb_mpc::primitives::{aggregate, shuffle};
+//! use treeemb_mpc::{MpcConfig, Runtime};
 //!
 //! let mut rt = Runtime::builder()
-//!     .input_words(1 << 16)
-//!     .capacity_words(4096)
-//!     .machines(16)
-//!     .threads(2)
+//!     .config(MpcConfig::explicit(1 << 16, 4096, 16).with_threads(2))
 //!     .build();
 //! let data: Vec<u64> = (0..1000).collect();
 //! let dist = rt.distribute(data).unwrap();

@@ -16,9 +16,6 @@ pub struct RoundStats {
     /// Maximum resident words (kept + received) on any machine at the end
     /// of the round.
     pub max_resident_words: usize,
-    /// Number of capacity violations observed (only non-zero in lenient
-    /// mode; strict mode fails instead).
-    pub violations: usize,
     /// Wall-clock start of the round, in nanoseconds since the process
     /// trace epoch ([`treeemb_obs::now_ns`]).
     pub t_start_ns: u64,
@@ -106,11 +103,6 @@ impl Metrics {
         self.total_sent_words
     }
 
-    /// Total capacity violations (lenient mode only).
-    pub fn violations(&self) -> usize {
-        self.rounds.iter().map(|r| r.violations).sum()
-    }
-
     /// Total faults injected across all rounds (0 without a fault plan).
     pub fn faults_injected(&self) -> usize {
         self.rounds.iter().map(|r| r.faults).sum()
@@ -176,7 +168,6 @@ mod tests {
             max_out_words: sent,
             max_in_words: sent,
             max_resident_words: resident,
-            violations: 0,
             t_start_ns: 10 * round as u64,
             t_end_ns: 10 * round as u64 + 5,
             attempts: 1,

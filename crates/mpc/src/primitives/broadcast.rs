@@ -103,7 +103,6 @@ mod tests {
         for machines in [2usize, 5, 17, 64] {
             let mut rt = rt(16, machines);
             broadcast_accounted(&mut rt, 5).unwrap();
-            assert_eq!(rt.metrics().violations(), 0);
             for r in rt.metrics().round_stats() {
                 assert!(r.max_out_words <= 16 && r.max_in_words <= 16, "{r:?}");
             }

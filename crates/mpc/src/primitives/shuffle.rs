@@ -7,7 +7,7 @@ use crate::words::Words;
 /// Routes every record to machine `hash(key) % M`, co-locating equal
 /// keys. One round. Under a well-spread key distribution the load per
 /// machine concentrates around `total/M`; heavy skew can legitimately
-/// breach capacity, which strict mode will report.
+/// breach capacity, which the round reports as an error.
 pub fn shuffle_by_key<T, F>(rt: &mut Runtime, input: Dist<T>, key: F) -> MpcResult<Dist<T>>
 where
     T: Words + Send + Sync + Clone,

@@ -18,9 +18,8 @@ fn test_lock() -> MutexGuard<'static, ()> {
 }
 
 fn rt_with(threads: usize, plan: Option<FaultPlan>) -> Runtime {
-    let mut builder = Runtime::builder()
-        .config(MpcConfig::explicit(1 << 12, 256, 8))
-        .threads(threads);
+    let mut builder =
+        Runtime::builder().config(MpcConfig::explicit(1 << 12, 256, 8).with_threads(threads));
     if let Some(p) = plan {
         builder = builder.fault_plan(p);
     }
@@ -368,11 +367,9 @@ fn empty_plan_changes_nothing_and_logs_nothing() {
 }
 
 #[test]
-fn lenient_mode_still_retries_transient_faults() {
+fn dropped_message_is_retried() {
     let _g = test_lock();
-    let cfg = MpcConfig::explicit(1 << 12, 256, 8)
-        .with_threads(2)
-        .lenient();
+    let cfg = MpcConfig::explicit(1 << 12, 256, 8).with_threads(2);
     let mut rt = Runtime::builder()
         .config(cfg)
         .fault_plan(FaultPlan::new(0).with_fault(FaultSpec::Drop {

@@ -1,6 +1,6 @@
-//! Trace exporters: Chrome `trace_event` JSON and JSONL.
+//! Trace exporter: Chrome `trace_event` JSON.
 //!
-//! The workspace builds without serde, so both writers emit JSON by
+//! The workspace builds without serde, so the writer emits JSON by
 //! hand; the grammar used (string keys, integer/float values, flat
 //! `args` objects) is small enough that escaping names (through
 //! [`crate::json::escape`]) is the only subtlety.
@@ -77,40 +77,9 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     json
 }
 
-/// Renders events as JSONL: one self-contained JSON object per line,
-/// with raw nanosecond timestamps and nesting depth (for scripted
-/// consumers that don't want the Chrome envelope).
-pub fn jsonl(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
-        let kind = match e.kind {
-            EventKind::Span => "span",
-            EventKind::Counter => "counter",
-            EventKind::Mark => "mark",
-        };
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"kind\":\"{kind}\",\"tid\":{},\"start_ns\":{},\"dur_ns\":{},\"depth\":{},\"args\":",
-            escape(&e.name),
-            e.tid,
-            e.start_ns,
-            e.dur_ns,
-            e.depth,
-        );
-        write_args(&mut out, &e.args);
-        out.push_str("}\n");
-    }
-    out
-}
-
 /// Writes [`chrome_trace_json`] to `path`.
 pub fn write_chrome_trace(path: &Path, events: &[Event]) -> io::Result<()> {
     std::fs::write(path, chrome_trace_json(events))
-}
-
-/// Writes [`jsonl`] to `path`.
-pub fn write_jsonl(path: &Path, events: &[Event]) -> io::Result<()> {
-    std::fs::write(path, jsonl(events))
 }
 
 #[cfg(test)]
@@ -172,25 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_one_balanced_object_per_line() {
-        let out = jsonl(&sample());
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert_valid_json(line);
-        }
-        assert!(out.contains("\"kind\":\"span\""));
-        assert!(out.contains("\"start_ns\":1500"));
-        assert!(out.contains("\"depth\":1"));
-    }
-
-    #[test]
     fn empty_event_list_still_valid() {
         let json = chrome_trace_json(&[]);
         assert_valid_json(&json);
         assert!(json.contains("\"traceEvents\":[\n\n]"));
-        assert!(jsonl(&[]).is_empty());
     }
 
     #[test]

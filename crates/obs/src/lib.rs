@@ -6,11 +6,9 @@
 //! wall-clock time goes*. Every MPC round, pipeline stage, and executor
 //! job opens a [`Span`]; spans nest per thread and record their wall
 //! time plus `u64` arguments (word counts, item counts) into one global
-//! collector. The collected events export as
-//!
-//! * a Chrome `trace_event`-format file ([`export::chrome_trace_json`]),
-//!   loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
-//! * a JSONL stream ([`export::jsonl`]), one event object per line.
+//! collector. The collected events export as a Chrome
+//! `trace_event`-format file ([`export::chrome_trace_json`]), loadable
+//! in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
 //! [`json`] is the workspace's one JSON codec: the parser and writer
 //! helpers that every hand-written document format shares.

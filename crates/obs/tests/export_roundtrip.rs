@@ -1,11 +1,11 @@
 //! Exporter round-trip tests: capture a real span/counter/mark trace,
-//! render it with both exporters (Chrome `trace_event` JSON and JSONL),
-//! parse both back with a real JSON parser, and check the two documents
-//! describe the same trace — same event count, same names, same span
-//! nesting. The unit tests in `src/export.rs` check string shape; these
-//! check the documents as *data*.
+//! render it as a Chrome `trace_event` document, parse it back with a
+//! real JSON parser, and check it describes the recorded trace — same
+//! event count, same names, same span nesting. The unit tests in
+//! `src/export.rs` check string shape; these check the document as
+//! *data*.
 //!
-//! Both documents are read back through the workspace codec,
+//! The document is read back through the workspace codec,
 //! [`treeemb_obs::json`].
 
 use std::sync::Mutex;
@@ -56,14 +56,6 @@ fn phase_of(kind: EventKind) -> &'static str {
     }
 }
 
-fn kind_word(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::Span => "span",
-        EventKind::Counter => "counter",
-        EventKind::Mark => "mark",
-    }
-}
-
 #[test]
 fn chrome_trace_round_trips_through_a_real_parser() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -95,51 +87,21 @@ fn chrome_trace_round_trips_through_a_real_parser() {
     }
 }
 
-#[test]
-fn jsonl_round_trips_through_a_real_parser() {
-    let _guard = TEST_LOCK.lock().unwrap();
-    let events = record_sample();
-    let text = export::jsonl(&events);
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), events.len(), "one line per event");
-    for (line, event) in lines.iter().zip(&events) {
-        let row = parse(line);
-        assert_eq!(row.get("name").unwrap().as_str(), Some(&*event.name));
-        assert_eq!(
-            row.get("kind").unwrap().as_str(),
-            Some(kind_word(event.kind))
-        );
-        assert_eq!(
-            row.get("start_ns").unwrap().as_f64(),
-            Some(event.start_ns as f64)
-        );
-        assert_eq!(
-            row.get("dur_ns").unwrap().as_f64(),
-            Some(event.dur_ns as f64)
-        );
-        assert_eq!(row.get("depth").unwrap().as_f64(), Some(event.depth as f64));
-    }
-}
-
-/// The two exporters must tell the same story: same span count, same
-/// names in the same order, and nesting that agrees — JSONL's explicit
-/// `depth` must match interval containment in the Chrome document.
+/// The Chrome document must tell the recorded story: the same events
+/// in the same order with the same names, the same span count, and
+/// interval containment wherever the recorded `depth` says a span is
+/// nested one level deeper.
 #[test]
 fn exporters_agree_on_span_counts_and_nesting() {
     let _guard = TEST_LOCK.lock().unwrap();
     let events = record_sample();
     let chrome = parse(&export::chrome_trace_json(&events));
     let chrome_rows = chrome.get("traceEvents").unwrap().as_arr().unwrap();
-    let jsonl_text = export::jsonl(&events);
-    let jsonl_rows: Vec<Value> = jsonl_text.lines().map(parse).collect();
 
     // Same events, same order, same names.
-    assert_eq!(chrome_rows.len(), jsonl_rows.len());
-    for (c, j) in chrome_rows.iter().zip(&jsonl_rows) {
-        assert_eq!(
-            c.get("name").unwrap().as_str(),
-            j.get("name").unwrap().as_str()
-        );
+    assert_eq!(chrome_rows.len(), events.len());
+    for (c, e) in chrome_rows.iter().zip(&events) {
+        assert_eq!(c.get("name").unwrap().as_str(), Some(&*e.name));
     }
 
     // Same span count.
@@ -147,47 +109,44 @@ fn exporters_agree_on_span_counts_and_nesting() {
         .iter()
         .filter(|r| r.get("ph").unwrap().as_str() == Some("X"))
         .collect();
-    let jsonl_spans: Vec<&Value> = jsonl_rows
+    let spans: Vec<&Event> = events
         .iter()
-        .filter(|r| r.get("kind").unwrap().as_str() == Some("span"))
+        .filter(|e| e.kind == EventKind::Span)
         .collect();
-    assert_eq!(chrome_spans.len(), jsonl_spans.len());
-    assert!(chrome_spans.len() >= 2, "sample must contain nested spans");
+    assert_eq!(chrome_spans.len(), spans.len());
+    assert!(spans.len() >= 2, "sample must contain nested spans");
 
-    // Nesting agreement: find the inner/outer pair by name in both
-    // documents. JSONL says inner is one level deeper; the Chrome
-    // intervals must show containment (inner within outer).
-    let by_name = |rows: &[&Value], name: &str| -> Value {
-        rows.iter()
+    // Nesting agreement: find the inner/outer pair by name. The
+    // recorded events put inner one level deeper; the Chrome intervals
+    // must show containment (inner within outer).
+    let event = |name: &str| -> &Event {
+        spans
+            .iter()
+            .find(|e| e.name.starts_with(name))
+            .unwrap_or_else(|| panic!("span {name} missing"))
+    };
+    let row = |name: &str| -> &Value {
+        chrome_spans
+            .iter()
             .find(|r| {
                 r.get("name")
                     .unwrap()
                     .as_str()
                     .is_some_and(|n| n.starts_with(name))
             })
-            .map(|r| (*r).clone())
             .unwrap_or_else(|| panic!("span {name} missing"))
     };
-    let (c_outer, c_inner) = (
-        by_name(&chrome_spans, "roundtrip.outer"),
-        by_name(&chrome_spans, "roundtrip.inner"),
-    );
-    let (j_outer, j_inner) = (
-        by_name(&jsonl_spans, "roundtrip.outer"),
-        by_name(&jsonl_spans, "roundtrip.inner"),
-    );
-    let depth = |r: &Value| r.get("depth").unwrap().as_f64().unwrap();
     assert_eq!(
-        depth(&j_inner),
-        depth(&j_outer) + 1.0,
-        "JSONL must report the inner span one level deeper"
+        event("roundtrip.inner").depth,
+        event("roundtrip.outer").depth + 1,
+        "the inner span must be recorded one level deeper"
     );
     let span_of = |r: &Value| -> (f64, f64) {
         let ts = r.get("ts").unwrap().as_f64().unwrap();
         (ts, ts + r.get("dur").unwrap().as_f64().unwrap())
     };
-    let (outer_start, outer_end) = span_of(&c_outer);
-    let (inner_start, inner_end) = span_of(&c_inner);
+    let (outer_start, outer_end) = span_of(row("roundtrip.outer"));
+    let (inner_start, inner_end) = span_of(row("roundtrip.inner"));
     assert!(
         outer_start <= inner_start && inner_end <= outer_end,
         "Chrome intervals must show the same containment \
@@ -195,24 +154,17 @@ fn exporters_agree_on_span_counts_and_nesting() {
     );
 }
 
-/// The file writers emit the same bytes the string renderers produce.
+/// The file writer emits the same bytes the string renderer produces.
 #[test]
 fn file_writers_match_string_renderers() {
     let _guard = TEST_LOCK.lock().unwrap();
     let events = record_sample();
     let dir = std::env::temp_dir();
     let chrome_path = dir.join("treeemb_obs_roundtrip_trace.json");
-    let jsonl_path = dir.join("treeemb_obs_roundtrip_trace.jsonl");
     export::write_chrome_trace(&chrome_path, &events).expect("chrome write");
-    export::write_jsonl(&jsonl_path, &events).expect("jsonl write");
     assert_eq!(
         std::fs::read_to_string(&chrome_path).unwrap(),
         export::chrome_trace_json(&events)
     );
-    assert_eq!(
-        std::fs::read_to_string(&jsonl_path).unwrap(),
-        export::jsonl(&events)
-    );
     let _ = std::fs::remove_file(chrome_path);
-    let _ = std::fs::remove_file(jsonl_path);
 }

@@ -20,10 +20,7 @@ fn main() {
     let params = HybridParams::for_dataset(&points, 4).expect("schedule");
     let cap = (params.total_grid_words() * 4).max(1 << 16);
     let mut rt = Runtime::builder()
-        .input_words(n * 9)
-        .capacity_words(cap)
-        .machines(16)
-        .threads(4)
+        .config(MpcConfig::explicit(n * 9, cap, 16).with_threads(4))
         .build();
 
     // Algorithm 2, keeping the distributed paths.
@@ -93,10 +90,7 @@ fn main() {
         })
         .collect();
     let mut rt2 = Runtime::builder()
-        .input_words(1 << 16)
-        .capacity_words(1 << 14)
-        .machines(16)
-        .threads(4)
+        .config(MpcConfig::explicit(1 << 16, 1 << 14, 16).with_threads(4))
         .build();
     let dist = rt2.distribute(tree_edges).expect("distribute");
     let paths = root_paths(&mut rt2, dist).expect("pointer doubling");

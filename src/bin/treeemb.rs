@@ -247,7 +247,9 @@ fn cmd_emd(flags: &Flags) -> Result<(), String> {
     let embedder = SeqEmbedder::new(params);
     let mut sum = 0.0;
     for t in 0..trees {
-        let emb = embedder.embed(&ps, seed + t).map_err(|e| e.to_string())?;
+        let emb = embedder
+            .embed(&ps, seed.wrapping_add(t))
+            .map_err(|e| e.to_string())?;
         sum += tree_emd(&emb, &a, &b);
     }
     let mean = sum / trees as f64;
@@ -282,7 +284,9 @@ fn cmd_kmedian(flags: &Flags) -> Result<(), String> {
     let embedder = SeqEmbedder::new(params);
     let mut best = (f64::INFINITY, Vec::new());
     for t in 0..trees {
-        let emb = embedder.embed(&ps, seed + t).map_err(|e| e.to_string())?;
+        let emb = embedder
+            .embed(&ps, seed.wrapping_add(t))
+            .map_err(|e| e.to_string())?;
         let result = tree_kmedian(&emb, k);
         let euclid = kmedian_cost_euclid(&ps, &result.medians);
         if euclid < best.0 {

@@ -70,6 +70,55 @@ fn emd_and_kmedian_subcommands() {
     assert!(out.contains("2-median"));
 }
 
+/// Tree `t` of a run uses seed `seed + t`, wrapping at `u64::MAX`: a
+/// two-tree run at the largest seed embeds with seeds `u64::MAX` and 0.
+const MAX_SEED: &str = "18446744073709551615";
+
+fn clusters_csv(name: &str) -> String {
+    let pts = tmp(name);
+    let (ok, _, err) = treeemb(&[
+        "gen", "--n", "24", "--d", "4", "--kind", "clusters", "--seed", "5", "--out", &pts,
+    ]);
+    assert!(ok, "{err}");
+    pts
+}
+
+#[test]
+fn emd_wraps_the_largest_seed() {
+    let pts = clusters_csv("emd-seed.csv");
+    let emd = |seed: &str, trees: &str| -> f64 {
+        let (ok, out, err) = treeemb(&[
+            "emd", "--input", &pts, "--split", "5", "--seed", seed, "--trees", trees,
+        ]);
+        assert!(ok, "emd --seed {seed} --trees {trees} failed: {err}");
+        out.split("): ")
+            .nth(1)
+            .and_then(|v| v.split(' ').next())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("tree EMD parses from {out}"))
+    };
+    let both = emd(MAX_SEED, "2");
+    let mean = (emd(MAX_SEED, "1") + emd("0", "1")) / 2.0;
+    assert!((both - mean).abs() <= 1e-3, "{both} vs {mean}");
+}
+
+#[test]
+fn kmedian_wraps_the_largest_seed() {
+    let pts = clusters_csv("kmedian-seed.csv");
+    let best = |seed: &str, trees: &str| -> (f64, String) {
+        let (ok, out, err) = treeemb(&[
+            "kmedian", "--input", &pts, "--k", "3", "--seed", seed, "--trees", trees,
+        ]);
+        assert!(ok, "kmedian --seed {seed} --trees {trees} failed: {err}");
+        let answer = out.split("cost ").nth(1).expect("cost printed").trim();
+        let cost = answer.split(',').next().unwrap().parse().unwrap();
+        (cost, answer.to_string())
+    };
+    let (last, first) = (best(MAX_SEED, "1"), best("0", "1"));
+    let want = if first.0 < last.0 { first } else { last };
+    assert_eq!(best(MAX_SEED, "2").1, want.1);
+}
+
 #[test]
 fn bad_usage_reports_errors() {
     let (ok, _, err) = treeemb(&["frobnicate"]);
