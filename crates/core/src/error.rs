@@ -28,6 +28,20 @@ pub enum EmbedError {
         /// Offending point.
         point: usize,
     },
+    /// Two points with different coordinates share every level of the
+    /// hierarchy, so the tree puts them at distance 0 and breaks
+    /// domination. The input is finer than the level schedule resolves.
+    SeparationViolated {
+        /// The smaller point id of the pair.
+        p: usize,
+        /// The other point.
+        q: usize,
+        /// Their Euclidean distance.
+        dist: f64,
+        /// The separation the level schedule resolves: pairs farther
+        /// apart than this never share every level.
+        min_sep: f64,
+    },
     /// An MPC-layer failure (capacity, routing, …).
     Mpc(MpcError),
     /// Tree assembly from the distributed edge list failed (should be
@@ -58,6 +72,12 @@ impl fmt::Display for EmbedError {
             EmbedError::NonFiniteInput { point } => {
                 write!(f, "point {point} has a non-finite coordinate")
             }
+            EmbedError::SeparationViolated { p, q, dist, min_sep } => write!(
+                f,
+                "points {p} and {q} are {dist} apart but share every level: the level schedule \
+                 separates only points more than min_sep = {min_sep} apart; build it with a \
+                 min_sep of at most {dist}"
+            ),
             EmbedError::Mpc(e) => write!(f, "MPC failure: {e}"),
             EmbedError::TreeAssembly(msg) => write!(f, "tree assembly failed: {msg}"),
             EmbedError::InvalidConfig {

@@ -19,7 +19,7 @@
 
 use crate::error::EmbedError;
 use crate::params::HybridParams;
-use crate::seq::{Embedding, SeqEmbedder};
+use crate::seq::{check_separation, Embedding, SeqEmbedder};
 use std::sync::Arc;
 use treeemb_geom::PointSet;
 use treeemb_hst::builder::{from_edge_list, EdgeRec};
@@ -283,6 +283,7 @@ pub fn embed_mpc_full(
         .collect();
     let tree =
         from_edge_list(&edge_recs, n).map_err(|e| EmbedError::TreeAssembly(e.to_string()))?;
+    check_separation(&tree, ps, params)?;
     Ok(MpcEmbedding {
         embedding: Embedding {
             tree,
@@ -312,7 +313,7 @@ impl Words for EdgeMsg {
 mod tests {
     use super::*;
     use crate::seq::SeqEmbedder;
-    use treeemb_geom::generators;
+    use treeemb_geom::{generators, metrics};
     use treeemb_mpc::MpcConfig;
 
     fn runtime(cap: usize, machines: usize) -> Runtime {
@@ -370,15 +371,57 @@ mod tests {
         assert!(rounds[0] <= 8, "rounds = {}", rounds[0]);
     }
 
+    /// Exact duplicates share every level and land at distance 0 in
+    /// both embedders, whatever their ids; the separation check passes
+    /// them.
     #[test]
     fn duplicates_get_distinct_leaves() {
-        let ps = PointSet::from_rows(&[vec![9.0, 9.0], vec![9.0, 9.0], vec![100.0, 50.0]]);
+        let rows = [
+            [9.0, 9.0],
+            [100.0, 50.0],
+            [9.0, 9.0],
+            [40.0, 1.0],
+            [9.0, 9.0],
+            [40.0, 1.0],
+        ];
+        let ps = PointSet::from_rows(&rows.map(|r| r.to_vec()));
         let params = HybridParams::for_dataset(&ps, 2).unwrap();
-        let mut rt = runtime(1 << 14, 4);
-        let emb = embed_mpc(&mut rt, &ps, &params, 7).unwrap();
-        assert_eq!(emb.tree.num_points(), 3);
-        assert_eq!(emb.tree_distance(0, 1), 0.0);
-        assert!(emb.tree_distance(0, 2) > 0.0);
+        let seq = SeqEmbedder::new(params.clone()).embed(&ps, 7).unwrap();
+        let mpc = embed_mpc(&mut runtime(1 << 14, 4), &ps, &params, 7).unwrap();
+        for emb in [&seq, &mpc] {
+            assert_eq!(emb.tree.num_points(), 6);
+            for (i, j) in [(0, 2), (0, 4), (2, 4), (3, 5)] {
+                assert_eq!(emb.tree_distance(i, j), 0.0, "{} ({i}, {j})", emb.method);
+            }
+            assert!(emb.tree_distance(0, 1) > 0.0 && emb.tree_distance(0, 3) > 0.0);
+        }
+    }
+
+    /// 64 collinear points 0.01 apart are finer than the schedule
+    /// resolves: both embedders report the same pair, not a tree with
+    /// distinct points at distance 0.
+    #[test]
+    fn seq_and_mpc_report_the_same_separation_violation() {
+        let line: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i) * 0.01, 0.0]).collect();
+        let ps = PointSet::from_rows(&line);
+        let params = HybridParams::for_dataset(&ps, 4).unwrap();
+        let seq = SeqEmbedder::new(params.clone()).embed(&ps, 7).unwrap_err();
+        let mpc = embed_mpc(&mut runtime(1 << 15, 8), &ps, &params, 7).unwrap_err();
+        assert_eq!(seq, mpc);
+        let EmbedError::SeparationViolated {
+            p,
+            q,
+            dist,
+            min_sep,
+        } = seq
+        else {
+            panic!("expected a separation error, got {seq}");
+        };
+        assert!(p < q && dist == metrics::dist(ps.point(p), ps.point(q)));
+        assert!(
+            dist > 0.0 && dist <= min_sep,
+            "dist {dist} min_sep {min_sep}"
+        );
     }
 
     #[test]

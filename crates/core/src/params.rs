@@ -154,6 +154,15 @@ impl HybridParams {
         2.0 * (self.r as f64).sqrt() * self.levels[level]
     }
 
+    /// The separation the schedule resolves, `2√r·w` at the last level:
+    /// two points that share a ball in all `r` buckets there are at
+    /// most this far apart, so any farther pair is split by some level.
+    pub(crate) fn resolved_separation(&self) -> f64 {
+        self.levels
+            .last()
+            .map_or(0.0, |&w| 2.0 * (self.r as f64).sqrt() * w)
+    }
+
     /// Words occupied by all grids (every level, every bucket) — the
     /// broadcast payload of Algorithm 2, bounded by Lemma 8.
     pub fn total_grid_words(&self) -> usize {

@@ -11,7 +11,7 @@ use crate::error::EmbedError;
 use crate::params::{GridParams, HybridParams};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use treeemb_geom::PointSet;
+use treeemb_geom::{metrics, PointSet};
 use treeemb_hst::{Hst, HstBuilder};
 use treeemb_linalg::random::mix3;
 use treeemb_partition::{for_each_node_id, grid::ShiftedGrid, HybridLevel};
@@ -108,6 +108,43 @@ where
         .map_err(|e| EmbedError::TreeAssembly(e.to_string()))
 }
 
+/// Checks that only identical points share every level of `tree`.
+///
+/// The zero-weight leaf children of a node are the points that stayed
+/// together through the last level (both embedders attach every other
+/// leaf with a positive weight), so each such group must hold one
+/// coordinate vector of `ps`, the point set the embedder was given. The
+/// first point, in id order, that differs from the smallest id of its
+/// group is reported with that id, so both embedders name the same
+/// pair. `O(n·d)`, no pair scan.
+pub(crate) fn check_separation(
+    tree: &Hst,
+    ps: &PointSet,
+    params: &HybridParams,
+) -> Result<(), EmbedError> {
+    // `first[v]`: the smallest point id among node `v`'s zero-weight
+    // leaves seen so far.
+    let mut first = vec![usize::MAX; tree.num_nodes()];
+    for q in 0..tree.num_points() {
+        let leaf = tree.node(tree.leaf_of(q));
+        let Some(v) = leaf.parent.filter(|_| leaf.weight_to_parent == 0.0) else {
+            continue;
+        };
+        let p = first[v];
+        if p == usize::MAX {
+            first[v] = q;
+        } else if ps.point(p) != ps.point(q) {
+            return Err(EmbedError::SeparationViolated {
+                p,
+                q,
+                dist: metrics::dist(ps.point(p), ps.point(q)),
+                min_sep: params.resolved_separation(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Algorithm 1: the sequential hybrid-partitioning embedder.
 #[derive(Debug, Clone)]
 pub struct SeqEmbedder {
@@ -174,6 +211,7 @@ impl SeqEmbedder {
         let padded = ps.zero_pad(self.params.dim);
         let levels = self.build_levels(seed);
         let tree = self.hierarchy(&padded, &levels, threads)?;
+        check_separation(&tree, ps, &self.params)?;
         Ok(Embedding {
             tree,
             method: "hybrid",

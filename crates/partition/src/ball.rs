@@ -23,8 +23,16 @@ pub struct BallGrid {
 
 impl BallGrid {
     /// Constructs a ball grid with an explicit shift in `[0, cell)^d`.
+    ///
+    /// # Panics
+    ///
+    /// If `cell` or `radius` is not finite and positive, or if balls of
+    /// that radius overlap at that cell length (`2·radius > cell`).
     pub fn new(cell: f64, radius: f64, shift: Vec<f64>) -> Self {
-        assert!(cell > 0.0 && radius > 0.0, "scales must be positive");
+        assert!(
+            cell.is_finite() && radius.is_finite() && cell > 0.0 && radius > 0.0,
+            "scales must be finite and positive (cell {cell}, radius {radius})"
+        );
         assert!(
             2.0 * radius <= cell + 1e-12,
             "balls of radius {radius} overlap at cell length {cell}"
@@ -38,6 +46,10 @@ impl BallGrid {
     }
 
     /// Derives the shift from a counter stream.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
     pub fn from_seed(dim: usize, cell: f64, radius: f64, seed: u64) -> Self {
         Self::new(cell, radius, seeded_shift(dim, cell, seed).collect())
     }
@@ -94,6 +106,13 @@ fn seeded_shift(dim: usize, cell: f64, seed: u64) -> impl Iterator<Item = f64> {
     (0..dim).map(move |j| random::unit_f64(seed, j as u64) * cell)
 }
 
+/// Offset of grid `i`'s coordinate 0 within its block's lane layout:
+/// the start of its group (`LANES·dim` words each) plus its lane.
+/// Coordinate `j` follows at `+ j·LANES`.
+fn lane_at(i: usize, dim: usize) -> usize {
+    (i - i % LANES) * dim + i % LANES
+}
+
 /// Assignment of a point under a grid sequence: the index of the first
 /// covering grid and the lattice coordinates of the covering ball.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -104,8 +123,16 @@ pub struct BallAssignment {
     pub cell: Vec<i64>,
 }
 
-/// Grids evaluated together by one step of [`GridSequence::first_covering`].
-const LANES: usize = 8;
+/// Grids evaluated together by one step of [`GridSequence::first_covering`]:
+/// one group of a block's coordinate-major shift storage. Four lanes
+/// (a row is two SSE2 registers at the baseline x86-64 target)
+/// measured faster per probe than eight.
+const LANES: usize = 4;
+
+/// Shift stored in the lanes past grid `U − 1` of a sequence's last
+/// group. Every `t` computed from it is NaN, and `NaN ≤ w²` is false,
+/// so a padding lane never covers.
+const PAD: f64 = f64::NAN;
 
 /// `1.5·2⁵²`: adding and subtracting it rounds any `|t| < 2⁵¹` to the
 /// nearest integer, ties to even, without a libm call.
@@ -116,7 +143,7 @@ const RNE_MAGIC: f64 = 6_755_399_441_055_744.0;
 const LANE_GUARD: f64 = 1e15;
 
 /// Grids per lazily filled block of a [`GridSequence`]. A multiple of
-/// [`LANES`], so no lane step of [`GridSequence::first_covering`]
+/// [`LANES`], so no lane group of [`GridSequence::first_covering`]
 /// crosses a block boundary.
 const BLOCK: usize = 64;
 const _: () = assert!(BLOCK.is_multiple_of(LANES));
@@ -124,14 +151,17 @@ const _: () = assert!(BLOCK.is_multiple_of(LANES));
 /// An ordered sequence of independently shifted ball grids at one scale
 /// (the output of `BuildGrids`).
 ///
-/// The `U` shifts live in row-major blocks of 64 grids (grid `u`
-/// occupies `dim` consecutive words of block `u / 64`), so the
-/// first-covering-grid scan walks memory linearly. A block is filled on
-/// first touch: most scans stop in the first few blocks, so a sequence
-/// holds only the prefix its callers reach. Grid `u`'s shift is a pure
-/// function of `(seed, u)`, so the content does not depend on which
-/// thread fills a block. [`Self::grids`] rebuilds the per-grid
-/// [`BallGrid`] form on demand.
+/// The `U` shifts live in blocks of 64 grids, and each block in groups
+/// of 4 grids stored coordinate by coordinate: group `g` holds `dim`
+/// rows, row `j` being coordinate `j` of the block's grids
+/// `4g … 4g + 3`. The first-covering scan thus walks memory linearly
+/// and updates all lanes of a row at once. Lanes past grid `U − 1` in
+/// the last group hold NaN. A block is filled on first touch: most
+/// scans stop in the first few blocks, so a sequence holds only the
+/// prefix its callers reach. Grid `u`'s shift is a pure function of
+/// `(seed, u)`, so the content does not depend on which thread fills a
+/// block. [`Self::grids`] rebuilds the per-grid [`BallGrid`] form on
+/// demand.
 #[derive(Debug, Clone)]
 pub struct GridSequence {
     count: usize,
@@ -140,7 +170,8 @@ pub struct GridSequence {
     inv_cell: f64,
     radius: f64,
     seed: u64,
-    /// Block `b` holds the shifts of grids `b*BLOCK .. min((b+1)*BLOCK, U)`.
+    /// Block `b` holds the shifts of grids `b*BLOCK .. min((b+1)*BLOCK, U)`,
+    /// padded to whole lane groups.
     blocks: Box<[OnceLock<Box<[f64]>>]>,
 }
 
@@ -148,6 +179,10 @@ impl GridSequence {
     /// Builds `count` grids of cell length `4w`, radius `w` (the paper's
     /// Definition-2 geometry), with shifts derived from `(seed, grid
     /// index)` counter streams.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::build_with_cell_factor`] at `factor = 4`.
     pub fn build(dim: usize, w: f64, count: usize, seed: u64) -> Self {
         Self::build_with_cell_factor(dim, w, 4.0, count, seed)
     }
@@ -161,6 +196,13 @@ impl GridSequence {
     /// Grid `u`'s shift is [`BallGrid::from_seed`]'s under seed
     /// `mix2(seed, u)`, written into its block when the block is first
     /// read.
+    ///
+    /// # Panics
+    ///
+    /// If `count == 0`, if `w` is not finite and positive, if `factor`
+    /// is not finite and at least 2, or if the cell length `factor·w`
+    /// overflows to infinity. A finite cell keeps every shift finite,
+    /// which the NaN padding of [`Self::first_covering`] relies on.
     pub fn build_with_cell_factor(
         dim: usize,
         w: f64,
@@ -169,9 +211,16 @@ impl GridSequence {
         seed: u64,
     ) -> Self {
         assert!(count > 0, "need at least one grid");
-        assert!(factor >= 2.0, "balls must stay disjoint (factor >= 2)");
+        assert!(
+            w.is_finite() && w > 0.0,
+            "radius {w} must be finite and positive"
+        );
+        assert!(
+            factor.is_finite() && factor >= 2.0,
+            "balls must stay disjoint (factor >= 2, finite); got {factor}"
+        );
         let cell = factor * w;
-        assert!(cell > 0.0 && w > 0.0, "scales must be positive");
+        assert!(cell.is_finite(), "cell length {factor}·{w} overflows");
         Self {
             count,
             dim,
@@ -210,91 +259,91 @@ impl GridSequence {
     /// for [`Self::first_covering`]; the scan itself never builds them.
     #[must_use]
     pub fn grids(&self) -> Vec<BallGrid> {
-        self.shifts_from(0)
-            .map(|(_, s)| BallGrid::new(self.cell, self.radius, s.to_vec()))
+        (0..self.count)
+            .map(|u| BallGrid::new(self.cell, self.radius, self.shift(u).collect()))
             .collect()
     }
 
-    /// The shifts of block `b`, filled on first read.
+    /// Grids `b*BLOCK ..` held by block `b`.
+    fn block_len(&self, b: usize) -> usize {
+        (self.count - b * BLOCK).min(BLOCK)
+    }
+
+    /// The coordinate-major shifts of block `b`, filled on first read.
     fn block(&self, b: usize) -> &[f64] {
         self.blocks[b].get_or_init(|| {
-            let grids = b * BLOCK..self.count.min((b + 1) * BLOCK);
-            let mut shifts = Vec::with_capacity(grids.len() * self.dim);
-            for u in grids {
-                shifts.extend(seeded_shift(
-                    self.dim,
-                    self.cell,
-                    random::mix2(self.seed, u as u64),
-                ));
+            let first = b * BLOCK;
+            let len = self.block_len(b);
+            let mut shifts = vec![PAD; len.next_multiple_of(LANES) * self.dim];
+            for i in 0..len {
+                let seed = random::mix2(self.seed, (first + i) as u64);
+                for (j, s) in seeded_shift(self.dim, self.cell, seed).enumerate() {
+                    shifts[lane_at(i, self.dim) + j * LANES] = s;
+                }
             }
             shifts.into_boxed_slice()
         })
     }
 
-    /// `(u, shift of grid u)` for every grid `u ≥ from`, in order.
-    fn shifts_from(&self, from: usize) -> impl Iterator<Item = (usize, &[f64])> {
-        let step = self.dim.max(1);
-        (from / BLOCK..self.blocks.len()).flat_map(move |b| {
-            let first = b * BLOCK;
-            self.block(b)
-                .chunks_exact(step)
-                .enumerate()
-                .skip(from.saturating_sub(first))
-                .map(move |(i, s)| (first + i, s))
-        })
-    }
-
-    fn shift(&self, u: usize) -> &[f64] {
-        let at = (u % BLOCK) * self.dim;
-        &self.block(u / BLOCK)[at..at + self.dim]
+    /// Grid `u`'s shift, read through the lane layout.
+    fn shift(&self, u: usize) -> impl Iterator<Item = f64> + '_ {
+        let block = self.block(u / BLOCK);
+        let at = lane_at(u % BLOCK, self.dim);
+        (0..self.dim).map(move |j| block[at + j * LANES])
     }
 
     /// Index of the first grid whose ball covers `p`: the same answer,
     /// bit for bit, as scanning [`Self::grids`] with
     /// [`BallGrid::ball_of`].
     ///
-    /// The scan evaluates 8 consecutive grids per step with no
-    /// data-dependent branch: each lane sums `e²` over all `m`
-    /// coordinates in `ball_of`'s order, with `e = (t − rne(t))·ℓ`,
-    /// `t = (x − s)/ℓ` and `rne(t) = (t + 1.5·2⁵²) − 1.5·2⁵²`, and the
-    /// first lane whose sum is `≤ w²` wins. This agrees with the scalar
-    /// early-exit loop because
+    /// The scan evaluates one group of 4 consecutive grids per step with
+    /// no data-dependent branch: for each coordinate `j` in order, every
+    /// lane adds `e²` with `e = (t − rne(t))·ℓ`, `t = (x_j − s)/ℓ` and
+    /// `rne(t) = (t + 1.5·2⁵²) − 1.5·2⁵²`, and the first lane whose sum
+    /// is `≤ w²` wins. Each lane thus sums over all `m` coordinates in
+    /// `ball_of`'s order. This agrees with the scalar early-exit loop
+    /// because
     /// * for `|t| < 2⁵¹`, `rne` rounds half to even; it differs from
     ///   `t.round()` (half away from zero) only at exact ties, where
     ///   `|t − r| = 0.5` either way, so `e²` is the same;
     /// * a sum of non-negative terms is monotone under IEEE
     ///   round-to-nearest, so some prefix sum exceeds `w²` exactly when
-    ///   the full sum does.
+    ///   the full sum does;
+    /// * the padding lanes after grid `U − 1` hold NaN, so their sums are
+    ///   NaN and `NaN ≤ w²` is false; every real shift is finite (the
+    ///   constructors reject a non-finite cell length) and so is every
+    ///   `x` on the lane path, so no real lane's sum is NaN.
     ///
     /// The lane path runs only when every `|x|/ℓ < 10¹⁵` (false for NaN
-    /// and ±∞); other points, and the `U mod 8` tail grids, take the
-    /// scalar loop.
+    /// and ±∞); other points take the scalar loop.
     #[must_use]
     pub fn first_covering(&self, p: &[f64]) -> Option<u32> {
         debug_assert_eq!(p.len(), self.dim);
-        let mut base = 0;
-        if p.iter().all(|x| x.abs() * self.inv_cell < LANE_GUARD) {
-            let r2 = self.radius * self.radius;
-            for b in 0..self.blocks.len() {
-                for lanes in self.block(b).chunks_exact(LANES * self.dim.max(1)) {
-                    let hits = self.covered_lanes(p, lanes, r2);
-                    if hits != 0 {
-                        return Some((base + hits.trailing_zeros() as usize) as u32);
-                    }
-                    base += LANES;
+        if !p.iter().all(|x| x.abs() * self.inv_cell < LANE_GUARD) {
+            return self.first_covering_scalar(p);
+        }
+        let r2 = self.radius * self.radius;
+        let group = LANES * self.dim;
+        for b in 0..self.blocks.len() {
+            let block = self.block(b);
+            for g in 0..self.block_len(b).div_ceil(LANES) {
+                let hits = self.covered_lanes(p, &block[g * group..(g + 1) * group], r2);
+                if hits != 0 {
+                    let u = b * BLOCK + g * LANES + hits.trailing_zeros() as usize;
+                    return Some(u as u32);
                 }
             }
         }
-        self.first_covering_scalar(p, base)
+        None
     }
 
-    /// Bit `l` set iff grid `l` of `lanes` (`LANES` row-major shifts)
-    /// covers `p`; see [`Self::first_covering`] for why this matches
-    /// the scalar loop.
-    fn covered_lanes(&self, p: &[f64], lanes: &[f64], r2: f64) -> u32 {
+    /// Bit `l` set iff lane `l` of `group` (`dim` rows of `LANES`
+    /// shifts) covers `p`; see [`Self::first_covering`] for why this
+    /// matches the scalar loop.
+    fn covered_lanes(&self, p: &[f64], group: &[f64], r2: f64) -> u32 {
         let mut sq = [0.0f64; LANES];
-        for (acc, shift) in sq.iter_mut().zip(lanes.chunks_exact(self.dim)) {
-            for (x, s) in p.iter().zip(shift) {
+        for (x, row) in p.iter().zip(group.as_chunks::<LANES>().0) {
+            for (acc, s) in sq.iter_mut().zip(row) {
                 let t = (x - s) * self.inv_cell;
                 let e = (t - ((t + RNE_MAGIC) - RNE_MAGIC)) * self.cell;
                 *acc += e * e;
@@ -305,28 +354,25 @@ impl GridSequence {
             .fold(0, |hits, (l, &acc)| hits | (u32::from(acc <= r2) << l))
     }
 
-    /// The reference scan from grid `from` on: `ball_of`'s arithmetic
+    /// The reference scan over grids `0..U`: `ball_of`'s arithmetic
     /// (reciprocal multiply, `round`, same operation order) with its
     /// early exit.
-    fn first_covering_scalar(&self, p: &[f64], from: usize) -> Option<u32> {
+    fn first_covering_scalar(&self, p: &[f64]) -> Option<u32> {
         let r2 = self.radius * self.radius;
-        for (u, shift) in self.shifts_from(from) {
-            let mut sq = 0.0;
-            let mut covered = true;
-            for (x, s) in p.iter().zip(shift) {
-                let t = (x - s) * self.inv_cell;
-                let e = (t - t.round()) * self.cell;
-                sq += e * e;
-                if sq > r2 {
-                    covered = false;
-                    break; // early exit: outside every ball of this grid
+        (0..self.count)
+            .find(|&u| {
+                let mut sq = 0.0;
+                for (x, s) in p.iter().zip(self.shift(u)) {
+                    let t = (x - s) * self.inv_cell;
+                    let e = (t - t.round()) * self.cell;
+                    sq += e * e;
+                    if sq > r2 {
+                        return false; // early exit: outside every ball of this grid
+                    }
                 }
-            }
-            if covered {
-                return Some(u as u32);
-            }
-        }
-        None
+                true
+            })
+            .map(|u| u as u32)
     }
 
     /// Streams the lattice coordinates of `p`'s ball in grid `u` (as
@@ -505,7 +551,22 @@ mod tests {
         // is exact; at factor 2 such a tie lies on the ball's boundary.
         let mut exact_ties = 0;
         for dim in 1..=8 {
-            for count in [1, 7, 8, 9, 63, 64, 65, 128, 129, 1039] {
+            for count in [
+                1,
+                LANES - 1,
+                LANES,
+                LANES + 1,
+                7,
+                8,
+                9,
+                BLOCK - 1,
+                BLOCK,
+                BLOCK + 1,
+                BLOCK + LANES - 1,
+                128,
+                129,
+                1039,
+            ] {
                 for factor in [2.0, 4.0] {
                     let cell = factor * 0.5;
                     let seed = (dim * 10_000 + count) as u64;
@@ -556,6 +617,75 @@ mod tests {
             }
         }
         assert!(exact_ties > 0, "no exact tie was constructed");
+    }
+
+    /// The NaN lanes after grid `U − 1` never win. At `dim = 8` one grid
+    /// covers a point with probability `V₈/4⁸ ≈ 6·10⁻⁵`, so the real
+    /// grids leave almost every point uncovered; half the points sit
+    /// near vertices of the unshifted lattice `ℓ·Z⁸`, where a padding
+    /// lane holding shift 0 instead of NaN would cover them.
+    #[test]
+    fn padding_lanes_never_cover() {
+        let (dim, w) = (8, 0.5);
+        let cell = 4.0 * w;
+        for count in 1..=2 * LANES + 1 {
+            let seq = GridSequence::build(dim, w, count, count as u64);
+            let grids = seq.grids();
+            for i in 0..200u64 {
+                let p: Vec<f64> = (0..dim as u64)
+                    .map(|j| {
+                        let u = random::unit_f64(i, j) - 0.5;
+                        if i % 2 == 0 {
+                            u * 40.0
+                        } else {
+                            (j as f64 - 4.0) * cell + u * w / 4.0
+                        }
+                    })
+                    .collect();
+                let got = seq.first_covering(&p);
+                assert!(
+                    got.is_none_or(|u| (u as usize) < count),
+                    "U {count} point {i}: {got:?}"
+                );
+                let slow = grids
+                    .iter()
+                    .position(|g| g.ball_of(&p).is_some())
+                    .map(|u| u as u32);
+                assert_eq!(got, slow, "U {count} point {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn grid_geometry_must_be_finite() {
+        // `4·1e308` overflows the cell length; an infinite radius does
+        // too. Both used to build, and `first_covering` then disagreed
+        // with the per-grid reference scan.
+        for (w, factor) in [
+            (1e308, 4.0),
+            (f64::INFINITY, 4.0),
+            (f64::NAN, 4.0),
+            (1.0, f64::INFINITY),
+            (1.0, f64::NAN),
+        ] {
+            let built = std::panic::catch_unwind(|| {
+                GridSequence::build_with_cell_factor(2, w, factor, 16, 1)
+            });
+            assert!(built.is_err(), "w {w} factor {factor} was accepted");
+        }
+        for (cell, radius) in [(f64::INFINITY, 1.0), (4.0, f64::NAN), (f64::NAN, 1.0)] {
+            let built = std::panic::catch_unwind(|| BallGrid::new(cell, radius, vec![0.0]));
+            assert!(built.is_err(), "cell {cell} radius {radius} was accepted");
+        }
+        // The largest finite geometry still builds and agrees.
+        let seq = GridSequence::build(2, 1e307, 16, 1);
+        let p = [0.5, -0.25];
+        let slow = seq
+            .grids()
+            .iter()
+            .position(|g| g.ball_of(&p).is_some())
+            .map(|u| u as u32);
+        assert_eq!(seq.first_covering(&p), slow);
     }
 
     /// Blocks filled concurrently, in different orders, hold what a

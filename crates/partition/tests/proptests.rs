@@ -157,18 +157,23 @@ proptest! {
     fn first_covering_matches_per_grid_ball_of_scan(
         seed in 0u64..100_000,
         dim in 1usize..=8,
-        count_index in 0usize..6,
+        count_index in 0usize..10,
         factor_two in 0u8..2,
         w in 0.25f64..20.0,
-        kind in 0u8..5,
+        kind in 0u8..6,
         target in 0usize..100_000,
         lattice in -4i64..4,
         unit in proptest::collection::vec(-1f64..1.0, 8),
     ) {
         // The lane scan against the scalar reference on random points,
         // points near a chosen grid's ball centre, rounding ties,
-        // coordinates beyond the lane guard, and non-finite input.
-        let count = [1, 7, 8, 9, 65, 1039][count_index];
+        // coordinates beyond the lane guard, non-finite input, and
+        // points near a vertex of the unshifted lattice (where a padding
+        // lane past grid U − 1 would cover if its shift were 0, not NaN).
+        // 3, 5, 63 and 67 sit at the lane-group and block boundaries
+        // (LANES ∓ 1, BLOCK − 1, BLOCK + LANES − 1 at 4 lanes and
+        // 64-grid blocks).
+        let count = [1, 3, 5, 7, 8, 9, 63, 65, 67, 1039][count_index];
         let factor = if factor_two == 1 { 2.0 } else { 4.0 };
         let cell = factor * w;
         let seq = GridSequence::build_with_cell_factor(dim, w, factor, count, seed);
@@ -183,8 +188,9 @@ proptest! {
                 2 if j == j0 => centre(j) + 0.5 * cell,
                 2 => centre(j),
                 3 => unit[j] * 1e17 * cell,
-                _ if j == j0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][target % 3],
-                _ => unit[j] * 40.0 * w,
+                4 if j == j0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][target % 3],
+                4 => unit[j] * 40.0 * w,
+                _ => lattice as f64 * cell + unit[j] * w / 4.0,
             })
             .collect();
         let slow = grids

@@ -193,6 +193,29 @@ fn overflowing_coordinates_are_a_typed_error() {
     assert!(err.contains("diagonal"), "stderr: {err}");
 }
 
+/// Distinct points closer than the level schedule separates used to
+/// share every level silently (tree distance 0, domination broken); the
+/// embedder now reports the pair, its distance and the resolved
+/// `min_sep`.
+#[test]
+fn points_finer_than_the_schedule_are_a_typed_error() {
+    let line = tmp("line64.csv");
+    let rows: Vec<String> = (0..64)
+        .map(|i| format!("{},0\n", f64::from(i) * 0.01))
+        .collect();
+    std::fs::write(&line, rows.concat()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_treeemb"))
+        .args(["embed", "--input", &line, "--r", "4", "--seed", "7"])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        err.contains("0.01 apart") && err.contains("min_sep = 0.5"),
+        "stderr: {err}"
+    );
+}
+
 #[test]
 fn help_prints_usage() {
     let (ok, out, _) = treeemb(&["help"]);
