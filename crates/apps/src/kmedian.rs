@@ -48,7 +48,6 @@ pub struct KMedianResult {
 ///
 /// # Panics
 /// Panics if `k == 0`.
-#[allow(clippy::needless_range_loop, clippy::manual_memcpy)] // parallel-array DP
 pub fn tree_kmedian(emb: &Embedding, k: usize) -> KMedianResult {
     assert!(k >= 1, "k must be positive");
     let t = &emb.tree;
@@ -79,19 +78,20 @@ pub fn tree_kmedian(emb: &Embedding, k: usize) -> KMedianResult {
     }
     let counts = t.subtree_counts();
 
-    // dp[v][j], with backtracking of the per-child allocation.
+    // dp[v][j], with one backpointer per (child stage, j): the knapsack
+    // over v's children processes child c as one stage, and
+    // back[back_at[c] + j] is the median count c got when the children
+    // up to and including c hold j medians in total.
     const INF: f64 = f64::INFINITY;
     let mut dp: Vec<Vec<f64>> = vec![Vec::new(); n_nodes];
-    // choice[v][j] = allocation of j among children (parallel to
-    // t.children(v)); empty for leaves.
-    let mut choice: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n_nodes];
+    let mut back: Vec<u32> = Vec::new();
+    let mut back_at = vec![0usize; n_nodes];
     for id in t.post_order() {
         let children = t.children(id);
         let cap = k.min(counts[id]);
         if children.is_empty() {
             // A leaf: either no median (defer) or a median here.
             dp[id] = vec![0.0; cap + 1];
-            choice[id] = vec![Vec::new(); cap + 1];
             continue;
         }
         // Knapsack over children. acc[j] = best cost using the first
@@ -100,51 +100,44 @@ pub fn tree_kmedian(emb: &Embedding, k: usize) -> KMedianResult {
         // valid only when the final total j >= 1; the j = 0 column is
         // separately 0 (defer everything).
         let mut acc: Vec<f64> = vec![0.0];
-        let mut acc_choice: Vec<Vec<usize>> = vec![Vec::new()];
         for &c in children {
             let child_cap = k.min(counts[c]);
             let exit_cost = counts[c] as f64 * 2.0 * down[id];
             let new_len = (acc.len() - 1 + child_cap).min(cap) + 1;
             let mut next: Vec<f64> = vec![INF; new_len];
-            let mut next_choice: Vec<Vec<usize>> = vec![Vec::new(); new_len];
+            back_at[c] = back.len();
+            back.resize(back.len() + new_len, 0);
+            let stage = &mut back[back_at[c]..];
             for (j_prev, &cost_prev) in acc.iter().enumerate() {
                 if cost_prev == INF {
                     continue;
                 }
-                for j_c in 0..=child_cap {
+                // dp[c][0] (defer) is replaced by the exit charge.
+                let child_costs = std::iter::once(exit_cost).chain(dp[c][1..].iter().copied());
+                for (j_c, c_cost) in child_costs.enumerate() {
                     let j_total = j_prev + j_c;
                     if j_total >= new_len {
                         break;
                     }
-                    let c_cost = if j_c == 0 { exit_cost } else { dp[c][j_c] };
                     let cand = cost_prev + c_cost;
                     if cand < next[j_total] {
                         next[j_total] = cand;
-                        let mut ch = acc_choice[j_prev].clone();
-                        ch.push(j_c);
-                        next_choice[j_total] = ch;
+                        stage[j_total] = j_c as u32;
                     }
                 }
             }
             acc = next;
-            acc_choice = next_choice;
-        }
-        let mut table = vec![0.0; cap + 1];
-        let mut tchoice = vec![Vec::new(); cap + 1];
-        for j in 1..=cap {
-            table[j] = acc[j];
-            tchoice[j] = acc_choice[j].clone();
         }
         // j = 0: defer everything upward at zero local cost.
-        table[0] = 0.0;
-        dp[id] = table;
-        choice[id] = tchoice;
+        acc[0] = 0.0;
+        dp[id] = acc;
     }
 
-    // Backtrack.
+    // Backtrack: walk each node's stages in reverse, peeling off the
+    // last child's share of the running total.
     let mut medians = Vec::with_capacity(k);
     let mut stack = vec![(t.root(), k.min(counts[t.root()]))];
-    while let Some((id, j)) = stack.pop() {
+    while let Some((id, mut j)) = stack.pop() {
         if j == 0 {
             continue;
         }
@@ -155,11 +148,12 @@ pub fn tree_kmedian(emb: &Embedding, k: usize) -> KMedianResult {
             }
             continue;
         }
-        let alloc = &choice[id][j];
-        debug_assert_eq!(alloc.len(), children.len());
-        for (&c, &j_c) in children.iter().zip(alloc) {
+        for &c in children.iter().rev() {
+            let j_c = back[back_at[c] + j] as usize;
             stack.push((c, j_c));
+            j -= j_c;
         }
+        debug_assert_eq!(j, 0, "allocation must account for every median");
     }
     medians.sort_unstable();
     let tree_cost = dp[t.root()][k.min(counts[t.root()])];

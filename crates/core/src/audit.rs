@@ -77,20 +77,6 @@ pub struct DistortionEstimate {
 pub fn estimate_expected_distortion(
     ps: &PointSet,
     trials: usize,
-    build: impl FnMut(u64) -> Result<Embedding, EmbedError>,
-) -> Result<DistortionEstimate, EmbedError> {
-    estimate_expected_distortion_threads(ps, trials, 1, build)
-}
-
-/// [`estimate_expected_distortion`] with each tree's `O(n²)` distance
-/// sweep fanned out over `threads` workers (one row per work item;
-/// accumulation stays in row order, so the estimate is independent of
-/// the thread count). Trees are still built serially — `build` may be
-/// stateful.
-pub fn estimate_expected_distortion_threads(
-    ps: &PointSet,
-    trials: usize,
-    threads: usize,
     mut build: impl FnMut(u64) -> Result<Embedding, EmbedError>,
 ) -> Result<DistortionEstimate, EmbedError> {
     let _sp = treeemb_obs::span!("audit.expected_distortion", "trials" = trials);
@@ -100,28 +86,15 @@ pub fn estimate_expected_distortion_threads(
     let mut worst_single: f64 = 0.0;
     for t in 0..trials {
         let emb = build(t as u64)?;
-        let rows: Vec<(Vec<f64>, f64)> = treeemb_mpc::exec::par_map_indexed(
-            (0..n).collect::<Vec<usize>>(),
-            threads.max(1),
-            |_, i| {
-                let mut tds = Vec::with_capacity(n - i - 1);
-                let mut row_worst: f64 = 0.0;
-                for j in (i + 1)..n {
-                    let td = emb.tree_distance(i, j);
-                    tds.push(td);
-                    let e = dist(ps.point(i), ps.point(j));
-                    if e > 0.0 {
-                        row_worst = row_worst.max(td / e);
-                    }
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let td = emb.tree_distance(i, j);
+                sums[i * n + j] += td;
+                let e = dist(ps.point(i), ps.point(j));
+                if e > 0.0 {
+                    worst_single = worst_single.max(td / e);
                 }
-                (tds, row_worst)
-            },
-        );
-        for (i, (tds, row_worst)) in rows.into_iter().enumerate() {
-            for (k, td) in tds.into_iter().enumerate() {
-                sums[i * n + (i + 1 + k)] += td;
             }
-            worst_single = worst_single.max(row_worst);
         }
     }
     let mut max_ratio: f64 = 0.0;
@@ -193,18 +166,6 @@ mod tests {
         let est = estimate_expected_distortion(&ps, 8, |seed| emb.embed(&ps, seed)).unwrap();
         assert!(est.mean_ratio <= est.expected_distortion);
         assert!(est.expected_distortion < est.worst_single_tree * (1.0 + 1e-9));
-    }
-
-    #[test]
-    fn expected_distortion_estimate_is_thread_count_invariant() {
-        let ps = generators::uniform_cube(18, 8, 256, 13);
-        let params = HybridParams::for_dataset(&ps, 4).unwrap();
-        let embedder = SeqEmbedder::new(params);
-        let est1 =
-            estimate_expected_distortion_threads(&ps, 4, 1, |s| embedder.embed(&ps, s)).unwrap();
-        let est8 =
-            estimate_expected_distortion_threads(&ps, 4, 8, |s| embedder.embed(&ps, s)).unwrap();
-        assert_eq!(est1, est8, "estimate must not depend on thread count");
     }
 
     #[test]

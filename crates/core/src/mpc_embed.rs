@@ -283,7 +283,7 @@ pub fn embed_mpc_full(
         .collect();
     let tree =
         from_edge_list(&edge_recs, n).map_err(|e| EmbedError::TreeAssembly(e.to_string()))?;
-    check_separation(&tree, ps, params)?;
+    check_separation(&tree, ps, params.resolved_separation())?;
     Ok(MpcEmbedding {
         embedding: Embedding {
             tree,

@@ -1,7 +1,7 @@
 //! Parameter schedules for the hierarchical embeddings.
 
 use crate::error::EmbedError;
-use treeemb_geom::{metrics, BoundingBox, PointSet};
+use treeemb_geom::{BoundingBox, PointSet};
 use treeemb_partition::coverage;
 
 /// Parameters of a hybrid-partitioning hierarchy (Algorithm 1 / 2).
@@ -90,31 +90,36 @@ impl HybridParams {
         if let Some(point) = first_non_finite(ps) {
             return Err(EmbedError::NonFiniteInput { point });
         }
-        let orig_dim = ps.dim();
-        let dim = pad_dim(orig_dim, r);
-        let sqrt_r = (r as f64).sqrt();
-        let diag = finite_diagonal(ps)?.max(min_sep);
-        let w0 = pow2_at_least(diag / 2.0);
-        let levels: Vec<f64> = level_scales(w0, min_sep / (2.0 * sqrt_r)).collect();
-        let m = dim / r;
-        // Union bound over points, buckets, and levels (Lemma 7).
-        let targets = ps.len() * r * levels.len();
-        let grids_per_bucket = coverage::grids_needed(m, targets, fail_prob);
-        if grids_per_bucket > MAX_GRID_BUDGET {
+        let diag = finite_diagonal(ps)?;
+        let params = Self::derive(ps.len(), ps.dim(), r, diag, min_sep, fail_prob);
+        let (u, m) = (params.grids_per_bucket, params.dim / r);
+        if u > MAX_GRID_BUDGET {
             return Err(treeemb_mpc::MpcError::AlgorithmFailure(format!(
-                "grid budget {grids_per_bucket} exceeds cap: bucket dimension {m} too large \
+                "grid budget {u} exceeds cap: bucket dimension {m} too large \
                  (reduce dimension with the FJLT or increase r)"
             ))
             .into());
         }
-        Ok(Self {
-            dim,
-            orig_dim,
+        Ok(params)
+    }
+
+    /// The schedule for `n` points with bounding-box diagonal `diag`:
+    /// padded dimension, level scales and Lemma 7's budget `U`. Shared by
+    /// [`Self::for_dataset_with_sep`] and [`estimate_grid_words`].
+    fn derive(n: usize, dim: usize, r: usize, diag: f64, min_sep: f64, fail_prob: f64) -> Self {
+        let padded = pad_dim(dim, r);
+        let w0 = pow2_at_least(diag.max(min_sep) / 2.0);
+        let levels: Vec<f64> = level_scales(w0, min_sep / (2.0 * (r as f64).sqrt())).collect();
+        // Union bound over points, buckets, and levels (Lemma 7).
+        let grids_per_bucket = coverage::grids_needed(padded / r, n * r * levels.len(), fail_prob);
+        Self {
+            dim: padded,
+            orig_dim: dim,
             r,
             levels,
             grids_per_bucket,
             fail_prob,
-        })
+        }
     }
 
     /// [`Self::for_dataset_with_sep`] with the `[Δ]^d` convention
@@ -174,8 +179,8 @@ impl HybridParams {
 /// Estimates the broadcast-grid payload (words) of a hybrid schedule
 /// without materializing a point set — the pipeline uses it to size
 /// machine capacity before the JL step has produced the working data.
-/// Mirrors [`HybridParams::for_dataset_with_sep`]'s derivation from
-/// `(diag, min_sep)` instead of points.
+/// Derives the schedule exactly as [`HybridParams::for_dataset_with_sep`]
+/// does, from `(diag, min_sep)` instead of points.
 pub fn estimate_grid_words(
     n: usize,
     dim: usize,
@@ -184,13 +189,7 @@ pub fn estimate_grid_words(
     min_sep: f64,
     fail_prob: f64,
 ) -> usize {
-    let dim_p = pad_dim(dim, r);
-    let m = dim_p / r;
-    let sqrt_r = (r as f64).sqrt();
-    let w0 = pow2_at_least(diag.max(min_sep) / 2.0);
-    let levels = level_scales(w0, min_sep / (2.0 * sqrt_r)).count();
-    let u = coverage::grids_needed(m, n * r * levels, fail_prob);
-    levels * r * u * (m + 2)
+    HybridParams::derive(n, dim, r, diag, min_sep, fail_prob).total_grid_words()
 }
 
 /// The level scales `w₀, w₀/2, …`, ending with the first one below
@@ -273,6 +272,15 @@ impl GridParams {
     pub fn tail_weight(&self, level: usize) -> f64 {
         (self.dim as f64).sqrt() * self.levels[level]
     }
+
+    /// The separation the schedule resolves, `√d·w` at the last level:
+    /// the diagonal of a last-level cell, so any farther pair is split
+    /// by some level.
+    pub(crate) fn resolved_separation(&self) -> f64 {
+        self.levels
+            .last()
+            .map_or(0.0, |&w| (self.dim as f64).sqrt() * w)
+    }
 }
 
 /// Index of the first point with a non-finite coordinate, if any.
@@ -293,13 +301,6 @@ pub(crate) fn finite_diagonal(ps: &PointSet) -> Result<f64, EmbedError> {
         value: diag.to_string(),
         expected: "a finite bounding-box diagonal (coordinate spans below ~1e154)".into(),
     })
-}
-
-/// Estimates `min_sep` for arbitrary (non-integer) data by an exact
-/// `O(n²d)` scan. Audit/runner convenience; the pipelines take the bound
-/// as an input per the paper's `[Δ]^d` model.
-pub fn measured_min_sep(ps: &PointSet) -> Option<f64> {
-    metrics::pairwise_extremes(ps).map(|(min, _)| min)
 }
 
 #[cfg(test)]

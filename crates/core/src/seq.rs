@@ -115,13 +115,10 @@ where
 /// leaf with a positive weight), so each such group must hold one
 /// coordinate vector of `ps`, the point set the embedder was given. The
 /// first point, in id order, that differs from the smallest id of its
-/// group is reported with that id, so both embedders name the same
-/// pair. `O(n·d)`, no pair scan.
-pub(crate) fn check_separation(
-    tree: &Hst,
-    ps: &PointSet,
-    params: &HybridParams,
-) -> Result<(), EmbedError> {
+/// group is reported with that id, so every embedder names the same
+/// pair. `min_sep` is the schedule's resolved separation, reported with
+/// the pair. `O(n·d)`, no pair scan.
+pub(crate) fn check_separation(tree: &Hst, ps: &PointSet, min_sep: f64) -> Result<(), EmbedError> {
     // `first[v]`: the smallest point id among node `v`'s zero-weight
     // leaves seen so far.
     let mut first = vec![usize::MAX; tree.num_nodes()];
@@ -138,7 +135,7 @@ pub(crate) fn check_separation(
                 p,
                 q,
                 dist: metrics::dist(ps.point(p), ps.point(q)),
-                min_sep: params.resolved_separation(),
+                min_sep,
             });
         }
     }
@@ -211,7 +208,7 @@ impl SeqEmbedder {
         let padded = ps.zero_pad(self.params.dim);
         let levels = self.build_levels(seed);
         let tree = self.hierarchy(&padded, &levels, threads)?;
-        check_separation(&tree, ps, &self.params)?;
+        check_separation(&tree, ps, self.params.resolved_separation())?;
         Ok(Embedding {
             tree,
             method: "hybrid",
@@ -272,7 +269,10 @@ impl GridEmbedder {
     }
 
     /// Embeds `ps` into a tree via hierarchical random shifted grids.
-    /// Grid partitioning always covers, so this cannot fail on coverage.
+    /// Grid partitioning always covers, so this cannot fail on coverage;
+    /// it fails with [`EmbedError::SeparationViolated`] when two distinct
+    /// points share every level (they are closer than the schedule's
+    /// `min_sep`).
     pub fn embed(&self, ps: &PointSet, seed: u64) -> Result<Embedding, EmbedError> {
         let grids: Vec<ShiftedGrid> = self
             .params
@@ -290,6 +290,7 @@ impl GridEmbedder {
             |level| self.params.edge_weight(level),
             |level| self.params.tail_weight(level),
         )?;
+        check_separation(&tree, ps, self.params.resolved_separation())?;
         Ok(Embedding {
             tree,
             method: "grid",
@@ -339,6 +340,28 @@ mod tests {
                     "pair ({i},{j}): tree {t} < euclid {e}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn grid_embedder_rejects_points_finer_than_its_schedule() {
+        // 64 collinear points 0.01 apart; the `[Δ]^d` schedule's last
+        // cells are 0.5 wide, so neighbours share every level.
+        let line: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i) * 0.01, 0.0]).collect();
+        let ps = PointSet::from_rows(&line);
+        let params = GridParams::for_dataset(&ps).unwrap();
+        match GridEmbedder::new(params).embed(&ps, 7) {
+            Err(EmbedError::SeparationViolated {
+                p: 0,
+                q: 1,
+                dist,
+                min_sep,
+            }) => {
+                assert!((dist - 0.01).abs() < 1e-12, "dist {dist}");
+                let diagonal = std::f64::consts::SQRT_2 / 2.0;
+                assert!((min_sep - diagonal).abs() < 1e-12, "min_sep {min_sep}");
+            }
+            other => panic!("expected points 0 and 1 to violate separation, got {other:?}"),
         }
     }
 

@@ -1,7 +1,5 @@
-//! Dense Gaussian Johnson–Lindenstrauss transform (the \[46\] baseline).
-
-use treeemb_geom::PointSet;
-use treeemb_linalg::random;
+//! The Johnson–Lindenstrauss target dimension shared by the FJLT and the
+//! pipeline's `skip_jl` decision.
 
 /// Standard JL target dimension for distortion `(1 ± ξ)` over all pairs
 /// of `n` points with high probability: `k = ⌈8·ln(max(n,2)) / ξ²⌉`.
@@ -11,88 +9,13 @@ pub fn target_dimension(n: usize, xi: f64) -> usize {
     ((8.0 * ln_n) / (xi * xi)).ceil() as usize
 }
 
-/// Applies the dense transform `y = k^{-1/2}·G·x` with `G` a `k × d`
-/// matrix of iid standard Gaussians derived from `seed`.
-pub fn gaussian_jl(ps: &PointSet, k: usize, seed: u64) -> PointSet {
-    let d = ps.dim();
-    let scale = 1.0 / (k as f64).sqrt();
-    let mut out = PointSet::with_capacity(k, ps.len());
-    let mut row = vec![0.0; k];
-    for p in ps.iter() {
-        for (i, r) in row.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (j, &x) in p.iter().enumerate() {
-                if x != 0.0 {
-                    acc += random::gaussian(seed, (i * d + j) as u64) * x;
-                }
-            }
-            *r = acc * scale;
-        }
-        out.push(&row);
-    }
-    out
-}
-
-/// Work (multiply–add count) of the dense transform, for the Theorem-3
-/// space/work comparison tables: `n·d·k`.
-pub fn dense_work(n: usize, d: usize, k: usize) -> u64 {
-    n as u64 * d as u64 * k as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treeemb_geom::metrics::dist;
 
     #[test]
     fn target_dimension_shrinks_with_larger_xi() {
         assert!(target_dimension(1000, 0.5) < target_dimension(1000, 0.25));
         assert!(target_dimension(1_000_000, 0.5) > target_dimension(100, 0.5));
-    }
-
-    #[test]
-    fn output_has_requested_dimension() {
-        let ps = PointSet::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let out = gaussian_jl(&ps, 7, 1);
-        assert_eq!(out.dim(), 7);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn transform_is_linear() {
-        let a = PointSet::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
-        let out = gaussian_jl(&a, 4, 3);
-        // phi(e1) + phi(e2) = phi(e1 + e2).
-        for j in 0..4 {
-            let s = out.point(0)[j] + out.point(1)[j];
-            assert!((s - out.point(2)[j]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn distances_are_roughly_preserved() {
-        // 20 points, generous k: every pairwise distance within (1±0.5).
-        let ps = treeemb_geom::generators::uniform_cube(20, 30, 1 << 12, 5);
-        let k = target_dimension(20, 0.5);
-        let out = gaussian_jl(&ps, k, 7);
-        for i in 0..ps.len() {
-            for j in (i + 1)..ps.len() {
-                let orig = dist(ps.point(i), ps.point(j));
-                let emb = dist(out.point(i), out.point(j));
-                let ratio = emb / orig;
-                assert!(
-                    (0.5..=1.5).contains(&ratio),
-                    "pair ({i},{j}): ratio {ratio}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn deterministic_in_seed() {
-        let ps = PointSet::from_rows(&[vec![1.0, 2.0]]);
-        let a = gaussian_jl(&ps, 3, 9);
-        let b = gaussian_jl(&ps, 3, 9);
-        assert_eq!(a, b);
     }
 }

@@ -143,22 +143,6 @@ impl Fjlt {
         }
         out
     }
-
-    /// [`Self::apply`] with the per-point transforms fanned out over
-    /// `threads` workers. Output is bitwise identical to the sequential
-    /// apply (each point's transform is independent).
-    pub fn apply_parallel(&self, ps: &PointSet, threads: usize) -> PointSet {
-        let rows = treeemb_mpc::exec::par_map_indexed(
-            (0..ps.len()).collect::<Vec<usize>>(),
-            threads.max(1),
-            |_, i| self.apply_vec(ps.point(i)),
-        );
-        let mut out = PointSet::with_capacity(self.params.k, ps.len());
-        for row in &rows {
-            out.push(row);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -228,13 +212,6 @@ mod tests {
             }
         }
         assert!(worst < 1.8, "worst pairwise distortion {worst}");
-    }
-
-    #[test]
-    fn parallel_apply_is_bitwise_identical() {
-        let ps = generators::uniform_cube(40, 50, 512, 6);
-        let f = Fjlt::new(FjltParams::for_dataset(40, 50, 0.5, 13));
-        assert_eq!(f.apply(&ps), f.apply_parallel(&ps, 8));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Johnson–Lindenstrauss transforms (paper §5, Theorem 3).
 //!
-//! * [`dense`] — the classical dense Gaussian JL transform (baseline;
-//!   `O(ndk)` work and `O(nd log n)` total space in MPC, which is what
-//!   Theorem 3 improves on);
+//! * [`dense`] — the JL target dimension `k` for `n` points at
+//!   distortion `1 ± ξ`;
 //! * [`fjlt`] — the sequential Fast Johnson–Lindenstrauss Transform of
 //!   Ailon–Chazelle: `φ(x) = k^{-1/2}·P·H·D·x` with a sparse Gaussian
 //!   `P`, the Walsh–Hadamard `H`, and a random-sign diagonal `D`;

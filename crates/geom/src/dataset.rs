@@ -92,12 +92,6 @@ impl PointSet {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Mutably borrow point `i`.
-    #[inline]
-    pub fn point_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
     /// Appends a point.
     ///
     /// # Panics
@@ -160,13 +154,6 @@ impl PointSet {
         }
         PointSet { dim: new_dim, data }
     }
-
-    /// Scales and translates every coordinate: `x ← (x + shift) * scale`.
-    pub fn affine(&mut self, shift: f64, scale: f64) {
-        for x in &mut self.data {
-            *x = (*x + shift) * scale;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -228,12 +215,5 @@ mod tests {
         let rows: Vec<_> = ps.iter().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn affine_transforms_in_place() {
-        let mut ps = PointSet::from_rows(&[vec![1.0, 3.0]]);
-        ps.affine(1.0, 0.5);
-        assert_eq!(ps.point(0), &[1.0, 2.0]);
     }
 }

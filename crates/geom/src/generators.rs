@@ -135,61 +135,6 @@ pub fn noisy_line(n: usize, d: usize, delta: u64, jitter: f64, seed: u64) -> Poi
     ps
 }
 
-/// `n` corners of the `{0, s}^d` hypercube (s = `delta`), sampled without
-/// repetition when `n ≤ 2^d`. All pairwise distances are `s·√h` for
-/// Hamming distances `h` — a worst-case-ish high-dimensional workload
-/// with tightly clustered distance scales.
-pub fn hypercube_corners(n: usize, d: usize, delta: u64, seed: u64) -> PointSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::HashSet::new();
-    let mut ps = PointSet::with_capacity(d, n);
-    let mut buf = vec![0.0; d];
-    let cap = if d < 60 { 1u64 << d } else { u64::MAX };
-    while ps.len() < n {
-        let mask: u64 = rng.gen();
-        let key = if d < 64 {
-            mask & ((1u64 << d) - 1).max(1)
-        } else {
-            mask
-        };
-        if (ps.len() as u64) < cap && !seen.insert(key) {
-            continue;
-        }
-        for (j, x) in buf.iter_mut().enumerate() {
-            *x = if (key >> (j % 64)) & 1 == 1 {
-                delta as f64
-            } else {
-                1.0
-            };
-        }
-        ps.push(&buf);
-    }
-    ps
-}
-
-/// Exponentially spread scales: pairs of points at distances
-/// `2^0, 2^1, ..., 2^(k-1)` along one axis. Exercises every level of the
-/// hierarchy; the distortion audit uses it to probe all scales (E1, E10).
-pub fn exponential_scales(k: usize, d: usize, seed: u64) -> PointSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ps = PointSet::with_capacity(d, 2 * k);
-    let mut base = vec![0.0; d];
-    for s in 0..k {
-        let offset = (1u64 << s) as f64;
-        for x in &mut base {
-            // Spread pair groups far apart so scales do not interact.
-            *x = (rng.gen_range(0..(1u64 << (k + 2))) as f64).floor();
-        }
-        let mut q = base.clone();
-        q[0] += offset;
-        ps.push(&base);
-        ps.push(&q);
-    }
-    // Shift into the positive orthant per the [Δ]^d convention.
-    ps.affine(1.0, 1.0);
-    ps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,25 +178,6 @@ mod tests {
             diam <= 12.0 + 1e-9,
             "planted diameter {diam} exceeds target"
         );
-    }
-
-    #[test]
-    fn hypercube_corners_binary_coordinates() {
-        let ps = hypercube_corners(10, 8, 32, 9);
-        for p in ps.iter() {
-            for &x in p {
-                assert!(x == 1.0 || x == 32.0);
-            }
-        }
-    }
-
-    #[test]
-    fn exponential_scales_has_planted_distances() {
-        let ps = exponential_scales(5, 3, 1);
-        for s in 0..5 {
-            let d = metrics::dist(ps.point(2 * s), ps.point(2 * s + 1));
-            assert!((d - (1u64 << s) as f64).abs() < 1e-9, "scale {s}: {d}");
-        }
     }
 
     #[test]

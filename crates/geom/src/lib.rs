@@ -6,7 +6,7 @@
 //!   `n` points in `d`-dimensional Euclidean space;
 //! * [`metrics`] — Euclidean distances, pairwise extremes, aspect ratio;
 //! * [`generators`] — seeded synthetic workloads (uniform cubes, Gaussian
-//!   mixtures, planted clusters, hypercube corners, low-dimensional
+//!   mixtures, planted clusters, low-dimensional
 //!   manifolds embedded in high dimension);
 //! * [`bbox`] — axis-aligned bounding boxes;
 //! * [`sphere`] — uniform sampling from unit spheres/balls (used by the

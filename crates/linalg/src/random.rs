@@ -7,8 +7,6 @@
 //! `(seed, index)` — gives exactly that, with no sequential state to
 //! synchronize.
 
-use rand::{rngs::StdRng, SeedableRng};
-
 /// SplitMix64-style finalizer over a seed/counter pair.
 #[inline]
 pub fn mix2(seed: u64, ctr: u64) -> u64 {
@@ -60,12 +58,6 @@ pub fn bernoulli(seed: u64, ctr: u64, p: f64) -> bool {
     unit_f64(seed, ctr) < p
 }
 
-/// A seeded `StdRng` derived from a seed/counter pair, for code that
-/// wants a full sequential RNG per (machine, task).
-pub fn derived_rng(seed: u64, ctr: u64) -> StdRng {
-    StdRng::seed_from_u64(mix2(seed, ctr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,16 +104,6 @@ mod tests {
         let hits = (0..n).filter(|&i| bernoulli(99, i, 0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.02, "freq {freq}");
-    }
-
-    #[test]
-    fn derived_rngs_are_reproducible() {
-        use rand::Rng;
-        let mut a = derived_rng(1, 2);
-        let mut b = derived_rng(1, 2);
-        let va: Vec<u64> = (0..10).map(|_| a.gen()).collect();
-        let vb: Vec<u64> = (0..10).map(|_| b.gen()).collect();
-        assert_eq!(va, vb);
     }
 
     #[test]

@@ -84,18 +84,6 @@ impl CscMatrix {
         }
         y
     }
-
-    /// Dense representation (row-major), for tests and tiny matrices.
-    #[allow(clippy::needless_range_loop)] // j indexes both the matrix and `out`
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![vec![0.0; self.cols]; self.rows];
-        for j in 0..self.cols {
-            for (r, v) in self.column(j) {
-                out[r as usize][j] = v;
-            }
-        }
-        out
-    }
 }
 
 /// The FJLT projection matrix `P`: a `k × d` matrix whose entries are 0
@@ -144,7 +132,12 @@ mod tests {
     #[test]
     fn csc_round_trip_dense() {
         let m = CscMatrix::from_columns(2, vec![vec![(0, 1.0)], vec![], vec![(1, 2.0), (0, 3.0)]]);
-        assert_eq!(m.to_dense(), vec![vec![1.0, 0.0, 3.0], vec![0.0, 0.0, 2.0]]);
+        let columns: Vec<Vec<(u32, f64)>> = (0..m.cols()).map(|j| m.column(j).collect()).collect();
+        assert_eq!(
+            columns,
+            vec![vec![(0, 1.0)], vec![], vec![(1, 2.0), (0, 3.0)]]
+        );
+        assert_eq!((m.rows(), m.cols()), (2, 3));
         assert_eq!(m.nnz(), 3);
     }
 

@@ -35,7 +35,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "deprecated-shim",
-        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns, lenient, par_for_each_mut, PoolCore, JobCore, sort_dedup_by_key, primitives::sort, sort_two_level, sort_single_level, DistanceOracle, LabelStats, by_label, squeeze_for, squeeze_min, distance_matrix, nodes_at_depth, to_ascii, total_space_words)",
+        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns, lenient, par_for_each_mut, PoolCore, JobCore, sort_dedup_by_key, primitives::sort, sort_two_level, sort_single_level, DistanceOracle, LabelStats, by_label, squeeze_for, squeeze_min, distance_matrix, nodes_at_depth, to_ascii, total_space_words, gaussian_jl, dense_work, apply_parallel, estimate_expected_distortion_threads, build_grids, ball_part, grid_partition, empirical_partition_diameter, hypercube_corners, exponential_scales, point_mut, affine, derived_rng, to_dense, measured_min_sep, tree_mst_cost_in_tree_metric)",
     },
     RuleInfo {
         id: "config-literal",
@@ -527,6 +527,38 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                     } else {
                         tok.text.as_str()
                     }
+                ),
+            );
+        }
+        if matches!(
+            tok.text.as_str(),
+            "gaussian_jl"
+                | "dense_work"
+                | "apply_parallel"
+                | "estimate_expected_distortion_threads"
+                | "build_grids"
+                | "ball_part"
+                | "grid_partition"
+                | "empirical_partition_diameter"
+                | "hypercube_corners"
+                | "exponential_scales"
+                | "point_mut"
+                | "affine"
+                | "derived_rng"
+                | "to_dense"
+                | "measured_min_sep"
+                | "tree_mst_cost_in_tree_metric"
+        ) {
+            push(
+                tok,
+                "deprecated-shim",
+                format!(
+                    "`{}` was removed: only its own unit test called it (the dense JL \
+                     baseline, the paper-name aliases of GridSequence::build/assign, \
+                     one-thread parallel variants, uncalled generators and helpers); \
+                     the library carries only what an experiment, CLI path, example or \
+                     the benchmark calls",
+                    tok.text
                 ),
             );
         }

@@ -7,7 +7,9 @@
 // worker pool's protocol and in-place for-each, the sort-based dedup, and
 // the substrate nothing called (sample sort, distance oracle, per-label
 // aggregation, machine-scoped squeezes, uncalled tree and config helpers)
-// were deleted;
+// and the library items only their own unit tests called (the dense JL
+// baseline, paper-name aliases, one-thread parallel variants, uncalled
+// generators and helpers) were deleted;
 // the lint keeps them from coming back — even in test code.
 
 fn resurrect() {
@@ -63,6 +65,33 @@ fn resurrect_uncalled_substrate(rt: &mut Runtime, d: Dist<u64>, t: &Hst, m: &Met
     let _ = t.nodes_at_depth(1); //~ DENY deprecated-shim
     let _ = t.to_ascii(); //~ DENY deprecated-shim
     let _ = rt.config().total_space_words(); //~ DENY deprecated-shim
+}
+
+fn resurrect_uncalled_library(ps: &mut PointSet, f: &Fjlt, m: &CscMatrix, emb: &Embedding) {
+    let _ = treeemb_fjlt::dense::gaussian_jl(ps, 8, 1); //~ DENY deprecated-shim
+    let _ = dense_work(4, 8, 2); //~ DENY deprecated-shim
+    let _ = f.apply_parallel(ps, 2); //~ DENY deprecated-shim
+    let _ = estimate_expected_distortion_threads(ps, 4, 2, build); //~ DENY deprecated-shim
+    let grids = build_grids(2, 1.0, 16, 1); //~ DENY deprecated-shim
+    let _ = ball_part(ps, &grids); //~ DENY deprecated-shim
+    let _ = grid_partition(ps, 4.0, 1); //~ DENY deprecated-shim
+    let _ = empirical_partition_diameter(&rows(), &level()); //~ DENY deprecated-shim
+    let _ = generators::hypercube_corners(8, 4, 16, 1); //~ DENY deprecated-shim
+    let _ = generators::exponential_scales(4, 2, 1); //~ DENY deprecated-shim
+    ps.point_mut(0)[0] = 1.0; //~ DENY deprecated-shim
+    ps.affine(1.0, 0.5); //~ DENY deprecated-shim
+    let _ = treeemb_linalg::random::derived_rng(1, 2); //~ DENY deprecated-shim
+    let _ = m.to_dense(); //~ DENY deprecated-shim
+    let _ = measured_min_sep(ps); //~ DENY deprecated-shim
+    let _ = tree_mst_cost_in_tree_metric(emb); //~ DENY deprecated-shim
+}
+
+fn sanctioned_library(ps: &PointSet, f: &Fjlt, grids: &GridSequence, emb: &Embedding) {
+    let _ = treeemb_fjlt::dense::target_dimension(ps.len(), 0.5);
+    let _ = f.apply(ps);
+    let _ = estimate_expected_distortion(ps, 4, build);
+    let _ = grids.assign(ps.point(0));
+    let _ = tree_mst(emb, ps);
 }
 
 fn sanctioned_substrate(rt: &mut Runtime, d: Dist<u64>, mut v: Vec<u64>) {

@@ -190,7 +190,7 @@ impl GridSequence {
     /// Builds grids with cell length `factor·w` for radius `w`. The
     /// paper fixes `factor = 4`; smaller factors (≥ 2, keeping balls
     /// disjoint) cover more per grid (`V_m/factor^m`) at the price of a
-    /// higher ball-boundary density — the E13 ablation quantifies the
+    /// higher ball-boundary density — the E15 ablation quantifies the
     /// trade-off.
     ///
     /// Grid `u`'s shift is [`BallGrid::from_seed`]'s under seed
@@ -408,38 +408,9 @@ impl GridSequence {
     }
 }
 
-/// Paper-name alias for [`GridSequence::build`]: Algorithm 1's
-/// `BuildGrids(P^{(j)}, r, U)` subroutine builds the grid sequence a
-/// bucket's ball partitioning draws from.
-pub fn build_grids(dim: usize, w: f64, u: usize, seed: u64) -> GridSequence {
-    GridSequence::build(dim, w, u, seed)
-}
-
-/// Paper-name alias for sequence assignment: Algorithm 1's
-/// `BallPart(P^{(j)}, G)` assigns each projected point to its first
-/// covering ball; `None` entries are coverage failures ("if any ball
-/// partitionings failed, halt and report failure").
-pub fn ball_part(
-    points: &treeemb_geom::PointSet,
-    grids: &GridSequence,
-) -> Vec<Option<BallAssignment>> {
-    points.iter().map(|p| grids.assign(p)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn build_grids_and_ball_part_paper_aliases() {
-        let ps = treeemb_geom::PointSet::from_rows(&[vec![1.0, 2.0], vec![50.0, 9.0]]);
-        let grids = build_grids(2, 2.0, 100, 5);
-        let assignments = ball_part(&ps, &grids);
-        assert_eq!(assignments.len(), 2);
-        for (i, a) in assignments.iter().enumerate() {
-            assert_eq!(*a, grids.assign(ps.point(i)));
-        }
-    }
 
     #[test]
     fn ball_of_detects_coverage() {

@@ -1,7 +1,5 @@
 //! Random shifted grids (Definition 1; Arora's partitioning).
 
-use treeemb_geom::PointSet;
-
 /// A grid of hypercubic cells with side `width`, translated by a random
 /// shift vector drawn uniformly from `[0, width)^d`.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,20 +51,6 @@ impl ShiftedGrid {
     }
 }
 
-/// Flat grid partitioning of a point set: returns, per point, a dense
-/// partition index (points share an index iff they share a grid cell).
-pub fn grid_partition(ps: &PointSet, width: f64, seed: u64) -> Vec<usize> {
-    let grid = ShiftedGrid::from_seed(ps.dim(), width, seed);
-    let mut table: std::collections::HashMap<Vec<i64>, usize> = std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(ps.len());
-    for p in ps.iter() {
-        let cell = grid.cell_of(p);
-        let next = table.len();
-        out.push(*table.entry(cell).or_insert(next));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,23 +94,6 @@ mod tests {
             }
         }
         assert!(cuts < 15, "cuts = {cuts}");
-    }
-
-    #[test]
-    fn grid_partition_groups_by_cell() {
-        let ps = PointSet::from_rows(&[vec![1.0, 1.0], vec![1.1, 1.1], vec![100.0, 100.0]]);
-        let parts = grid_partition(&ps, 10.0, 3);
-        assert_eq!(parts[0], parts[1]);
-        assert_ne!(parts[0], parts[2]);
-    }
-
-    #[test]
-    fn partition_indices_are_dense() {
-        let ps = PointSet::from_rows(&[vec![0.0], vec![50.0], vec![0.2]]);
-        let parts = grid_partition(&ps, 5.0, 1);
-        let max = *parts.iter().max().unwrap();
-        assert!(max < ps.len());
-        assert_eq!(parts[0], parts[2]);
     }
 
     #[test]

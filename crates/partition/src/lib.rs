@@ -18,7 +18,7 @@
 //!   `O(√d·‖p−q‖/w)` — independent of `r` (Lemma 1).
 //!
 //! [`coverage`] quantifies the number of grids needed (Lemmas 6/7) and
-//! [`stats`] estimates cut probabilities and partition diameters
+//! [`stats`] estimates cut and equator-band probabilities
 //! empirically (the E4/E6 experiments).
 
 #![forbid(unsafe_code)]

@@ -61,28 +61,6 @@ pub fn lemma1_bound(d: usize, dist: f64, w: f64) -> f64 {
     (d as f64).sqrt() * dist / w
 }
 
-/// Largest Euclidean distance observed between two points sharing a
-/// hybrid partition — the empirical counterpart of Lemma 1's
-/// `O(√r·w)` diameter bound ([`HybridLevel::diameter_bound`] is `2√r·w`).
-/// Returns 0.0 when no two covered points share a partition.
-pub fn empirical_partition_diameter(points: &[Vec<f64>], level: &HybridLevel) -> f64 {
-    let mut groups: std::collections::HashMap<_, Vec<usize>> = std::collections::HashMap::new();
-    for (i, p) in points.iter().enumerate() {
-        if let Some(a) = level.assign(p) {
-            groups.entry(a).or_default().push(i);
-        }
-    }
-    let mut worst: f64 = 0.0;
-    for members in groups.values() {
-        for (k, &a) in members.iter().enumerate() {
-            for &b in &members[k + 1..] {
-                worst = worst.max(treeemb_geom::metrics::dist(&points[a], &points[b]));
-            }
-        }
-    }
-    worst
-}
-
 /// Estimates `Pr[|u_1| ≤ D/(2w)]` for `u` uniform on the unit sphere
 /// (`Lemma 4`) or the unit ball (`Lemma 5`), via `trials` samples.
 pub fn equator_band_probability(
@@ -164,22 +142,6 @@ mod tests {
         let est = grid_cut_probability(&p, &q, 10.0, 2000, 4);
         // Exact: 1 - (1 - 0.05)^2 = 0.0975.
         assert!((est - 0.0975).abs() < 0.03, "est {est}");
-    }
-
-    #[test]
-    fn empirical_diameter_stays_within_lemma1_bound() {
-        use treeemb_linalg::random::unit_f64;
-        let level = HybridLevel::new(4, 2, 8.0, 400, 77);
-        let points: Vec<Vec<f64>> = (0..300u64)
-            .map(|i| (0..4).map(|j| unit_f64(i, j as u64) * 60.0).collect())
-            .collect();
-        let worst = empirical_partition_diameter(&points, &level);
-        assert!(worst > 0.0, "no pair shared a partition");
-        assert!(
-            worst <= level.diameter_bound() + 1e-9,
-            "{worst} > bound {}",
-            level.diameter_bound()
-        );
     }
 
     #[test]
