@@ -18,7 +18,7 @@ use treeemb_fjlt::fjlt::FjltParams;
 use treeemb_fjlt::mpc::fjlt_mpc;
 use treeemb_geom::generators;
 use treeemb_mpc::fault::{shrink_plan, FaultEvent, FaultPlan, FaultRates, FaultSpec};
-use treeemb_mpc::{FaultKind, MpcConfig, Runtime};
+use treeemb_mpc::{MpcConfig, Runtime};
 use treeemb_obs::json;
 
 /// Which pipeline stage a chaos check drives.
@@ -199,7 +199,7 @@ pub fn check_stage_tuned(
     // themselves.
     let faults = events
         .iter()
-        .filter(|e| e.kind != FaultKind::Recover)
+        .filter(|e| matches!(e, FaultEvent::Injected(_)))
         .count();
     ChaosOutcome {
         stage,
@@ -330,16 +330,14 @@ pub fn plan_matrix(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     // fault per attempt there for the retry-then-succeed path to win.
     let light = FaultPlan::new(seed)
         .with_rates(FaultRates {
-            drop: 0.0002,
-            duplicate: 0.0001,
+            drop: 0.0003,
             unavailable: 0.002,
             crash: 0.0,
         })
         .with_max_retries(12);
     let heavy = FaultPlan::new(seed ^ 0xBEEF)
         .with_rates(FaultRates {
-            drop: 0.01,
-            duplicate: 0.005,
+            drop: 0.015,
             unavailable: 0.05,
             crash: 0.0,
         })

@@ -6,7 +6,7 @@
 use crate::{table::fnum, Scale, Table};
 use treeemb_core::params::{estimate_grid_words, pipeline_r};
 use treeemb_core::pipeline::{run as run_pipeline, PipelineConfig};
-use treeemb_fjlt::dense::target_dimension;
+use treeemb_fjlt::fjlt::target_dimension;
 use treeemb_geom::generators;
 
 /// Runs E11.

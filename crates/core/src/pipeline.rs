@@ -14,7 +14,7 @@ use crate::error::EmbedError;
 use crate::mpc_embed::embed_mpc;
 use crate::params::HybridParams;
 use crate::seq::Embedding;
-use treeemb_fjlt::fjlt::FjltParams;
+use treeemb_fjlt::fjlt::{target_dimension, FjltParams};
 use treeemb_fjlt::mpc::fjlt_mpc;
 use treeemb_geom::PointSet;
 use treeemb_mpc::fault::{FaultEvent, FaultPlan};
@@ -259,8 +259,15 @@ pub fn run_faulted(
     if ps.is_empty() {
         return (Err(EmbedError::EmptyInput), Vec::new());
     }
-    let mpc_cfg = match validate(cfg).and_then(|()| size_mpc_config(ps, cfg)) {
-        Ok(mpc_cfg) => mpc_cfg,
+    // The FJLT runs when `d` is above the JL target dimension and the
+    // run does not skip it.
+    let sized = validate(cfg).and_then(|()| {
+        let k_target = target_dimension(ps.len(), cfg.xi);
+        let jl_target = (ps.dim() > k_target && !cfg.skip_jl).then_some(k_target);
+        Ok((size_mpc_config(ps, cfg, jl_target)?, jl_target.is_some()))
+    });
+    let (mpc_cfg, jl_planned) = match sized {
+        Ok(sized) => sized,
         Err(e) => return (Err(e), Vec::new()),
     };
     let attempts = cfg.fault_attempts.max(1);
@@ -271,7 +278,7 @@ pub fn run_faulted(
             builder = builder.fault_plan(plan.for_attempt(attempt));
         }
         let mut rt = builder.build();
-        let result = run_attempt(ps, cfg, &mut rt);
+        let result = run_attempt(ps, cfg, jl_planned, &mut rt);
         events.extend(rt.take_fault_log());
         match result {
             Err(e) if e.is_retryable() && attempt + 1 < attempts => {
@@ -329,15 +336,18 @@ const EPSILON: f64 = 0.6;
 /// broadcast grids (Lemma 8). At asymptotic n the fully scalable `N^ε`
 /// dominates the grid payload; at bench scales the payload's log
 /// factors win, so we take the max of the two (with 4x slack for the
-/// estimate). Fails when a machine-capacity override does not fit the
-/// sized cluster.
-fn size_mpc_config(ps: &PointSet, cfg: &PipelineConfig) -> Result<MpcConfig, EmbedError> {
+/// estimate). `jl_target` is the FJLT's target dimension when it runs.
+/// Fails when a machine-capacity override does not fit the sized
+/// cluster.
+fn size_mpc_config(
+    ps: &PointSet,
+    cfg: &PipelineConfig,
+    jl_target: Option<usize>,
+) -> Result<MpcConfig, EmbedError> {
     let n = ps.len();
     let d = ps.dim();
     let input_words = n * (d + 1);
-    let k_target = treeemb_fjlt::dense::target_dimension(n, cfg.xi);
-    let jl_planned = d > k_target && !cfg.skip_jl;
-    let working_dim_est = if jl_planned { k_target } else { d };
+    let working_dim_est = jl_target.unwrap_or(d);
     let r_est = cfg
         .r
         .unwrap_or_else(|| crate::params::pipeline_r(n, working_dim_est));
@@ -386,13 +396,12 @@ fn size_mpc_config(ps: &PointSet, cfg: &PipelineConfig) -> Result<MpcConfig, Emb
 fn run_attempt(
     ps: &PointSet,
     cfg: &PipelineConfig,
+    jl_planned: bool,
     rt: &mut Runtime,
 ) -> Result<PipelineReport, EmbedError> {
     let run_sp = treeemb_obs::span!("pipeline.run", "n" = ps.len(), "d" = ps.dim());
     let n = ps.len();
     let d = ps.dim();
-    let k_target = treeemb_fjlt::dense::target_dimension(n, cfg.xi);
-    let jl_planned = d > k_target && !cfg.skip_jl;
     let mut stages: Vec<StageStats> = Vec::with_capacity(3);
     // Meters a stage as the (wall, rounds, sent-words) delta around `f`,
     // under a `pipeline.<name>` span so the MPC rounds inside nest.
@@ -417,23 +426,21 @@ fn run_attempt(
     };
 
     // Step 1: dimension reduction, when it helps (d above the JL target).
-    let (working, fjlt_params, min_sep, fjlt_rounds) = if jl_planned {
+    let (working, fjlt_params, min_sep) = if jl_planned {
         let params = FjltParams::for_dataset(n, d, cfg.xi, cfg.seed ^ 0xF17);
         let mut projected = None;
         staged("fjlt", rt, &mut stages, &mut |rt| {
             projected = Some(fjlt_mpc(rt, ps, &params)?);
             Ok(())
         })?;
-        let rounds = rt.metrics().rounds();
         // JL contracts distances by at most (1 - ξ) w.h.p.
         (
             projected.expect("fjlt stage ran"),
             Some(params),
             cfg.min_sep * (1.0 - cfg.xi),
-            rounds,
         )
     } else {
-        (ps.clone(), None, cfg.min_sep, 0)
+        (ps.clone(), None, cfg.min_sep)
     };
 
     // Step 2: schedule. The default r keeps bucket dimensions practical
@@ -461,6 +468,10 @@ fn run_attempt(
     })?;
     let embedding = embedding_slot.expect("embed stage ran");
     let metrics = rt.metrics().clone();
+    let fjlt_rounds = stages
+        .iter()
+        .find(|s| s.name == "fjlt")
+        .map_or(0, |s| s.rounds);
     drop(run_sp);
     // With TREEEMB_TRACE (or set_trace_path) configured, persist the
     // trace; a no-op returning None otherwise.
@@ -471,8 +482,8 @@ fn run_attempt(
         peak_total_words: metrics.peak_total_words(),
         embedding,
         params,
+        jl_applied: fjlt_params.is_some(),
         fjlt: fjlt_params,
-        jl_applied: fjlt_rounds > 0,
         fjlt_rounds,
         capacity_words: rt.capacity(),
         machines: rt.num_machines(),
@@ -649,7 +660,7 @@ mod tests {
         let ps = generators::uniform_cube(2048, 16, 1 << 10, 5);
         let cfg = PipelineConfig::default();
         let mut rt = Runtime::builder()
-            .config(size_mpc_config(&ps, &cfg).unwrap())
+            .config(size_mpc_config(&ps, &cfg, None).unwrap())
             .build();
         let r = crate::params::pipeline_r(ps.len(), ps.dim());
         let params =

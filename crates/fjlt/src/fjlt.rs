@@ -28,6 +28,16 @@ pub struct FjltParams {
     pub seed: u64,
 }
 
+/// Standard JL target dimension for distortion `(1 ± ξ)` over all pairs
+/// of `n` points with high probability: `k = ⌈8·ln(max(n,2)) / ξ²⌉`.
+/// [`FjltParams::for_dataset`] projects to it, and the pipeline skips the
+/// FJLT when the input dimension is not above it.
+pub fn target_dimension(n: usize, xi: f64) -> usize {
+    assert!(xi > 0.0 && xi < 1.0, "xi must lie in (0,1)");
+    let ln_n = (n.max(2) as f64).ln();
+    ((8.0 * ln_n) / (xi * xi)).ceil() as usize
+}
+
 impl FjltParams {
     /// Derives parameters for `n` points in dimension `d` at distortion
     /// `ξ`: `k = Θ(ξ⁻² log n)`, `q = min(Θ(log² n / d), 1)` (paper §5).
@@ -35,7 +45,7 @@ impl FjltParams {
         assert!(n >= 1 && d >= 1);
         assert!(xi > 0.0 && xi < 1.0, "xi must lie in (0,1)");
         let d_pad = wht::next_pow2(d);
-        let k = crate::dense::target_dimension(n, xi).min(d_pad);
+        let k = target_dimension(n, xi).min(d_pad);
         let ln_n = (n.max(2) as f64).ln();
         // Constant 2 keeps q-dense enough that sparse-projection noise is
         // small at the bench scales we run (Ailon-Chazelle allow any
@@ -150,6 +160,12 @@ mod tests {
     use super::*;
     use treeemb_geom::generators;
     use treeemb_geom::metrics::{dist, norm};
+
+    #[test]
+    fn target_dimension_shrinks_with_larger_xi() {
+        assert!(target_dimension(1000, 0.5) < target_dimension(1000, 0.25));
+        assert!(target_dimension(1_000_000, 0.5) > target_dimension(100, 0.5));
+    }
 
     #[test]
     fn params_derivation_is_sane() {

@@ -1,10 +1,10 @@
 //! Johnson–Lindenstrauss transforms (paper §5, Theorem 3).
 //!
-//! * [`dense`] — the JL target dimension `k` for `n` points at
-//!   distortion `1 ± ξ`;
 //! * [`fjlt`] — the sequential Fast Johnson–Lindenstrauss Transform of
 //!   Ailon–Chazelle: `φ(x) = k^{-1/2}·P·H·D·x` with a sparse Gaussian
-//!   `P`, the Walsh–Hadamard `H`, and a random-sign diagonal `D`;
+//!   `P`, the Walsh–Hadamard `H`, and a random-sign diagonal `D`, to the
+//!   JL target dimension `k` for `n` points at distortion `1 ± ξ`
+//!   ([`fjlt::target_dimension`]);
 //! * [`mpc`] — the paper's constant-round, sublinear-memory MPC
 //!   implementation (Algorithm 3): `D` applied pointwise, `H` via a
 //!   butterfly-grouped distributed WHT (`O(1/ε)` super-rounds), `P` via
@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
-pub mod dense;
 pub mod fjlt;
 pub mod mpc;
 

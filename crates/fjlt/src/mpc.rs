@@ -241,7 +241,7 @@ mod tests {
     use super::*;
     use crate::fjlt::Fjlt;
     use treeemb_geom::generators;
-    use treeemb_mpc::{FaultKind, FaultPlan, FaultSpec, MpcConfig};
+    use treeemb_mpc::{FaultEvent, FaultPlan, FaultSpec, MpcConfig};
 
     fn runtime(cap: usize, machines: usize) -> Runtime {
         Runtime::builder()
@@ -355,8 +355,8 @@ mod tests {
         }
     }
 
-    /// Retried drops and duplicates in the distributed `fjlt:project`
-    /// round leave the output bits unchanged.
+    /// Retried drops in the distributed `fjlt:project` round leave the
+    /// output bits unchanged.
     #[test]
     fn distributed_projection_survives_retryable_faults() {
         let (ps, params) = spread_input();
@@ -378,7 +378,7 @@ mod tests {
                     src,
                     msg_index: 0,
                 })
-                .with_fault(FaultSpec::Duplicate {
+                .with_fault(FaultSpec::Drop {
                     round: project,
                     attempt: 0,
                     src,
@@ -398,13 +398,13 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>()
         );
-        let log = rt.fault_log();
-        assert!(log
-            .iter()
-            .any(|e| e.kind == FaultKind::Drop && e.round == project));
-        assert!(log
-            .iter()
-            .any(|e| e.kind == FaultKind::Duplicate && e.round == project));
+        let dropped = |msg: usize| {
+            rt.fault_log().iter().any(|e| {
+                matches!(e, FaultEvent::Injected(FaultSpec::Drop { round, msg_index, .. })
+                         if *round == project && *msg_index == msg)
+            })
+        };
+        assert!(dropped(0) && dropped(1));
         assert!(rt.metrics().retried_rounds() >= 1);
     }
 

@@ -17,7 +17,7 @@
 //! | `ambient-rand` | deterministic core, non-test | `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `rand::random` |
 //! | `hash-iter` | deterministic core, non-test | iterating a `HashMap`/`HashSet` (`for .. in map`, `.iter()`, `.keys()`, `.values()`, `.drain()`, …) |
 //! | `thread-spawn` | everywhere, non-test | `thread::spawn` / `thread::Builder` / `thread::scope` (the executor in `mpc::exec` carries the one audited allow) |
-//! | `deprecated-shim` | everywhere | `Runtime::new`, `set_fault_plan`, `clear_fault_plan`, `assign_packed`, `PackedLevelKey`, `PackedHasher`, `embed_exact_keys`, `distortion_report_parallel`, `check_domination_parallel`, `fault::json`, `CheckpointPolicy`, `from_env`, `EnvOverrides`, `backoff_ns`, `straggle_ns`, `lenient`, `par_for_each_mut`, `PoolCore`, `JobCore`, `sort_dedup_by_key`, `primitives::sort`, `sort_two_level`, `sort_single_level`, `DistanceOracle`, `LabelStats`, `by_label`, `squeeze_for`, `squeeze_min`, `distance_matrix`, `nodes_at_depth`, `to_ascii`, `total_space_words`, `gaussian_jl`, `dense_work`, `apply_parallel`, `estimate_expected_distortion_threads`, `build_grids`, `ball_part`, `grid_partition`, `empirical_partition_diameter`, `hypercube_corners`, `exponential_scales`, `point_mut`, `affine`, `derived_rng`, `to_dense`, `measured_min_sep`, `tree_mst_cost_in_tree_metric` (deleted APIs must not return) |
+//! | `deprecated-shim` | everywhere | any identifier or `a::b` path in [`RETIRED`], each with the reason its diagnostic gives (deleted APIs must not return) |
 //! | `config-literal` | everywhere | `MpcConfig { .. }` / `PipelineConfig { .. }` struct literals outside their defining modules — construct through `MpcConfig::explicit` / `fully_scalable` and `PipelineConfig::builder()` |
 //! | `env-read` | everywhere | `env::var("TREEEMB_…")` without a `lint:allow` (the tracer's `TREEEMB_TRACE` and the `TREEEMB_PROPTEST_CASES` test knob carry one) |
 //!
@@ -47,7 +47,7 @@
 mod lexer;
 mod rules;
 
-pub use rules::{lint_source, RULES};
+pub use rules::{lint_source, RETIRED, RULES};
 
 use std::fmt;
 use std::io;

@@ -35,7 +35,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "deprecated-shim",
-        summary: "resurrecting deleted APIs (Runtime::new, set_fault_plan, clear_fault_plan, assign_packed, PackedLevelKey, PackedHasher, embed_exact_keys, distortion_report_parallel, check_domination_parallel, fault::json, CheckpointPolicy, from_env, EnvOverrides, backoff_ns, straggle_ns, lenient, par_for_each_mut, PoolCore, JobCore, sort_dedup_by_key, primitives::sort, sort_two_level, sort_single_level, DistanceOracle, LabelStats, by_label, squeeze_for, squeeze_min, distance_matrix, nodes_at_depth, to_ascii, total_space_words, gaussian_jl, dense_work, apply_parallel, estimate_expected_distortion_threads, build_grids, ball_part, grid_partition, empirical_partition_diameter, hypercube_corners, exponential_scales, point_mut, affine, derived_rng, to_dense, measured_min_sep, tree_mst_cost_in_tree_metric)",
+        summary: "resurrecting a retired API: any name or path in the RETIRED table (crates/lint/src/rules.rs)",
     },
     RuleInfo {
         id: "config-literal",
@@ -45,6 +45,119 @@ pub const RULES: &[RuleInfo] = &[
         id: "env-read",
         summary: "env::var(\"TREEEMB_*\") without an audited lint:allow (no configuration is read from the environment)",
     },
+];
+
+/// Every retired API the `deprecated-shim` rule denies, with the reason
+/// its diagnostic gives. A pattern is one identifier or an `a::b` path of
+/// identifiers; it matches in code (not in strings or comments),
+/// including test code.
+pub const RETIRED: &[(&[&str], &str)] = &[
+    (
+        &["Runtime::new"],
+        "construct through Runtime::builder() (optionally .config(cfg))",
+    ),
+    (
+        &["set_fault_plan", "clear_fault_plan"],
+        "attach fault plans at construction via Runtime::builder().fault_plan(plan)",
+    ),
+    (
+        &[
+            "assign_packed",
+            "PackedLevelKey",
+            "PackedHasher",
+            "embed_exact_keys",
+        ],
+        "every embedder groups points by the node ids of \
+         treeemb_partition::for_each_node_id",
+    ),
+    (
+        &["distortion_report_parallel", "check_domination_parallel"],
+        "the parallel pair audit measured 1.0x; call the serial distortion_report / \
+         check_domination",
+    ),
+    (
+        &["fault::json"],
+        "the workspace has one JSON codec, treeemb_obs::json",
+    ),
+    (
+        &[
+            "CheckpointPolicy",
+            "from_env",
+            "EnvOverrides",
+            "backoff_ns",
+            "straggle_ns",
+            "lenient",
+        ],
+        "a knob with no observable effect in the deterministic simulation (rounds \
+         checkpoint iff the fault plan can crash; retries are counted, not slept; every \
+         capacity overrun is an error; configuration comes from the builders, not the \
+         environment)",
+    ),
+    (
+        &[
+            "par_for_each_mut",
+            "PoolCore",
+            "JobCore",
+            "sort_dedup_by_key",
+        ],
+        "the executor is par_map_indexed over scoped threads, and distributed dedup is \
+         primitives::shuffle::dedup_by_key",
+    ),
+    (
+        &[
+            "primitives::sort",
+            "sort_two_level",
+            "sort_single_level",
+            "DistanceOracle",
+            "LabelStats",
+            "by_label",
+            "squeeze_for",
+            "squeeze_min",
+            "distance_matrix",
+            "nodes_at_depth",
+            "to_ascii",
+            "total_space_words",
+        ],
+        "the MPC and tree substrate carries only what an algorithm, experiment, CLI path \
+         or the benchmark calls (squeezes are cluster-wide; per-machine capacity is \
+         MpcConfig::machine_capacities)",
+    ),
+    (
+        &[
+            "gaussian_jl",
+            "dense_work",
+            "apply_parallel",
+            "estimate_expected_distortion_threads",
+            "build_grids",
+            "ball_part",
+            "grid_partition",
+            "empirical_partition_diameter",
+            "hypercube_corners",
+            "exponential_scales",
+            "point_mut",
+            "affine",
+            "derived_rng",
+            "to_dense",
+            "measured_min_sep",
+            "tree_mst_cost_in_tree_metric",
+        ],
+        "only its own unit test called it (the dense JL baseline, the paper-name aliases \
+         of GridSequence::build/assign, one-thread parallel variants, uncalled generators \
+         and helpers); the library carries only what an experiment, CLI path, example or \
+         the benchmark calls",
+    ),
+    (
+        &["FaultKind", "FaultSpec::Duplicate", "msg_fault"],
+        "one type describes a fault: a FaultSpec is the schedule and, as \
+         FaultEvent::Injected, the log (FaultSpec::name gives its kind); the exchange \
+         retried a duplicated message exactly like a dropped one, so schedule a \
+         FaultSpec::Drop and ask FaultPlan::dropped",
+    ),
+    (
+        &["dense::target_dimension"],
+        "the JL target dimension sits next to its caller FjltParams::for_dataset: \
+         treeemb_fjlt::fjlt::target_dimension",
+    ),
 ];
 
 fn known_rule(id: &str) -> bool {
@@ -417,159 +530,20 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
         }
 
         // deprecated-shim (everywhere, including tests).
-        if matches!(tok.text.as_str(), "set_fault_plan" | "clear_fault_plan") {
-            push(
-                tok,
-                "deprecated-shim",
-                format!(
-                    "`{}` was removed: attach fault plans at construction via \
-                     Runtime::builder().fault_plan(plan)",
-                    tok.text
-                ),
-            );
-        }
-        if matches!(
-            tok.text.as_str(),
-            "assign_packed" | "PackedLevelKey" | "PackedHasher" | "embed_exact_keys"
-        ) {
-            push(
-                tok,
-                "deprecated-shim",
-                format!(
-                    "`{}` was removed: every embedder groups points by the node ids of \
-                     treeemb_partition::for_each_node_id",
-                    tok.text
-                ),
-            );
-        }
-        if matches!(
-            tok.text.as_str(),
-            "distortion_report_parallel" | "check_domination_parallel"
-        ) {
-            push(
-                tok,
-                "deprecated-shim",
-                format!(
-                    "`{}` was removed: the parallel pair audit measured 1.0x; call the \
-                     serial distortion_report / check_domination",
-                    tok.text
-                ),
-            );
-        }
-        if tok.text == "fault" && t(i + 1) == "::" && t(i + 2) == "json" {
-            push(
-                tok,
-                "deprecated-shim",
-                "`fault::json` was removed: the workspace has one JSON codec, \
-                 treeemb_obs::json"
-                    .to_string(),
-            );
-        }
-        if matches!(
-            tok.text.as_str(),
-            "CheckpointPolicy"
-                | "from_env"
-                | "EnvOverrides"
-                | "backoff_ns"
-                | "straggle_ns"
-                | "lenient"
-        ) {
-            push(
-                tok,
-                "deprecated-shim",
-                format!(
-                    "`{}` was removed: a knob with no observable effect in the deterministic \
-                     simulation (rounds checkpoint iff the fault plan can crash; retries are \
-                     counted, not slept; every capacity overrun is an error; configuration \
-                     comes from the builders, not the environment)",
-                    tok.text
-                ),
-            );
-        }
-        if matches!(
-            tok.text.as_str(),
-            "par_for_each_mut" | "PoolCore" | "JobCore" | "sort_dedup_by_key"
-        ) {
-            push(
-                tok,
-                "deprecated-shim",
-                format!(
-                    "`{}` was removed: the executor is par_map_indexed over scoped threads, \
-                     and distributed dedup is primitives::shuffle::dedup_by_key",
-                    tok.text
-                ),
-            );
-        }
-        if matches!(
-            tok.text.as_str(),
-            "sort_two_level"
-                | "sort_single_level"
-                | "DistanceOracle"
-                | "LabelStats"
-                | "by_label"
-                | "squeeze_for"
-                | "squeeze_min"
-                | "distance_matrix"
-                | "nodes_at_depth"
-                | "to_ascii"
-                | "total_space_words"
-        ) || (tok.text == "primitives" && t(i + 1) == "::" && t(i + 2) == "sort")
-        {
-            push(
-                tok,
-                "deprecated-shim",
-                format!(
-                    "`{}` was removed: the MPC and tree substrate carries only what an \
-                     algorithm, experiment, CLI path or the benchmark calls (squeezes are \
-                     cluster-wide; per-machine capacity is MpcConfig::machine_capacities)",
-                    if tok.text == "primitives" {
-                        "primitives::sort"
-                    } else {
-                        tok.text.as_str()
-                    }
-                ),
-            );
-        }
-        if matches!(
-            tok.text.as_str(),
-            "gaussian_jl"
-                | "dense_work"
-                | "apply_parallel"
-                | "estimate_expected_distortion_threads"
-                | "build_grids"
-                | "ball_part"
-                | "grid_partition"
-                | "empirical_partition_diameter"
-                | "hypercube_corners"
-                | "exponential_scales"
-                | "point_mut"
-                | "affine"
-                | "derived_rng"
-                | "to_dense"
-                | "measured_min_sep"
-                | "tree_mst_cost_in_tree_metric"
-        ) {
-            push(
-                tok,
-                "deprecated-shim",
-                format!(
-                    "`{}` was removed: only its own unit test called it (the dense JL \
-                     baseline, the paper-name aliases of GridSequence::build/assign, \
-                     one-thread parallel variants, uncalled generators and helpers); \
-                     the library carries only what an experiment, CLI path, example or \
-                     the benchmark calls",
-                    tok.text
-                ),
-            );
-        }
-        if tok.text == "Runtime" && t(i + 1) == "::" && t(i + 2) == "new" {
-            push(
-                tok,
-                "deprecated-shim",
-                "`Runtime::new` was removed: construct through Runtime::builder() \
-                 (optionally .config(cfg))"
-                    .to_string(),
-            );
+        for (patterns, reason) in RETIRED {
+            for pat in *patterns {
+                let hit = pat
+                    .split("::")
+                    .enumerate()
+                    .all(|(k, seg)| t(i + 2 * k) == seg && (k == 0 || t(i + 2 * k - 1) == "::"));
+                if hit {
+                    push(
+                        tok,
+                        "deprecated-shim",
+                        format!("`{pat}` was removed: {reason}"),
+                    );
+                }
+            }
         }
 
         // config-literal (everywhere except the defining modules).

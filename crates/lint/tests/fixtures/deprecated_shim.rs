@@ -9,7 +9,9 @@
 // aggregation, machine-scoped squeezes, uncalled tree and config helpers)
 // and the library items only their own unit tests called (the dense JL
 // baseline, paper-name aliases, one-thread parallel variants, uncalled
-// generators and helpers) were deleted;
+// generators and helpers), the second fault vocabulary and the duplicate
+// fault that acted exactly like a drop, and the misnamed `dense` module
+// were deleted;
 // the lint keeps them from coming back — even in test code.
 
 fn resurrect() {
@@ -86,8 +88,27 @@ fn resurrect_uncalled_library(ps: &mut PointSet, f: &Fjlt, m: &CscMatrix, emb: &
     let _ = tree_mst_cost_in_tree_metric(emb); //~ DENY deprecated-shim
 }
 
+fn resurrect_fault_vocabulary(plan: &FaultPlan, e: &FaultEvent) {
+    let _: Option<FaultKind> = None; //~ DENY deprecated-shim
+    let _ = plan.msg_fault(0, 0, 1, 2); //~ DENY deprecated-shim
+    let _ = plan.clone().with_fault(FaultSpec::Duplicate { //~ DENY deprecated-shim
+        round: 0,
+        attempt: 0,
+        src: 1,
+        msg_index: 2,
+    });
+    let _ = treeemb_fjlt::dense::target_dimension(64, 0.5); //~ DENY deprecated-shim
+}
+
+fn sanctioned_fault_vocabulary(plan: &FaultPlan, e: &FaultEvent) {
+    let _ = plan.dropped(0, 0, 1, 2);
+    let _ = matches!(e, FaultEvent::Injected(FaultSpec::Drop { .. }));
+    let _ = FaultSpec::Crash { round: 0, attempt: 0, machine: 1 }.name();
+    let _ = HstError::DuplicatePoint(3);
+}
+
 fn sanctioned_library(ps: &PointSet, f: &Fjlt, grids: &GridSequence, emb: &Embedding) {
-    let _ = treeemb_fjlt::dense::target_dimension(ps.len(), 0.5);
+    let _ = treeemb_fjlt::fjlt::target_dimension(ps.len(), 0.5);
     let _ = f.apply(ps);
     let _ = estimate_expected_distortion(ps, 4, build);
     let _ = grids.assign(ps.point(0));

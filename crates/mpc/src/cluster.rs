@@ -4,7 +4,7 @@
 use crate::config::{MpcConfig, RuntimeBuilder};
 use crate::error::{CapacityPhase, MpcError, MpcResult};
 use crate::exec;
-use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+use crate::fault::{FaultEvent, FaultPlan, FaultSpec};
 use crate::metrics::{Metrics, RoundStats};
 use crate::words::{self, Words};
 
@@ -227,50 +227,48 @@ impl Runtime {
             return;
         };
         let cap = sq.min(self.cfg.capacity_words);
-        let logged = self
-            .fault_log()
-            .iter()
-            .any(|e| e.kind == FaultKind::Squeeze && e.round == round);
+        let logged = self.fault_log().iter().any(|e| {
+            matches!(e, FaultEvent::Injected(FaultSpec::Squeeze { from_round, .. })
+                     if *from_round == round)
+        });
         if cap < self.cfg.capacity_words && !logged {
-            self.record_fault(FaultEvent {
-                round,
-                attempt: 0,
-                kind: FaultKind::Squeeze,
-                machine: 0,
-                msg_index: usize::MAX,
-                value: cap as u64,
-            });
+            self.record_fault(FaultEvent::Injected(FaultSpec::Squeeze {
+                from_round: round,
+                capacity_words: cap,
+            }));
         }
     }
 
-    /// Appends an injected fault to the log and the active trace.
+    /// Appends a fault event to the log and, when tracing, marks it as
+    /// `fault.<name>` (or `recover.ok`) with `round` and `attempt` first.
     fn record_fault(&mut self, ev: FaultEvent) {
         if treeemb_obs::enabled() {
-            let name = match ev.kind {
-                FaultKind::Drop => "fault.drop",
-                FaultKind::Duplicate => "fault.duplicate",
-                FaultKind::Unavailable => "fault.unavailable",
-                FaultKind::Squeeze => "fault.squeeze",
-                FaultKind::Crash => "fault.crash",
-                FaultKind::Recover => "recover.ok",
+            let (name, args) = match ev {
+                FaultEvent::Injected(spec) => {
+                    let (round, attempt) = spec.at();
+                    let mut args = vec![("round", round as u64), ("attempt", attempt as u64)];
+                    args.extend(
+                        spec.fields()
+                            .filter(|(k, _)| !matches!(*k, "round" | "attempt")),
+                    );
+                    (format!("fault.{}", spec.name()), args)
+                }
+                FaultEvent::Recovered {
+                    round,
+                    attempt,
+                    machine,
+                    words,
+                } => {
+                    let args = vec![
+                        ("round", round as u64),
+                        ("attempt", attempt as u64),
+                        ("machine", machine as u64),
+                        ("words", words),
+                    ];
+                    ("recover.ok".to_string(), args)
+                }
             };
-            treeemb_obs::mark(
-                name,
-                &[
-                    ("round", ev.round as u64),
-                    ("attempt", ev.attempt as u64),
-                    ("machine", ev.machine as u64),
-                    (
-                        "msg_index",
-                        if ev.msg_index == usize::MAX {
-                            0
-                        } else {
-                            ev.msg_index as u64
-                        },
-                    ),
-                    ("value", ev.value),
-                ],
-            );
+            treeemb_obs::mark(name, &args);
         }
         if let Some(f) = &mut self.faults {
             f.log.push(ev);
@@ -375,7 +373,7 @@ impl Runtime {
     /// rate) is re-executed from the snapshot —
     /// determinism makes the replay bit-identical — up to the plan's
     /// `max_recoveries` budget; each restore is logged as a
-    /// [`FaultKind::Recover`] event and counted in
+    /// [`FaultEvent::Recovered`] event and counted in
     /// [`RoundStats::recoveries`]. A machine that crashes through the
     /// whole budget fails the round with the typed, retryable
     /// [`MpcError::RecoveryExhausted`].
@@ -447,14 +445,11 @@ impl Runtime {
                     continue;
                 }
                 for attempt in 0..k {
-                    self.record_fault(FaultEvent {
+                    self.record_fault(FaultEvent::Injected(FaultSpec::Crash {
                         round: round_idx,
                         attempt,
-                        kind: FaultKind::Crash,
                         machine,
-                        msg_index: usize::MAX,
-                        value: 0,
-                    });
+                    }));
                 }
                 if k > p.max_recoveries {
                     if treeemb_obs::enabled() {
@@ -474,13 +469,11 @@ impl Runtime {
                         attempts: k,
                     });
                 }
-                self.record_fault(FaultEvent {
+                self.record_fault(FaultEvent::Recovered {
                     round: round_idx,
                     attempt: k,
-                    kind: FaultKind::Recover,
                     machine,
-                    msg_index: usize::MAX,
-                    value: words::of_slice(input.part(machine)) as u64,
+                    words: words::of_slice(input.part(machine)) as u64,
                 });
                 *crash_count = k;
             }
@@ -525,7 +518,7 @@ impl Runtime {
             });
 
         // Phase 2b: the exchange attempt loop. Transient faults (machine
-        // unavailability, message drop/duplication) are detected by the
+        // unavailability, message drops) are detected by the
         // simulated exchange protocol and the whole exchange retries,
         // re-transmitting from the already-computed
         // machine outputs. A clean attempt therefore delivers exactly the
@@ -535,45 +528,38 @@ impl Runtime {
         let mut attempts = 1u32;
         if let Some(p) = plan.as_ref().filter(|p| !p.is_empty()) {
             let max_attempts = p.max_retries.saturating_add(1);
-            let mut attempt = 0u32;
+            let (round, mut attempt) = (round_idx, 0u32);
             loop {
-                let mut events: Vec<FaultEvent> = Vec::new();
-                for machine in 0..m {
-                    if p.unavailable(round_idx, attempt, machine) {
-                        events.push(FaultEvent {
-                            round: round_idx,
-                            attempt,
-                            kind: FaultKind::Unavailable,
-                            machine,
-                            msg_index: usize::MAX,
-                            value: 0,
-                        });
-                    }
-                }
+                let mut events: Vec<FaultSpec> = (0..m)
+                    .filter(|&machine| p.unavailable(round, attempt, machine))
+                    .map(|machine| FaultSpec::Unavailable {
+                        round,
+                        attempt,
+                        machine,
+                    })
+                    .collect();
                 if events.is_empty() {
-                    // All machines up: scan the exchange for message
-                    // faults, in (source, emission index) order.
+                    // All machines up: scan the exchange for drops, in
+                    // (source, emission index) order.
                     for (src, out) in outputs.iter().enumerate() {
-                        for idx in 0..out.em.sent {
-                            if let Some(kind) = p.msg_fault(round_idx, attempt, src, idx) {
-                                events.push(FaultEvent {
-                                    round: round_idx,
+                        events.extend(
+                            (0..out.em.sent)
+                                .filter(|&msg_index| p.dropped(round, attempt, src, msg_index))
+                                .map(|msg_index| FaultSpec::Drop {
+                                    round,
                                     attempt,
-                                    kind,
-                                    machine: src,
-                                    msg_index: idx,
-                                    value: 0,
-                                });
-                            }
-                        }
+                                    src,
+                                    msg_index,
+                                }),
+                        );
                     }
                 }
                 if events.is_empty() {
                     attempts = attempt + 1;
                     break;
                 }
-                for ev in events {
-                    self.record_fault(ev);
+                for spec in events {
+                    self.record_fault(FaultEvent::Injected(spec));
                 }
                 if attempt + 1 >= max_attempts {
                     sp.arg("attempts", max_attempts as u64);
@@ -990,7 +976,6 @@ pub fn mix_seed(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultSpec;
     use proptest::prelude::*;
 
     fn small_rt(cap: usize, machines: usize) -> Runtime {
@@ -1397,17 +1382,22 @@ mod tests {
         );
         assert_eq!(rt.metrics().recoveries(), 1);
         assert!(rt.metrics().peak_checkpoint_words() > 0);
-        let kinds: Vec<FaultKind> = rt.fault_log().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&FaultKind::Crash));
-        assert!(kinds.contains(&FaultKind::Recover));
-        let recover = rt
-            .fault_log()
-            .iter()
-            .find(|e| e.kind == FaultKind::Recover)
-            .unwrap();
-        assert_eq!(recover.machine, 0);
-        assert_eq!(recover.attempt, 1, "restored on the first re-execution");
-        assert!(recover.value > 0, "recover event carries restored words");
+        match rt.fault_log() {
+            [FaultEvent::Injected(FaultSpec::Crash {
+                round: 0,
+                attempt: 0,
+                machine: 0,
+            }), FaultEvent::Recovered {
+                round: 0,
+                attempt,
+                machine: 0,
+                words,
+            }] => {
+                assert_eq!(*attempt, 1, "restored on the first re-execution");
+                assert!(*words > 0, "recover event carries restored words");
+            }
+            other => panic!("expected a crash and a restore of machine 0, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1444,7 +1434,7 @@ mod tests {
         assert_eq!(
             rt.fault_log()
                 .iter()
-                .filter(|e| e.kind == FaultKind::Crash)
+                .filter(|e| matches!(e, FaultEvent::Injected(FaultSpec::Crash { .. })))
                 .count(),
             3
         );
@@ -1751,7 +1741,7 @@ mod tests {
                     src: 1,
                     msg_index: 0,
                 })
-                .with_fault(FaultSpec::Duplicate {
+                .with_fault(FaultSpec::Drop {
                     round: 0,
                     attempt: 1,
                     src: 0,

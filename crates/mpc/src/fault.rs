@@ -1,51 +1,40 @@
 //! Deterministic fault injection for the simulated MPC runtime.
 //!
 //! FoundationDB-style deterministic simulation testing: a [`FaultPlan`]
-//! is a seeded, serializable schedule of faults — message
-//! drop/duplication on the exchange path, transient machine
-//! unavailability with a bounded retry budget, machine crashes that
-//! lose a shard mid-round (recovered from the round checkpoint, see
-//! `DESIGN.md`), and cluster-wide capacity squeezes that shrink `s`
-//! mid-run. The runtime consults the plan at fixed points of
-//! [`crate::cluster::Runtime::round`]; every decision is a pure
-//! function of `(plan seed, round, attempt, machine, message index)`,
-//! so a fixed plan reproduces the identical fault sequence and the
-//! identical run outcome across repeated runs and across thread counts.
+//! is a seeded, serializable schedule of message drops, transient
+//! machine unavailability, machine crashes that lose a shard mid-round
+//! and cluster-wide capacity squeezes. The runtime consults the plan at
+//! fixed points of [`crate::cluster::Runtime::round`]; every decision is
+//! a pure function of `(plan seed, round, attempt, machine, message
+//! index)`, so a plan reproduces the identical fault sequence and run
+//! outcome across repeated runs and thread counts.
 //!
-//! **Failure model.** Exchange faults (drop, duplication, machine
-//! unavailability) are *detected* by the simulated exchange protocol —
-//! real shuffles run sequence numbers and acknowledgements — and the
-//! whole exchange is retried (at most `max_retries` times),
-//! re-transmitting from the machines' already-computed outputs. A successful attempt
-//! delivers exactly the fault-free message sequence, so a run under any
-//! retryable fault schedule either produces output bit-identical to the
-//! fault-free run or fails with the typed
-//! [`MpcError::RetriesExhausted`](crate::error::MpcError) — never a
-//! silently wrong result. Capacity squeezes are *not* retryable: they
-//! shrink the effective `s` from a given round onward, and loads that
-//! no longer fit surface as the usual typed capacity errors
-//! ([`MpcError::CapacityExceeded`](crate::error::MpcError)), mirroring
-//! Theorem 1's "report failure" contract. Crashes lose a machine's
-//! *state*, not just an exchange attempt: the runtime re-executes the
-//! lost partition from its round-input checkpoint (deterministic
-//! closures make the re-execution bit-identical), and a machine that
-//! crashes through the whole per-round recovery budget surfaces as the
-//! typed, retryable
-//! [`MpcError::RecoveryExhausted`](crate::error::MpcError).
+//! **Failure model** (Theorem 1's "right tree or reported failure").
+//! Drops and unavailability are *detected* by the simulated exchange
+//! protocol and the whole exchange is retried from the machines'
+//! already-computed outputs, so a run either delivers the fault-free
+//! message sequence or fails with the typed
+//! [`MpcError::RetriesExhausted`](crate::error::MpcError). A squeeze
+//! shrinks the effective `s` from a round onward and is not retryable:
+//! loads that no longer fit are typed capacity errors. A crash loses a
+//! machine's state; the runtime re-executes the lost partition from the
+//! round-input checkpoint (bit-identically, see `DESIGN.md`), and a
+//! machine that crashes through the recovery budget surfaces as the
+//! typed, retryable [`MpcError::RecoveryExhausted`](crate::error::MpcError).
 //!
-//! Plans round-trip through JSON ([`FaultPlan::to_json`] /
-//! [`FaultPlan::from_json`], over the workspace codec
-//! [`treeemb_obs::json`]), which is what `treeemb-bench --bin chaos --
-//! --faults plan.json` replays and what the shrinker
-//! ([`shrink_plan`]) prints for a minimal reproducing schedule.
+//! One type describes a fault: a [`FaultSpec`] is what a plan schedules
+//! and, as [`FaultEvent::Injected`], what the runtime logs, so a fault
+//! log replays as a schedule ([`FaultPlan::from_events`]). Plans
+//! round-trip through JSON over the workspace codec
+//! [`treeemb_obs::json`]: `treeemb-bench --bin chaos -- --faults
+//! plan.json` replays them, and the shrinker ([`shrink_plan`]) prints a
+//! minimal reproducing schedule.
 
 use crate::cluster::mix_seed;
-use std::fmt;
 use treeemb_obs::json::{self, Float, Value};
 
 /// Domain-separation tags for the per-fault-kind hash streams.
 const TAG_DROP: u64 = 0xD809;
-const TAG_DUP: u64 = 0xD7B1;
 const TAG_UNAVAILABLE: u64 = 0x0FF1;
 const TAG_CRASH: u64 = 0xC4A5;
 
@@ -54,12 +43,8 @@ const TAG_CRASH: u64 = 0xC4A5;
 /// to `[0, 1]`; `0` disables the class.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
-    /// Probability a message is dropped in transit (per message, per
-    /// attempt).
+    /// Probability a message is dropped (per message, per attempt).
     pub drop: f64,
-    /// Probability a message is duplicated in transit (per message, per
-    /// attempt).
-    pub duplicate: f64,
     /// Probability a machine is unavailable for an exchange attempt
     /// (per machine, per attempt).
     pub unavailable: f64,
@@ -72,11 +57,12 @@ pub struct FaultRates {
 impl FaultRates {
     /// True when every rate is zero (no probabilistic injection).
     pub fn is_zero(&self) -> bool {
-        self.drop <= 0.0 && self.duplicate <= 0.0 && self.unavailable <= 0.0 && self.crash <= 0.0
+        self.drop <= 0.0 && self.unavailable <= 0.0 && self.crash <= 0.0
     }
 }
 
-/// One explicitly scheduled fault.
+/// One fault: what a plan schedules and, wrapped in
+/// [`FaultEvent::Injected`], what the runtime logs when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSpec {
     /// Message `msg_index` emitted by `src` is dropped in exchange
@@ -85,17 +71,6 @@ pub enum FaultSpec {
         /// Affected round (0-based, the runtime's round counter).
         round: usize,
         /// Exchange attempt (0-based) within the round.
-        attempt: u32,
-        /// Source machine of the message.
-        src: usize,
-        /// Index of the message in the source's emission order.
-        msg_index: usize,
-    },
-    /// Like [`FaultSpec::Drop`], but the message is duplicated.
-    Duplicate {
-        /// Affected round.
-        round: usize,
-        /// Exchange attempt within the round.
         attempt: u32,
         /// Source machine of the message.
         src: usize,
@@ -138,57 +113,113 @@ pub enum FaultSpec {
     },
 }
 
-/// What kind of fault an injected [`FaultEvent`] was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A message was dropped in transit.
-    Drop,
-    /// A message was duplicated in transit.
-    Duplicate,
-    /// A machine was unavailable for an exchange attempt.
-    Unavailable,
-    /// A capacity squeeze was in force for a round.
-    Squeeze,
-    /// A machine crashed and lost its shard during round compute.
-    Crash,
-    /// A crashed machine's shard was restored from the round checkpoint
-    /// and re-executed (a consequence of a crash, not a cause).
-    Recover,
-}
+/// Each fault kind's name and field keys: the one table the JSON
+/// writer, the parser and the trace marks read.
+const KINDS: [(&str, &[&str]); 4] = [
+    ("drop", &["round", "attempt", "src", "msg_index"]),
+    ("unavailable", &["round", "attempt", "machine"]),
+    ("squeeze", &["from_round", "capacity_words"]),
+    ("crash", &["round", "attempt", "machine"]),
+];
 
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Duplicate => "duplicate",
-            FaultKind::Unavailable => "unavailable",
-            FaultKind::Squeeze => "squeeze",
-            FaultKind::Crash => "crash",
-            FaultKind::Recover => "recover",
-        };
-        f.write_str(s)
+impl FaultSpec {
+    /// Stable lowercase name: the JSON `kind` and the `fault.<name>`
+    /// trace mark.
+    pub fn name(&self) -> &'static str {
+        KINDS[self.encode().0].0
+    }
+
+    /// `(key, value)` of every field, in JSON order.
+    pub(crate) fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let (kind, values) = self.encode();
+        KINDS[kind].1.iter().copied().zip(values)
+    }
+
+    /// Round and attempt the fault fires in (a squeeze: its first round,
+    /// attempt 0).
+    pub(crate) fn at(&self) -> (usize, u32) {
+        let (_, [round, attempt, ..]) = self.encode();
+        let squeeze = matches!(self, FaultSpec::Squeeze { .. });
+        (round as usize, if squeeze { 0 } else { attempt as u32 })
+    }
+
+    /// The kind's index in [`KINDS`] and the field values in key order.
+    fn encode(&self) -> (usize, [u64; 4]) {
+        match *self {
+            FaultSpec::Drop {
+                round,
+                attempt,
+                src,
+                msg_index,
+            } => (
+                0,
+                [round as u64, attempt.into(), src as u64, msg_index as u64],
+            ),
+            FaultSpec::Unavailable {
+                round,
+                attempt,
+                machine,
+            } => (1, [round as u64, attempt.into(), machine as u64, 0]),
+            FaultSpec::Squeeze {
+                from_round,
+                capacity_words,
+            } => (2, [from_round as u64, capacity_words as u64, 0, 0]),
+            FaultSpec::Crash {
+                round,
+                attempt,
+                machine,
+            } => (3, [round as u64, attempt.into(), machine as u64, 0]),
+        }
+    }
+
+    /// Inverse of [`Self::encode`], for values the parser range-checked.
+    fn decode(kind: usize, v: [u64; 4]) -> FaultSpec {
+        let (round, attempt, machine) = (v[0] as usize, v[1] as u32, v[2] as usize);
+        match kind {
+            0 => FaultSpec::Drop {
+                round,
+                attempt,
+                src: machine,
+                msg_index: v[3] as usize,
+            },
+            1 => FaultSpec::Unavailable {
+                round,
+                attempt,
+                machine,
+            },
+            2 => FaultSpec::Squeeze {
+                from_round: round,
+                capacity_words: v[1] as usize,
+            },
+            _ => FaultSpec::Crash {
+                round,
+                attempt,
+                machine,
+            },
+        }
     }
 }
 
-/// One fault the runtime actually injected, recorded in deterministic
-/// order (rounds ascending; within a round: squeeze, then per attempt:
-/// unavailability by machine, message faults by `(src, msg_index)`).
+/// One entry of the runtime's fault log, in deterministic order (rounds
+/// ascending; within a round: the squeeze, crashes and restores by
+/// machine, then per exchange attempt: unavailability by machine, drops
+/// by `(src, msg_index)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Round the fault fired in.
-    pub round: usize,
-    /// Exchange attempt within the round (0 for squeeze).
-    pub attempt: u32,
-    /// What happened.
-    pub kind: FaultKind,
-    /// Affected machine (source machine for message faults).
-    pub machine: usize,
-    /// Message index for drop/duplicate faults; `usize::MAX` for all
-    /// other kinds.
-    pub msg_index: usize,
-    /// Kind-specific value: effective capacity (words) for squeeze,
-    /// restored words for recover, 0 otherwise.
-    pub value: u64,
+pub enum FaultEvent {
+    /// A fault the plan injected; scheduling this spec reproduces it.
+    Injected(FaultSpec),
+    /// A crashed machine's shard was restored from the round checkpoint
+    /// and re-executed: a consequence of a crash, not a cause.
+    Recovered {
+        /// Round of the restore.
+        round: usize,
+        /// Execution attempt that completed from the checkpoint.
+        attempt: u32,
+        /// Restored machine.
+        machine: usize,
+        /// Words restored from the checkpoint.
+        words: u64,
+    },
 }
 
 /// A seeded, serializable fault schedule.
@@ -291,42 +322,15 @@ impl FaultPlan {
 
     /// Builds an explicit (rate-free) plan that replays exactly the
     /// faults in `events` — the starting point for shrinking a failing
-    /// seeded run down to a minimal reproducing schedule.
+    /// seeded run down to a minimal reproducing schedule. Restores are
+    /// consequences, not causes, and are skipped.
     pub fn from_events(events: &[FaultEvent], max_retries: u32) -> FaultPlan {
         let mut scheduled = Vec::new();
         for e in events {
-            let spec = match e.kind {
-                FaultKind::Drop => FaultSpec::Drop {
-                    round: e.round,
-                    attempt: e.attempt,
-                    src: e.machine,
-                    msg_index: e.msg_index,
-                },
-                FaultKind::Duplicate => FaultSpec::Duplicate {
-                    round: e.round,
-                    attempt: e.attempt,
-                    src: e.machine,
-                    msg_index: e.msg_index,
-                },
-                FaultKind::Unavailable => FaultSpec::Unavailable {
-                    round: e.round,
-                    attempt: e.attempt,
-                    machine: e.machine,
-                },
-                FaultKind::Squeeze => FaultSpec::Squeeze {
-                    from_round: e.round,
-                    capacity_words: e.value as usize,
-                },
-                FaultKind::Crash => FaultSpec::Crash {
-                    round: e.round,
-                    attempt: e.attempt,
-                    machine: e.machine,
-                },
-                // Recoveries are consequences, not causes.
-                FaultKind::Recover => continue,
-            };
-            if !scheduled.contains(&spec) {
-                scheduled.push(spec);
+            if let FaultEvent::Injected(spec) = e {
+                if !scheduled.contains(spec) {
+                    scheduled.push(*spec);
+                }
             }
         }
         FaultPlan {
@@ -338,93 +342,47 @@ impl FaultPlan {
 
     // ---- decision points (pure functions of the plan) ----
 
-    /// One draw from the decision stream; uniform in `[0, 1)`.
-    fn draw(&self, tag: u64, round: usize, attempt: u32, a: u64, b: u64) -> f64 {
-        let h = mix_seed(
-            mix_seed(
-                mix_seed(self.seed, tag),
-                mix_seed(round as u64, attempt as u64),
-            ),
-            mix_seed(a, b),
-        );
-        // 53 high bits -> uniform double in [0, 1).
-        (h >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn rate_hit(&self, p: f64, tag: u64, round: usize, attempt: u32, a: u64, b: u64) -> bool {
+    /// Whether `spec` fires: it is scheduled, or the `tag` stream's
+    /// uniform draw in `[0, 1)` at the spec's decision point falls under
+    /// the rate `p`. The draw hashes the plan seed with the spec's
+    /// fields, so it is a pure function of the plan.
+    fn fires(&self, spec: FaultSpec, p: f64, tag: u64) -> bool {
+        if self.scheduled.contains(&spec) {
+            return true;
+        }
         if p <= 0.0 {
             return false;
         }
-        p >= 1.0 || self.draw(tag, round, attempt, a, b) < p
+        let (_, [round, attempt, a, b]) = spec.encode();
+        let h = mix_seed(
+            mix_seed(mix_seed(self.seed, tag), mix_seed(round, attempt)),
+            mix_seed(a, b),
+        );
+        // 53 high bits -> uniform double in [0, 1).
+        p >= 1.0 || ((h >> 11) as f64 / (1u64 << 53) as f64) < p
     }
 
     /// Whether `machine` is unavailable for exchange attempt `attempt`
     /// of `round`.
     pub fn unavailable(&self, round: usize, attempt: u32, machine: usize) -> bool {
-        self.scheduled.iter().any(|s| {
-            matches!(s, FaultSpec::Unavailable { round: r, attempt: a, machine: m }
-                     if *r == round && *a == attempt && *m == machine)
-        }) || self.rate_hit(
-            self.rates.unavailable,
-            TAG_UNAVAILABLE,
+        let spec = FaultSpec::Unavailable {
             round,
             attempt,
-            machine as u64,
-            0,
-        )
+            machine,
+        };
+        self.fires(spec, self.rates.unavailable, TAG_UNAVAILABLE)
     }
 
-    /// Fault, if any, hitting message `msg_index` from `src` in
-    /// exchange attempt `attempt` of `round`. Drop shadows duplicate.
-    pub fn msg_fault(
-        &self,
-        round: usize,
-        attempt: u32,
-        src: usize,
-        msg_index: usize,
-    ) -> Option<FaultKind> {
-        for s in &self.scheduled {
-            match s {
-                FaultSpec::Drop {
-                    round: r,
-                    attempt: a,
-                    src: sm,
-                    msg_index: i,
-                } if *r == round && *a == attempt && *sm == src && *i == msg_index => {
-                    return Some(FaultKind::Drop)
-                }
-                FaultSpec::Duplicate {
-                    round: r,
-                    attempt: a,
-                    src: sm,
-                    msg_index: i,
-                } if *r == round && *a == attempt && *sm == src && *i == msg_index => {
-                    return Some(FaultKind::Duplicate)
-                }
-                _ => {}
-            }
-        }
-        if self.rate_hit(
-            self.rates.drop,
-            TAG_DROP,
+    /// Whether message `msg_index` from `src` is dropped in exchange
+    /// attempt `attempt` of `round`.
+    pub fn dropped(&self, round: usize, attempt: u32, src: usize, msg_index: usize) -> bool {
+        let spec = FaultSpec::Drop {
             round,
             attempt,
-            src as u64,
-            msg_index as u64,
-        ) {
-            return Some(FaultKind::Drop);
-        }
-        if self.rate_hit(
-            self.rates.duplicate,
-            TAG_DUP,
-            round,
-            attempt,
-            src as u64,
-            msg_index as u64,
-        ) {
-            return Some(FaultKind::Duplicate);
-        }
-        None
+            src,
+            msg_index,
+        };
+        self.fires(spec, self.rates.drop, TAG_DROP)
     }
 
     /// Capacity cap in force at `round`, if any squeeze applies (the
@@ -446,17 +404,12 @@ impl FaultPlan {
     /// attempt `attempt` of `round`. Attempt 0 is the initial execution;
     /// attempt `k > 0` is the `k`-th re-execution from the checkpoint.
     pub fn crashed(&self, round: usize, attempt: u32, machine: usize) -> bool {
-        self.scheduled.iter().any(|s| {
-            matches!(s, FaultSpec::Crash { round: r, attempt: a, machine: m }
-                     if *r == round && *a == attempt && *m == machine)
-        }) || self.rate_hit(
-            self.rates.crash,
-            TAG_CRASH,
+        let spec = FaultSpec::Crash {
             round,
             attempt,
-            machine as u64,
-            0,
-        )
+            machine,
+        };
+        self.fires(spec, self.rates.crash, TAG_CRASH)
     }
 
     // ---- JSON codec ----
@@ -467,70 +420,21 @@ impl FaultPlan {
         let mut out = String::with_capacity(256 + 96 * self.scheduled.len());
         let _ = write!(
             out,
-            "{{\n  \"seed\": {},\n  \"max_retries\": {},\n  \"max_recoveries\": {},\n  \"rates\": {{\"drop\": {}, \"duplicate\": {}, \"unavailable\": {}, \"crash\": {}}},\n  \"scheduled\": [",
+            "{{\n  \"seed\": {},\n  \"max_retries\": {},\n  \"max_recoveries\": {},\n  \"rates\": {{\"drop\": {}, \"unavailable\": {}, \"crash\": {}}},\n  \"scheduled\": [",
             self.seed,
             self.max_retries,
             self.max_recoveries,
             Float(self.rates.drop),
-            Float(self.rates.duplicate),
             Float(self.rates.unavailable),
             Float(self.rates.crash),
         );
         for (i, s) in self.scheduled.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            match s {
-                FaultSpec::Drop {
-                    round,
-                    attempt,
-                    src,
-                    msg_index,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"kind\": \"drop\", \"round\": {round}, \"attempt\": {attempt}, \"src\": {src}, \"msg_index\": {msg_index}}}"
-                    );
-                }
-                FaultSpec::Duplicate {
-                    round,
-                    attempt,
-                    src,
-                    msg_index,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"kind\": \"duplicate\", \"round\": {round}, \"attempt\": {attempt}, \"src\": {src}, \"msg_index\": {msg_index}}}"
-                    );
-                }
-                FaultSpec::Unavailable {
-                    round,
-                    attempt,
-                    machine,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"kind\": \"unavailable\", \"round\": {round}, \"attempt\": {attempt}, \"machine\": {machine}}}"
-                    );
-                }
-                FaultSpec::Squeeze {
-                    from_round,
-                    capacity_words,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"kind\": \"squeeze\", \"from_round\": {from_round}, \"capacity_words\": {capacity_words}}}"
-                    );
-                }
-                FaultSpec::Crash {
-                    round,
-                    attempt,
-                    machine,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"kind\": \"crash\", \"round\": {round}, \"attempt\": {attempt}, \"machine\": {machine}}}"
-                    );
-                }
+            let sep = if i == 0 { "\n    " } else { ",\n    " };
+            let _ = write!(out, "{sep}{{\"kind\": \"{}\"", s.name());
+            for (key, value) in s.fields() {
+                let _ = write!(out, ", \"{key}\": {value}");
             }
+            out.push('}');
         }
         out.push_str(if self.scheduled.is_empty() {
             "]\n}\n"
@@ -546,7 +450,8 @@ impl FaultPlan {
     /// error naming the key, never a silent truncation. A squeeze that
     /// names a `machine` is an error: squeezes are cluster-wide, and
     /// ignoring the key would widen a one-machine squeeze to every
-    /// machine.
+    /// machine. So is the retired duplicate fault, bar the `"duplicate":
+    /// 0.0` rate older plan files carry.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let value = json::parse(text)?;
         let obj = value.as_obj().ok_or("fault plan must be a JSON object")?;
@@ -561,9 +466,14 @@ impl FaultPlan {
                     for (rk, rv) in r {
                         let rate = match rk.as_str() {
                             "drop" => &mut plan.rates.drop,
-                            "duplicate" => &mut plan.rates.duplicate,
                             "unavailable" => &mut plan.rates.unavailable,
                             "crash" => &mut plan.rates.crash,
+                            "duplicate" if rv.as_f64() == Some(0.0) => continue,
+                            "duplicate" => {
+                                return Err(format!(
+                                    "rates.duplicate {RETIRED_DUP}: add its rate to rates.drop"
+                                ))
+                            }
                             _ => continue,
                         };
                         *rate = rv
@@ -584,6 +494,10 @@ impl FaultPlan {
     }
 }
 
+/// Why the duplicate fault is gone, for the parser's errors.
+const RETIRED_DUP: &str =
+    "is retired: the exchange retried a duplicated message exactly like a dropped one";
+
 /// Reads `v` as a non-negative integer that fits `T`; the error names
 /// `key`.
 fn int<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
@@ -600,50 +514,36 @@ fn parse_spec(v: &Value) -> Result<FaultSpec, String> {
         .get("kind")
         .and_then(Value::as_str)
         .ok_or("scheduled fault missing kind")?;
-    // Every field but `kind` is a non-negative integer of its field's
-    // type.
-    fn field<T: TryFrom<u64>>(v: &Value, kind: &str, key: &str) -> Result<T, String> {
+    if kind == "duplicate" {
+        return Err(format!(
+            "scheduled fault kind \"duplicate\" {RETIRED_DUP}: schedule a \"drop\""
+        ));
+    }
+    if kind == "squeeze" && v.get("machine").is_some() {
+        return Err(
+            "squeeze fault machine is not supported: squeezes are cluster-wide, \
+             and per-machine capacity is configuration (machine_capacities)"
+                .into(),
+        );
+    }
+    let k = KINDS
+        .iter()
+        .position(|(name, _)| *name == kind)
+        .ok_or_else(|| format!("unknown fault kind {kind:?}"))?;
+    // Every other field is a non-negative integer: `attempt` a u32.
+    let mut values = [0u64; 4];
+    for (slot, &key) in values.iter_mut().zip(KINDS[k].1) {
         let x = v
             .get(key)
             .ok_or_else(|| format!("{kind} fault missing {key}"))?;
-        int(x, &format!("{kind} fault {key}"))
+        let what = format!("{kind} fault {key}");
+        *slot = if key == "attempt" {
+            int::<u32>(x, &what)?.into()
+        } else {
+            int::<usize>(x, &what)? as u64
+        };
     }
-    Ok(match kind {
-        "drop" => FaultSpec::Drop {
-            round: field(v, kind, "round")?,
-            attempt: field(v, kind, "attempt")?,
-            src: field(v, kind, "src")?,
-            msg_index: field(v, kind, "msg_index")?,
-        },
-        "duplicate" => FaultSpec::Duplicate {
-            round: field(v, kind, "round")?,
-            attempt: field(v, kind, "attempt")?,
-            src: field(v, kind, "src")?,
-            msg_index: field(v, kind, "msg_index")?,
-        },
-        "unavailable" => FaultSpec::Unavailable {
-            round: field(v, kind, "round")?,
-            attempt: field(v, kind, "attempt")?,
-            machine: field(v, kind, "machine")?,
-        },
-        "squeeze" if v.get("machine").is_some() => {
-            return Err(
-                "squeeze fault machine is not supported: squeezes are cluster-wide, \
-                        and per-machine capacity is configuration (machine_capacities)"
-                    .into(),
-            )
-        }
-        "squeeze" => FaultSpec::Squeeze {
-            from_round: field(v, kind, "from_round")?,
-            capacity_words: field(v, kind, "capacity_words")?,
-        },
-        "crash" => FaultSpec::Crash {
-            round: field(v, kind, "round")?,
-            attempt: field(v, kind, "attempt")?,
-            machine: field(v, kind, "machine")?,
-        },
-        other => return Err(format!("unknown fault kind {other:?}")),
-    })
+    Ok(FaultSpec::decode(k, values))
 }
 
 /// Greedily minimizes an explicit plan while `still_fails` keeps
@@ -693,7 +593,7 @@ mod tests {
         for round in 0..20 {
             for machine in 0..8 {
                 assert!(!p.unavailable(round, 0, machine));
-                assert_eq!(p.msg_fault(round, 0, machine, 0), None);
+                assert!(!p.dropped(round, 0, machine, 0));
             }
             assert_eq!(p.squeeze_at(round), None);
         }
@@ -703,7 +603,6 @@ mod tests {
     fn decisions_are_deterministic_functions_of_inputs() {
         let p = FaultPlan::new(42).with_rates(FaultRates {
             drop: 0.5,
-            duplicate: 0.3,
             unavailable: 0.2,
             crash: 0.3,
         });
@@ -712,8 +611,8 @@ mod tests {
                 for src in 0..6 {
                     for idx in 0..6 {
                         assert_eq!(
-                            p.msg_fault(round, attempt, src, idx),
-                            p.msg_fault(round, attempt, src, idx)
+                            p.dropped(round, attempt, src, idx),
+                            p.dropped(round, attempt, src, idx)
                         );
                     }
                     assert_eq!(
@@ -736,9 +635,7 @@ mod tests {
             ..FaultRates::default()
         });
         let n = 4000;
-        let hits = (0..n)
-            .filter(|&i| p.msg_fault(0, 0, 0, i).is_some())
-            .count();
+        let hits = (0..n).filter(|&i| p.dropped(0, 0, 0, i)).count();
         let rate = hits as f64 / n as f64;
         assert!((0.2..0.3).contains(&rate), "empirical rate {rate}");
     }
@@ -751,8 +648,8 @@ mod tests {
         });
         let never = FaultPlan::new(1);
         for i in 0..100 {
-            assert_eq!(always.msg_fault(0, 0, 0, i), Some(FaultKind::Drop));
-            assert_eq!(never.msg_fault(0, 0, 0, i), None);
+            assert!(always.dropped(0, 0, 0, i));
+            assert!(!never.dropped(0, 0, 0, i));
         }
     }
 
@@ -764,8 +661,7 @@ mod tests {
         });
         // Some message faulted at attempt 0 must be clean at a later
         // attempt (the whole point of retrying).
-        let recovered =
-            (0..64).any(|i| p.msg_fault(0, 0, 0, i).is_some() && p.msg_fault(0, 1, 0, i).is_none());
+        let recovered = (0..64).any(|i| p.dropped(0, 0, 0, i) && !p.dropped(0, 1, 0, i));
         assert!(recovered);
     }
 
@@ -783,9 +679,9 @@ mod tests {
                 attempt: 1,
                 machine: 0,
             });
-        assert_eq!(p.msg_fault(2, 0, 1, 3), Some(FaultKind::Drop));
-        assert_eq!(p.msg_fault(2, 1, 1, 3), None, "retry attempt is clean");
-        assert_eq!(p.msg_fault(2, 0, 1, 2), None);
+        assert!(p.dropped(2, 0, 1, 3));
+        assert!(!p.dropped(2, 1, 1, 3), "retry attempt is clean");
+        assert!(!p.dropped(2, 0, 1, 2));
         assert!(p.unavailable(1, 1, 0));
         assert!(!p.unavailable(1, 0, 0));
     }
@@ -852,7 +748,6 @@ mod tests {
             max_recoveries: 2,
             rates: FaultRates {
                 drop: 0.125,
-                duplicate: 0.0,
                 unavailable: 1.0,
                 crash: 0.0625,
             },
@@ -863,7 +758,7 @@ mod tests {
                     src: 3,
                     msg_index: 9,
                 },
-                FaultSpec::Duplicate {
+                FaultSpec::Drop {
                     round: 2,
                     attempt: 1,
                     src: 0,
@@ -893,10 +788,10 @@ mod tests {
   "seed": 18446744073709551612,
   "max_retries": 5,
   "max_recoveries": 2,
-  "rates": {"drop": 0.125, "duplicate": 0.0, "unavailable": 1.0, "crash": 0.0625},
+  "rates": {"drop": 0.125, "unavailable": 1.0, "crash": 0.0625},
   "scheduled": [
     {"kind": "drop", "round": 0, "attempt": 0, "src": 3, "msg_index": 9},
-    {"kind": "duplicate", "round": 2, "attempt": 1, "src": 0, "msg_index": 0},
+    {"kind": "drop", "round": 2, "attempt": 1, "src": 0, "msg_index": 0},
     {"kind": "unavailable", "round": 4, "attempt": 0, "machine": 7},
     {"kind": "squeeze", "from_round": 3, "capacity_words": 64},
     {"kind": "crash", "round": 1, "attempt": 1, "machine": 3}
@@ -955,6 +850,22 @@ mod tests {
             err.contains("unknown fault kind") && err.contains("straggle"),
             "{err}"
         );
+        // Duplicates are retired: the exchange retried them exactly like
+        // drops. Each error names its key and points at `drop`.
+        let err = FaultPlan::from_json(
+            r#"{"scheduled": [{"kind": "duplicate", "round": 0, "attempt": 0, "src": 0, "msg_index": 1}]}"#,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("\"duplicate\"") && err.contains("\"drop\""),
+            "{err}"
+        );
+        let err =
+            FaultPlan::from_json(r#"{"rates": {"drop": 0.1, "duplicate": 0.05}}"#).unwrap_err();
+        assert!(
+            err.contains("rates.duplicate") && err.contains("rates.drop"),
+            "{err}"
+        );
     }
 
     /// Out-of-range and non-integer values are errors naming the key,
@@ -990,81 +901,40 @@ mod tests {
 
     #[test]
     fn from_events_reconstructs_specs_and_skips_recoveries() {
+        let drop = FaultSpec::Drop {
+            round: 1,
+            attempt: 0,
+            src: 2,
+            msg_index: 5,
+        };
+        let squeeze = |from_round, capacity_words| FaultSpec::Squeeze {
+            from_round,
+            capacity_words,
+        };
+        let crash = FaultSpec::Crash {
+            round: 4,
+            attempt: 0,
+            machine: 1,
+        };
         let events = [
-            FaultEvent {
-                round: 1,
-                attempt: 0,
-                kind: FaultKind::Drop,
-                machine: 2,
-                msg_index: 5,
-                value: 0,
-            },
-            FaultEvent {
-                round: 2,
-                attempt: 0,
-                kind: FaultKind::Squeeze,
-                machine: 0,
-                msg_index: usize::MAX,
-                value: 99,
-            },
-            FaultEvent {
-                round: 2,
-                attempt: 0,
-                kind: FaultKind::Squeeze,
-                machine: 0,
-                msg_index: usize::MAX,
-                value: 99,
-            },
-            FaultEvent {
-                round: 3,
-                attempt: 0,
-                kind: FaultKind::Squeeze,
-                machine: 0,
-                msg_index: usize::MAX,
-                value: 17,
-            },
-            FaultEvent {
-                round: 4,
-                attempt: 0,
-                kind: FaultKind::Crash,
-                machine: 1,
-                msg_index: usize::MAX,
-                value: 0,
-            },
-            FaultEvent {
+            FaultEvent::Injected(drop),
+            FaultEvent::Injected(squeeze(2, 99)),
+            FaultEvent::Injected(squeeze(2, 99)),
+            FaultEvent::Injected(squeeze(3, 17)),
+            FaultEvent::Injected(crash),
+            FaultEvent::Recovered {
                 round: 4,
                 attempt: 1,
-                kind: FaultKind::Recover,
                 machine: 1,
-                msg_index: usize::MAX,
-                value: 64,
+                words: 64,
             },
         ];
         let plan = FaultPlan::from_events(&events, 2);
         assert_eq!(
             plan.scheduled,
-            vec![
-                FaultSpec::Drop {
-                    round: 1,
-                    attempt: 0,
-                    src: 2,
-                    msg_index: 5
-                },
-                FaultSpec::Squeeze {
-                    from_round: 2,
-                    capacity_words: 99,
-                },
-                FaultSpec::Squeeze {
-                    from_round: 3,
-                    capacity_words: 17,
-                },
-                FaultSpec::Crash {
-                    round: 4,
-                    attempt: 0,
-                    machine: 1,
-                },
-            ]
+            vec![drop, squeeze(2, 99), squeeze(3, 17), crash]
         );
+        assert_eq!(plan.max_retries, 2);
         assert!(plan.rates.is_zero());
     }
 

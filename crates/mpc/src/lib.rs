@@ -60,5 +60,5 @@ pub mod words;
 pub use cluster::{Dist, Emitter, MachineId, Runtime};
 pub use config::{MpcConfig, RuntimeBuilder};
 pub use error::{MpcError, MpcResult};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, FaultSpec};
+pub use fault::{FaultEvent, FaultPlan, FaultRates, FaultSpec};
 pub use words::Words;

@@ -8,7 +8,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 use treeemb_mpc::error::CapacityPhase;
-use treeemb_mpc::fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, FaultSpec};
+use treeemb_mpc::fault::{FaultEvent, FaultPlan, FaultRates, FaultSpec};
 use treeemb_mpc::primitives::{aggregate, join, shuffle};
 use treeemb_mpc::{Dist, MpcConfig, MpcError, Runtime};
 
@@ -79,8 +79,7 @@ fn pipeline_run(threads: usize, plan: Option<FaultPlan>) -> (Vec<u64>, Vec<Fault
 fn noisy_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed)
         .with_rates(FaultRates {
-            drop: 0.001,
-            duplicate: 0.0005,
+            drop: 0.0015,
             unavailable: 0.005,
             crash: 0.0,
         })
@@ -188,7 +187,7 @@ fn persistent_unavailability_exhausts_retries_with_typed_error() {
     let unavailable = rt
         .fault_log()
         .iter()
-        .filter(|e| e.kind == FaultKind::Unavailable)
+        .filter(|e| matches!(e, FaultEvent::Injected(FaultSpec::Unavailable { .. })))
         .count();
     assert_eq!(unavailable, 3);
 }
@@ -216,8 +215,15 @@ fn scheduled_drop_forces_exactly_one_retry() {
     assert_eq!(rt.metrics().round_stats()[0].attempts, 2);
     assert_eq!(rt.metrics().retried_rounds(), 1);
     assert_eq!(rt.metrics().faults_injected(), rt.fault_log().len());
-    let kinds: Vec<FaultKind> = rt.fault_log().iter().map(|e| e.kind).collect();
-    assert_eq!(kinds, vec![FaultKind::Drop]);
+    assert_eq!(
+        rt.fault_log(),
+        &[FaultEvent::Injected(FaultSpec::Drop {
+            round: 0,
+            attempt: 0,
+            src: 0,
+            msg_index: 0,
+        })]
+    );
 }
 
 #[test]
@@ -265,8 +271,10 @@ fn capacity_squeeze_shrinks_effective_capacity_and_fails_typed() {
     // The squeeze itself is on the fault log.
     assert!(rt
         .fault_log()
-        .iter()
-        .any(|e| e.kind == FaultKind::Squeeze && e.round == 1 && e.value == 4));
+        .contains(&FaultEvent::Injected(FaultSpec::Squeeze {
+            from_round: 1,
+            capacity_words: 4,
+        })));
 }
 
 #[test]
@@ -295,8 +303,8 @@ fn fault_events_appear_in_the_trace() {
     treeemb_obs::drain();
     // One round that fires every fault kind: machine 1 crashes and is
     // recovered, the cluster runs squeezed (with room to spare), and the
-    // exchange fails three times — machine 2 unavailable, then a drop,
-    // then a duplicate — before the fourth attempt delivers.
+    // exchange fails three times — machine 2 unavailable, then two
+    // drops — before the fourth attempt delivers.
     let plan = FaultPlan::new(0)
         .with_fault(FaultSpec::Crash {
             round: 0,
@@ -318,7 +326,7 @@ fn fault_events_appear_in_the_trace() {
             src: 0,
             msg_index: 0,
         })
-        .with_fault(FaultSpec::Duplicate {
+        .with_fault(FaultSpec::Drop {
             round: 0,
             attempt: 2,
             src: 0,
@@ -340,7 +348,6 @@ fn fault_events_appear_in_the_trace() {
     assert_eq!(rt.metrics().round_stats()[0].attempts, 4);
     for name in [
         "fault.drop",
-        "fault.duplicate",
         "fault.unavailable",
         "fault.squeeze",
         "fault.crash",
@@ -424,11 +431,12 @@ fn map_local_and_distribute_respect_squeezed_capacity() {
 }
 
 #[test]
-fn dist_roundtrip_unaffected_by_duplicate_faults() {
+fn dist_roundtrip_unaffected_by_drop_faults() {
     let _g = test_lock();
-    // A duplicate is detected and the exchange retried; the delivered
-    // sequence must not contain the duplicate.
-    let plan = FaultPlan::new(0).with_fault(FaultSpec::Duplicate {
+    // A drop is detected and the exchange retried; the delivered
+    // sequence is the fault-free one, each message exactly once and in
+    // emission order.
+    let plan = FaultPlan::new(0).with_fault(FaultSpec::Drop {
         round: 0,
         attempt: 0,
         src: 0,
@@ -453,10 +461,10 @@ fn dist_roundtrip_unaffected_by_duplicate_faults() {
             Vec::new()
         })
         .unwrap();
-    assert_eq!(out.part(1), &[10, 11, 12], "no duplicate delivered");
+    assert_eq!(out.part(1), &[10, 11, 12], "clean delivery after retry");
     assert_eq!(rt.metrics().round_stats()[0].attempts, 2);
-    assert!(rt
-        .fault_log()
-        .iter()
-        .any(|e| e.kind == FaultKind::Duplicate));
+    assert!(rt.fault_log().iter().any(|e| matches!(
+        e,
+        FaultEvent::Injected(FaultSpec::Drop { msg_index: 1, .. })
+    )));
 }

@@ -49,9 +49,8 @@ pub mod prelude {
     pub use treeemb_core::pipeline::{self, PipelineBuilder, PipelineConfig, PipelineReport};
     pub use treeemb_core::{EmbedError, Embedding, SeqEmbedder};
     pub use treeemb_geom::{generators, metrics, PointSet};
-    pub use treeemb_mpc::fault::FaultEvent;
     pub use treeemb_mpc::{
-        Dist, FaultKind, FaultPlan, FaultRates, FaultSpec, MpcConfig, MpcError, Runtime,
+        Dist, FaultEvent, FaultPlan, FaultRates, FaultSpec, MpcConfig, MpcError, Runtime,
         RuntimeBuilder,
     };
 }

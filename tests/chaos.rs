@@ -8,8 +8,8 @@ use treeemb_bench::chaos::{check_stage, plan_matrix, sweep, ChaosVerdict, Stage}
 use treeemb_core::pipeline::{self, PipelineConfig};
 use treeemb_core::EmbedError;
 use treeemb_geom::generators;
-use treeemb_mpc::fault::{FaultPlan, FaultRates, FaultSpec};
-use treeemb_mpc::{FaultKind, MpcError};
+use treeemb_mpc::fault::{FaultEvent, FaultPlan, FaultRates, FaultSpec};
+use treeemb_mpc::MpcError;
 
 fn pipeline_cfg(threads: usize) -> PipelineConfig {
     PipelineConfig::builder()
@@ -48,7 +48,10 @@ fn retryable_faults_leave_output_bit_identical() {
             stage.name()
         );
         assert!(
-            outcome.events.iter().any(|e| e.kind == FaultKind::Drop),
+            outcome
+                .events
+                .iter()
+                .any(|e| matches!(e, FaultEvent::Injected(FaultSpec::Drop { .. }))),
             "stage {} log has no drop events",
             stage.name()
         );
@@ -83,7 +86,9 @@ fn capacity_squeeze_is_a_typed_error_from_the_full_pipeline() {
         other => panic!("expected a typed MPC error, got {other:?}"),
     }
     assert!(
-        events.iter().any(|e| e.kind == FaultKind::Squeeze),
+        events
+            .iter()
+            .any(|e| matches!(e, FaultEvent::Injected(FaultSpec::Squeeze { .. }))),
         "fault log must name the squeeze that caused the failure"
     );
 }
@@ -96,7 +101,6 @@ fn fault_sequence_and_outcome_are_thread_count_invariant() {
     let mut plan = FaultPlan::new(41)
         .with_rates(FaultRates {
             drop: 0.0005,
-            duplicate: 0.0002,
             unavailable: 0.003,
             crash: 0.0,
         })
@@ -173,18 +177,32 @@ fn json_round_tripped_plan_replays_identically() {
     let plan = pinpoint_plan(3);
     let reparsed = FaultPlan::from_json(&plan.to_json()).expect("plan JSON must parse");
     assert_eq!(plan, reparsed);
-    // A plan file written when straggles and simulated backoff existed
-    // still parses to the same plan: the retired keys are ignored like
-    // any unknown key, whatever their value.
-    let legacy = plan.to_json().replacen(
-        "\"rates\": {",
-        "\"backoff_ns\": 1000000,\n  \"rates\": {\"straggle\": 0.5, \"straggle_ns\": -5.0, ",
-        1,
-    );
-    assert!(legacy.contains("backoff_ns"), "{legacy}");
+    // A plan file written when straggles, simulated backoff and
+    // duplicates existed still parses to the same plan: the retired
+    // straggle and backoff keys are ignored like any unknown key,
+    // whatever their value, and so is the zero duplicate rate every such
+    // file carries.
+    let legacy = |duplicate: &str| {
+        plan.to_json().replacen(
+            "\"rates\": {",
+            &format!(
+                "\"backoff_ns\": 1000000,\n  \"rates\": {{\"straggle\": 0.5, \"straggle_ns\": -5.0, \"duplicate\": {duplicate}, "
+            ),
+            1,
+        )
+    };
+    assert!(legacy("0.0").contains("backoff_ns"), "{}", legacy("0.0"));
     assert_eq!(
-        FaultPlan::from_json(&legacy).expect("legacy plan JSON must parse"),
+        FaultPlan::from_json(&legacy("0.0")).expect("legacy plan JSON must parse"),
         plan
+    );
+    // A non-zero duplicate rate had an effect (a retried exchange), so
+    // dropping it silently would change the replay: it is an error that
+    // points at the drop rate.
+    let err = FaultPlan::from_json(&legacy("0.0001")).unwrap_err();
+    assert!(
+        err.contains("rates.duplicate") && err.contains("rates.drop"),
+        "{err}"
     );
     let a = check_stage(Stage::Partition, &plan, 3);
     let b = check_stage(Stage::Partition, &reparsed, 3);
@@ -230,7 +248,7 @@ fn mini_sweep_upholds_the_conformance_contract() {
             row.outcome
                 .events
                 .iter()
-                .any(|e| e.kind == FaultKind::Crash),
+                .any(|e| matches!(e, FaultEvent::Injected(FaultSpec::Crash { .. }))),
             "crash plan injected no crashes (stage={} seed={})",
             row.stage.name(),
             row.seed
@@ -307,8 +325,12 @@ fn scheduled_crashes_recover_bit_identical_through_the_pipeline() {
             .any(|r| r.recoveries > 0 && r.checkpoint_words > 0),
         "per-round stats must attribute restores to checkpointed rounds"
     );
-    assert!(events.iter().any(|e| e.kind == FaultKind::Crash));
-    assert!(events.iter().any(|e| e.kind == FaultKind::Recover));
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, FaultEvent::Injected(FaultSpec::Crash { .. }))));
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, FaultEvent::Recovered { .. })));
 }
 
 /// Tentpole acceptance check: a crash schedule that outlives the
@@ -348,7 +370,11 @@ fn exhausted_recovery_budget_is_a_typed_retryable_error() {
         other => panic!("expected a typed MPC error, got {other:?}"),
     }
     assert!(
-        events.iter().filter(|e| e.kind == FaultKind::Crash).count() >= 2,
+        events
+            .iter()
+            .filter(|e| matches!(e, FaultEvent::Injected(FaultSpec::Crash { .. })))
+            .count()
+            >= 2,
         "fault log must name every crashed execution"
     );
 }
