@@ -172,10 +172,14 @@ impl HybridLevel {
         for (j, seq) in self.sequences.iter().enumerate() {
             let lo = j * self.bucket_dim;
             let proj = &p[lo..lo + self.bucket_dim];
-            let u = seq.first_covering(proj).ok_or(j)?;
-            cur = cur.absorb(0xBA11).absorb(u as u64);
-            seq.covering_cell(u, proj, |c| cur = cur.absorb_i64(c));
-            cur = cur.absorb(0xE4D);
+            cur = seq
+                .covering(proj, |u, cell| {
+                    let head = cur.absorb(0xBA11).absorb(u64::from(u));
+                    cell.iter()
+                        .fold(head, |h, &c| h.absorb_i64(c))
+                        .absorb(0xE4D)
+                })
+                .ok_or(j)?;
         }
         Ok(cur)
     }
