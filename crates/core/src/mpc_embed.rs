@@ -204,13 +204,15 @@ pub fn embed_mpc_full(
     })?;
 
     // Surface coverage failures (distributed max over a failure flag —
-    // one aggregation tree, O(1) rounds).
+    // one aggregation tree, O(1) rounds). The key holds `!point`, so the
+    // maximum names the smallest failing point id, the one the
+    // sequential embedder reports.
     let failure = aggregate::max_by(rt, &path_results, |r| match r {
         PathOrFail::Fail {
             point,
             level,
             bucket,
-        } => Some((1u64, *point as u64, *level as u64, *bucket as u64)),
+        } => Some((1u64, !u64::from(*point), *level as u64, *bucket as u64)),
         PathOrFail::Path(_) => None,
     })?
     .flatten();
@@ -218,7 +220,7 @@ pub fn embed_mpc_full(
         return Err(EmbedError::CoverageFailure {
             level: level as usize,
             bucket: bucket as usize,
-            point: point as usize,
+            point: !point as usize,
         });
     }
     let paths = rt.map_local(path_results, |_, shard| {
@@ -421,6 +423,35 @@ mod tests {
         assert!(
             dist > 0.0 && dist <= min_sep,
             "dist {dist} min_sep {min_sep}"
+        );
+    }
+
+    /// With one grid per bucket almost every point goes uncovered; both
+    /// embedders must name the smallest such point and its first
+    /// uncovered (level, bucket).
+    #[test]
+    fn seq_and_mpc_report_the_same_coverage_failure() {
+        let ps = generators::uniform_cube(48, 8, 64, 3);
+        let mut params = HybridParams::for_dataset(&ps, 1).unwrap();
+        params.grids_per_bucket = 1;
+        let levels = SeqEmbedder::new(params.clone()).build_levels(5);
+        let padded = ps.zero_pad(params.dim);
+        let failing: Vec<usize> = (0..ps.len())
+            .filter(|&i| for_each_node_id(&levels, padded.point(i), |_, _| {}).is_err())
+            .collect();
+        assert!(failing.len() > 1, "failing points {failing:?}");
+        let seq = SeqEmbedder::new(params.clone()).embed(&ps, 5).unwrap_err();
+        let mpc = embed_mpc(&mut runtime(1 << 15, 8), &ps, &params, 5).unwrap_err();
+        assert_eq!(seq, mpc);
+        let (level, bucket) =
+            for_each_node_id(&levels, padded.point(failing[0]), |_, _| {}).unwrap_err();
+        assert_eq!(
+            seq,
+            EmbedError::CoverageFailure {
+                level,
+                bucket,
+                point: failing[0],
+            }
         );
     }
 

@@ -154,6 +154,11 @@ pub const RETIRED: &[(&[&str], &str)] = &[
          FaultSpec::Drop and ask FaultPlan::dropped",
     ),
     (
+        &["covering_cell"],
+        "the covering ball's lattice coordinates come from the scan that found the grid: \
+         GridSequence::assign",
+    ),
+    (
         &["dense::target_dimension"],
         "the JL target dimension sits next to its caller FjltParams::for_dataset: \
          treeemb_fjlt::fjlt::target_dimension",

@@ -10,8 +10,8 @@
 // and the library items only their own unit tests called (the dense JL
 // baseline, paper-name aliases, one-thread parallel variants, uncalled
 // generators and helpers), the second fault vocabulary and the duplicate
-// fault that acted exactly like a drop, and the misnamed `dense` module
-// were deleted;
+// fault that acted exactly like a drop, the misnamed `dense` module, and
+// the second path to a covering ball's lattice coordinates were deleted;
 // the lint keeps them from coming back — even in test code.
 
 fn resurrect() {
@@ -98,6 +98,10 @@ fn resurrect_fault_vocabulary(plan: &FaultPlan, e: &FaultEvent) {
         msg_index: 2,
     });
     let _ = treeemb_fjlt::dense::target_dimension(64, 0.5); //~ DENY deprecated-shim
+}
+
+fn resurrect_second_cell_path(grids: &GridSequence, p: &[f64]) {
+    grids.covering_cell(0, p, |_| {}); //~ DENY deprecated-shim
 }
 
 fn sanctioned_fault_vocabulary(plan: &FaultPlan, e: &FaultEvent) {
