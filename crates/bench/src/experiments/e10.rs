@@ -10,7 +10,7 @@
 
 use crate::{table::fnum, Scale, Table};
 use treeemb_core::audit::estimate_expected_distortion;
-use treeemb_core::params::{GridParams, HybridParams};
+use treeemb_core::params::HybridParams;
 use treeemb_core::seq::{GridEmbedder, SeqEmbedder};
 use treeemb_geom::generators;
 
@@ -40,7 +40,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let d = 16;
         let ps = generators::uniform_cube(n, d, delta, 11 + n as u64);
         let hybrid = SeqEmbedder::new(HybridParams::for_dataset(&ps, 4).unwrap());
-        let grid = GridEmbedder::new(GridParams::for_dataset(&ps).unwrap());
+        let grid = GridEmbedder::for_dataset(&ps).unwrap();
         let h = estimate_expected_distortion(&ps, trials, |s| hybrid.embed(&ps, s)).unwrap();
         let g = estimate_expected_distortion(&ps, trials, |s| grid.embed(&ps, s)).unwrap();
         let ln2 = (n as f64).ln() / std::f64::consts::LN_2;
@@ -68,7 +68,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for &d in &ds {
         let ps = generators::uniform_cube(n, d, 1 << 10, 19 + d as u64);
         let hybrid = SeqEmbedder::new(HybridParams::for_dataset(&ps, 4).unwrap());
-        let grid = GridEmbedder::new(GridParams::for_dataset(&ps).unwrap());
+        let grid = GridEmbedder::for_dataset(&ps).unwrap();
         let h = estimate_expected_distortion(&ps, trials, |s| hybrid.embed(&ps, s)).unwrap();
         let g = estimate_expected_distortion(&ps, trials, |s| grid.embed(&ps, s)).unwrap();
         tb.row(vec![

@@ -4,7 +4,7 @@
 use crate::{table::fnum, Scale, Table};
 use treeemb_apps::exact::prim;
 use treeemb_apps::mst::tree_mst;
-use treeemb_core::params::{GridParams, HybridParams};
+use treeemb_core::params::HybridParams;
 use treeemb_core::seq::{GridEmbedder, SeqEmbedder};
 use treeemb_geom::generators;
 
@@ -30,8 +30,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let exact = prim::mst(&ps).cost;
         let hp = HybridParams::for_dataset(&ps, 4).unwrap();
         let hybrid = SeqEmbedder::new(hp);
-        let gp = GridParams::for_dataset(&ps).unwrap();
-        let grid = GridEmbedder::new(gp);
+        let grid = GridEmbedder::for_dataset(&ps).unwrap();
         let mut h_sum = 0.0;
         let mut g_sum = 0.0;
         for s in 0..seeds {

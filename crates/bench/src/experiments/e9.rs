@@ -2,7 +2,7 @@
 
 use crate::{table::fnum, Scale, Table};
 use treeemb_apps::emd::{exact_emd, tree_emd};
-use treeemb_core::params::{GridParams, HybridParams};
+use treeemb_core::params::HybridParams;
 use treeemb_core::seq::{GridEmbedder, SeqEmbedder};
 use treeemb_geom::generators;
 
@@ -30,7 +30,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let b: Vec<usize> = (half..n).collect();
         let exact = exact_emd(&ps, &a, &b).max(1e-12);
         let hybrid = SeqEmbedder::new(HybridParams::for_dataset(&ps, 4).unwrap());
-        let grid = GridEmbedder::new(GridParams::for_dataset(&ps).unwrap());
+        let grid = GridEmbedder::for_dataset(&ps).unwrap();
         let mut h_sum = 0.0;
         let mut g_sum = 0.0;
         for s in 0..seeds {

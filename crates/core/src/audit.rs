@@ -129,7 +129,7 @@ pub fn estimate_expected_distortion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{GridParams, HybridParams};
+    use crate::params::HybridParams;
     use crate::seq::{GridEmbedder, SeqEmbedder};
     use treeemb_geom::generators;
 
@@ -161,8 +161,7 @@ mod tests {
     fn averaging_tightens_the_estimate() {
         // E[dist_T]/dist <= worst single tree ratio, usually strictly.
         let ps = generators::uniform_cube(14, 8, 256, 5);
-        let params = GridParams::for_dataset(&ps).unwrap();
-        let emb = GridEmbedder::new(params);
+        let emb = GridEmbedder::for_dataset(&ps).unwrap();
         let est = estimate_expected_distortion(&ps, 8, |seed| emb.embed(&ps, seed)).unwrap();
         assert!(est.mean_ratio <= est.expected_distortion);
         assert!(est.expected_distortion < est.worst_single_tree * (1.0 + 1e-9));

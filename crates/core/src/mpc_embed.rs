@@ -182,11 +182,12 @@ pub fn embed_mpc_full(
     let levels_for_paths = Arc::clone(&levels);
     let params_paths = params.clone();
     let path_results = rt.map_local(dist, move |_, shard| {
+        let schedule = params_paths.schedule();
         let mut out: Vec<PathOrFail> = Vec::with_capacity(shard.len());
         for rec in &shard {
             let mut nodes = Vec::with_capacity(levels_for_paths.len());
             let walked = for_each_node_id(&levels_for_paths, &rec.coords, |level, id| {
-                nodes.push((id, params_paths.edge_weight(level), level as u32));
+                nodes.push((id, schedule.edge_weight(level), level as u32));
             });
             out.push(match walked {
                 Ok(()) => PathOrFail::Path(PointPath {
@@ -285,7 +286,7 @@ pub fn embed_mpc_full(
         .collect();
     let tree =
         from_edge_list(&edge_recs, n).map_err(|e| EmbedError::TreeAssembly(e.to_string()))?;
-    check_separation(&tree, ps, params.resolved_separation())?;
+    check_separation(&tree, ps, params.schedule().resolved_separation())?;
     Ok(MpcEmbedding {
         embedding: Embedding {
             tree,

@@ -1,4 +1,12 @@
-//! Parameter schedules for the hierarchical embeddings.
+//! Level schedules for the hierarchical embeddings.
+//!
+//! Both hierarchies are one §3 family: a level at scale `w` groups
+//! points into clusters of diameter at most `c·w`, with `c = 2√r` for
+//! hybrid partitioning (`r` buckets of balls of radius `w`) and `c = √d`
+//! for the random shifted grid (cells of side `w`, the `r = d` member).
+//! This module owns the schedule of both: the input checks, and the
+//! scale ladder and edge weights, which depend on the family only
+//! through `c`.
 
 use crate::error::EmbedError;
 use treeemb_geom::{BoundingBox, PointSet};
@@ -67,30 +75,8 @@ impl HybridParams {
         min_sep: f64,
         fail_prob: f64,
     ) -> Result<Self, EmbedError> {
-        if ps.is_empty() {
-            return Err(EmbedError::EmptyInput);
-        }
-        if r == 0 {
-            return Err(EmbedError::InvalidConfig {
-                field: "r",
-                value: "0".into(),
-                expected: "at least 1".into(),
-            });
-        }
-        if !min_sep.is_finite() || min_sep <= 0.0 {
-            return Err(EmbedError::BadSeparation(min_sep));
-        }
-        if !(fail_prob > 0.0 && fail_prob < 1.0) {
-            return Err(EmbedError::InvalidConfig {
-                field: "fail_prob",
-                value: fail_prob.to_string(),
-                expected: "a value in (0, 1)".into(),
-            });
-        }
-        if let Some(point) = first_non_finite(ps) {
-            return Err(EmbedError::NonFiniteInput { point });
-        }
-        let diag = finite_diagonal(ps)?;
+        check_budget(Some(r), fail_prob)?;
+        let diag = check_points(ps, min_sep)?;
         let params = Self::derive(ps.len(), ps.dim(), r, diag, min_sep, fail_prob);
         let (u, m) = (params.grids_per_bucket, params.dim / r);
         if u > MAX_GRID_BUDGET {
@@ -108,8 +94,7 @@ impl HybridParams {
     /// [`Self::for_dataset_with_sep`] and [`estimate_grid_words`].
     fn derive(n: usize, dim: usize, r: usize, diag: f64, min_sep: f64, fail_prob: f64) -> Self {
         let padded = pad_dim(dim, r);
-        let w0 = pow2_at_least(diag.max(min_sep) / 2.0);
-        let levels: Vec<f64> = level_scales(w0, min_sep / (2.0 * (r as f64).sqrt())).collect();
+        let levels = ladder(diag, min_sep, hybrid_diameter(r));
         // Union bound over points, buckets, and levels (Lemma 7).
         let grids_per_bucket = coverage::grids_needed(padded / r, n * r * levels.len(), fail_prob);
         Self {
@@ -140,32 +125,12 @@ impl HybridParams {
         self.levels.len()
     }
 
-    /// Edge weight of a cluster created at level `i`: `√r·w_i`, except
-    /// the last level which carries the full geometric tail `2·√r·w_i`
-    /// so that truncated and untruncated hierarchies define the same
-    /// metric (DESIGN.md note 2).
-    pub fn edge_weight(&self, level: usize) -> f64 {
-        let base = (self.r as f64).sqrt() * self.levels[level];
-        if level + 1 == self.levels.len() {
-            2.0 * base
-        } else {
-            base
+    /// The ladder with the hybrid cluster diameter `2√r·w` (Lemma 3).
+    pub(crate) fn schedule(&self) -> Schedule<'_> {
+        Schedule {
+            levels: &self.levels,
+            c: hybrid_diameter(self.r),
         }
-    }
-
-    /// Weight of a leaf chain truncated at level `i` (the geometric tail
-    /// `Σ_{j≥i} √r·w_j = 2√r·w_i`).
-    pub fn tail_weight(&self, level: usize) -> f64 {
-        2.0 * (self.r as f64).sqrt() * self.levels[level]
-    }
-
-    /// The separation the schedule resolves, `2√r·w` at the last level:
-    /// two points that share a ball in all `r` buckets there are at
-    /// most this far apart, so any farther pair is split by some level.
-    pub(crate) fn resolved_separation(&self) -> f64 {
-        self.levels
-            .last()
-            .map_or(0.0, |&w| 2.0 * (self.r as f64).sqrt() * w)
     }
 
     /// Words occupied by all grids (every level, every bucket) — the
@@ -174,6 +139,20 @@ impl HybridParams {
         let m = self.dim / self.r;
         self.num_levels() * self.r * self.grids_per_bucket * (m + 2)
     }
+}
+
+/// The hybrid diameter coefficient `2√r`: a part shares a ball of radius
+/// `w` in each of `r` buckets.
+fn hybrid_diameter(r: usize) -> f64 {
+    2.0 * (r as f64).sqrt()
+}
+
+/// The grid baseline's ladder for `ps` and its diameter coefficient
+/// `√d`, the diagonal of a cell of side 1.
+pub(crate) fn grid_ladder(ps: &PointSet, min_sep: f64) -> Result<(Vec<f64>, f64), EmbedError> {
+    let diag = check_points(ps, min_sep)?;
+    let c = (ps.dim() as f64).sqrt();
+    Ok((ladder(diag, min_sep, c), c))
 }
 
 /// Estimates the broadcast-grid payload (words) of a hybrid schedule
@@ -192,13 +171,100 @@ pub fn estimate_grid_words(
     HybridParams::derive(n, dim, r, diag, min_sep, fail_prob).total_grid_words()
 }
 
-/// The level scales `w₀, w₀/2, …`, ending with the first one below
-/// `floor`. Also ends at `0` or after `w₀` when `floor` is not a
-/// positive number, so every schedule is finite.
-fn level_scales(w0: f64, floor: f64) -> impl Iterator<Item = f64> {
-    std::iter::successors(Some(w0), move |&w| {
-        (w >= floor && w > 0.0).then_some(w / 2.0)
-    })
+/// A scale ladder with the diameter coefficient `c` of its clusters (a
+/// cluster at scale `w` spans at most `c·w`): the one source of every
+/// edge weight the embedders write.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Schedule<'a> {
+    /// Scale `w_i` per level, halving.
+    pub(crate) levels: &'a [f64],
+    /// Cluster diameter over scale.
+    pub(crate) c: f64,
+}
+
+impl Schedule<'_> {
+    /// Edge weight of a cluster created at level `i`: half its diameter
+    /// `c·w_i`, doubled on the last level, which carries the full
+    /// geometric tail so that truncated and untruncated hierarchies
+    /// define the same metric (DESIGN.md note 2).
+    pub(crate) fn edge_weight(self, level: usize) -> f64 {
+        let half = self.c * self.levels[level] / 2.0;
+        if level + 1 == self.levels.len() {
+            2.0 * half
+        } else {
+            half
+        }
+    }
+
+    /// Weight of a leaf chain truncated at level `i`: the geometric tail
+    /// `Σ_{j≥i} c·w_j/2 = c·w_i`.
+    pub(crate) fn tail_weight(self, level: usize) -> f64 {
+        self.c * self.levels[level]
+    }
+
+    /// The separation the schedule resolves, the diameter `c·w` at the
+    /// last level: two points that share a cluster there are at most
+    /// this far apart, so any farther pair is split by some level.
+    pub(crate) fn resolved_separation(self) -> f64 {
+        self.levels.last().map_or(0.0, |&w| self.c * w)
+    }
+}
+
+/// The scale ladder for clusters of diameter `c·w`: the top scale
+/// `w₀ = Θ(diag)` is the smallest power of two at least
+/// `max(diag, min_sep)/2`, whatever `c` is, and the scales halve down to
+/// the first one with `c·w < min_sep`. Also ends at `0`, so every ladder
+/// is finite.
+fn ladder(diag: f64, min_sep: f64, c: f64) -> Vec<f64> {
+    let w0 = pow2_at_least(diag.max(min_sep) / 2.0);
+    let floor = min_sep / c;
+    std::iter::successors(Some(w0), |&w| (w >= floor && w > 0.0).then_some(w / 2.0)).collect()
+}
+
+/// Checks the point set a schedule is derived for, in the order the
+/// errors are reported: not empty, `min_sep` positive and finite, every
+/// coordinate finite, and a bounding-box diagonal that does not overflow
+/// `f64` (a coordinate span beyond ~1.3e154 squares to infinity, and no
+/// ladder starts there). Returns the diagonal.
+pub(crate) fn check_points(ps: &PointSet, min_sep: f64) -> Result<f64, EmbedError> {
+    if ps.is_empty() {
+        return Err(EmbedError::EmptyInput);
+    }
+    if !min_sep.is_finite() || min_sep <= 0.0 {
+        return Err(EmbedError::BadSeparation(min_sep));
+    }
+    if let Some(point) = ps.iter().position(|p| p.iter().any(|x| !x.is_finite())) {
+        return Err(EmbedError::NonFiniteInput { point });
+    }
+    let diag = BoundingBox::of(ps).diagonal();
+    if !diag.is_finite() {
+        return Err(EmbedError::InvalidConfig {
+            field: "diagonal",
+            value: diag.to_string(),
+            expected: "a finite bounding-box diagonal (coordinate spans below ~1e154)".into(),
+        });
+    }
+    Ok(diag)
+}
+
+/// Checks a hybrid schedule's budget inputs: `r` at least 1 (when given)
+/// and `fail_prob` in `(0, 1)`.
+pub(crate) fn check_budget(r: Option<usize>, fail_prob: f64) -> Result<(), EmbedError> {
+    if r == Some(0) {
+        return Err(EmbedError::InvalidConfig {
+            field: "r",
+            value: "0".into(),
+            expected: "at least 1".into(),
+        });
+    }
+    if !(fail_prob > 0.0 && fail_prob < 1.0) {
+        return Err(EmbedError::InvalidConfig {
+            field: "fail_prob",
+            value: fail_prob.to_string(),
+            expected: "a value in (0, 1)".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Smallest `dim' ≥ dim` with `r | dim'`.
@@ -220,92 +286,10 @@ pub fn pow2_at_least(x: f64) -> f64 {
     w
 }
 
-/// Schedule for the grid-partitioning (Arora) baseline: analogous
-/// derivation with cell diameter `√d·w` in place of `2√r·w`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridParams {
-    /// Dimension.
-    pub dim: usize,
-    /// Cell width per level, halving.
-    pub levels: Vec<f64>,
-}
-
-impl GridParams {
-    /// Derives the grid schedule (see [`HybridParams::for_dataset_with_sep`]).
-    pub fn for_dataset_with_sep(ps: &PointSet, min_sep: f64) -> Result<Self, EmbedError> {
-        if ps.is_empty() {
-            return Err(EmbedError::EmptyInput);
-        }
-        if !min_sep.is_finite() || min_sep <= 0.0 {
-            return Err(EmbedError::BadSeparation(min_sep));
-        }
-        if let Some(point) = first_non_finite(ps) {
-            return Err(EmbedError::NonFiniteInput { point });
-        }
-        let dim = ps.dim();
-        let sqrt_d = (dim as f64).sqrt();
-        let diag = finite_diagonal(ps)?.max(min_sep);
-        // Same convention as the hybrid schedule: r-independent top
-        // scale Θ(diag) (domination needs only w0 ≥ diag/(2√d)).
-        let w0 = pow2_at_least(diag / 2.0);
-        let levels = level_scales(w0, min_sep / sqrt_d).collect();
-        Ok(Self { dim, levels })
-    }
-
-    /// `[Δ]^d` convention.
-    pub fn for_dataset(ps: &PointSet) -> Result<Self, EmbedError> {
-        Self::for_dataset_with_sep(ps, 1.0)
-    }
-
-    /// Edge weight at level `i`: `√d·w_i/2`… specifically half the cell
-    /// diameter, doubled on the last level as the geometric tail.
-    pub fn edge_weight(&self, level: usize) -> f64 {
-        let base = (self.dim as f64).sqrt() * self.levels[level] / 2.0;
-        if level + 1 == self.levels.len() {
-            2.0 * base
-        } else {
-            base
-        }
-    }
-
-    /// Tail weight for truncated chains.
-    pub fn tail_weight(&self, level: usize) -> f64 {
-        (self.dim as f64).sqrt() * self.levels[level]
-    }
-
-    /// The separation the schedule resolves, `√d·w` at the last level:
-    /// the diagonal of a last-level cell, so any farther pair is split
-    /// by some level.
-    pub(crate) fn resolved_separation(&self) -> f64 {
-        self.levels
-            .last()
-            .map_or(0.0, |&w| (self.dim as f64).sqrt() * w)
-    }
-}
-
-/// Index of the first point with a non-finite coordinate, if any.
-pub fn first_non_finite(ps: &PointSet) -> Option<usize> {
-    ps.iter().position(|p| p.iter().any(|x| !x.is_finite()))
-}
-
-/// The bounding-box diagonal of `ps`, or [`EmbedError::InvalidConfig`]
-/// naming the diagonal when it overflows `f64` — a coordinate span
-/// beyond ~1.3e154 squares to infinity — so no scale schedule exists.
-pub(crate) fn finite_diagonal(ps: &PointSet) -> Result<f64, EmbedError> {
-    let diag = BoundingBox::of(ps).diagonal();
-    if diag.is_finite() {
-        return Ok(diag);
-    }
-    Err(EmbedError::InvalidConfig {
-        field: "diagonal",
-        value: diag.to_string(),
-        expected: "a finite bounding-box diagonal (coordinate spans below ~1e154)".into(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GridEmbedder;
     use treeemb_geom::generators;
 
     #[test]
@@ -360,11 +344,64 @@ mod tests {
     #[test]
     fn edge_weights_sum_to_tail() {
         let ps = generators::uniform_cube(30, 8, 256, 4);
-        let p = HybridParams::for_dataset(&ps, 2).unwrap();
-        for i in 0..p.num_levels() {
-            let direct = p.tail_weight(i);
-            let summed: f64 = (i..p.num_levels()).map(|j| p.edge_weight(j)).sum();
-            assert!((direct - summed).abs() < 1e-9 * direct, "level {i}");
+        let hybrid = HybridParams::for_dataset(&ps, 2).unwrap();
+        let grid = GridEmbedder::for_dataset(&ps).unwrap();
+        for s in [hybrid.schedule(), grid.schedule()] {
+            assert!(s.levels.len() > 3);
+            for i in 0..s.levels.len() {
+                let direct = s.tail_weight(i);
+                let summed: f64 = (i..s.levels.len()).map(|j| s.edge_weight(j)).sum();
+                assert!((direct - summed).abs() < 1e-9 * direct, "level {i}");
+            }
+        }
+    }
+
+    /// The one coefficient rule gives each family's own factors bit for
+    /// bit (the coefficients differ by powers of two): edges `√r·w` and
+    /// tails `2√r·w` for hybrid, `√d·w/2` and `√d·w` for the grid, edges
+    /// doubled on the last level.
+    #[test]
+    fn weights_are_the_per_family_factors() {
+        let ps = generators::uniform_cube(30, 7, 1 << 12, 8);
+        let hybrid: Vec<HybridParams> = [2, 3, 4, 7]
+            .iter()
+            .map(|&r| HybridParams::for_dataset(&ps, r).unwrap())
+            .collect();
+        let grid = GridEmbedder::for_dataset(&ps).unwrap();
+        let mut cases: Vec<_> = hybrid
+            .iter()
+            .map(|p| (p.schedule(), (p.r as f64).sqrt()))
+            .collect();
+        cases.push((grid.schedule(), 7f64.sqrt() / 2.0));
+        for (s, edge) in cases {
+            let last = s.levels.len() - 1;
+            for (i, &w) in s.levels.iter().enumerate() {
+                let want = if i == last {
+                    2.0 * (edge * w)
+                } else {
+                    edge * w
+                };
+                assert_eq!(s.edge_weight(i).to_bits(), want.to_bits(), "level {i}");
+                assert_eq!(s.tail_weight(i).to_bits(), (2.0 * edge * w).to_bits());
+            }
+            assert_eq!(s.resolved_separation(), 2.0 * edge * s.levels[last]);
+        }
+    }
+
+    /// Lemma 8's grid payload two ways: the closed form that sizes the
+    /// pipeline and the experiments, and the words of the levels
+    /// `embed_mpc_full` broadcasts.
+    #[test]
+    fn total_grid_words_is_the_broadcast_payload() {
+        for (n, d, r, fail_prob) in [(40, 8, 4, 1e-3), (25, 7, 3, 1e-2), (60, 10, 5, 1e-6)] {
+            let ps = generators::uniform_cube(n, d, 512, 9);
+            let p = HybridParams::for_dataset_with_sep(&ps, r, 1.0, fail_prob).unwrap();
+            let levels = crate::SeqEmbedder::new(p.clone()).build_levels(1);
+            let broadcast: usize = levels
+                .iter()
+                .map(treeemb_partition::HybridLevel::words)
+                .sum();
+            assert_eq!(broadcast, p.total_grid_words(), "n {n} d {d} r {r}");
         }
     }
 
@@ -390,18 +427,9 @@ mod tests {
             EmbedError::EmptyInput
         );
         assert_eq!(
-            GridParams::for_dataset(&ps).unwrap_err(),
+            GridEmbedder::for_dataset(&ps).unwrap_err(),
             EmbedError::EmptyInput
         );
-    }
-
-    #[test]
-    fn grid_params_mirror_hybrid_structure() {
-        let ps = generators::uniform_cube(40, 4, 256, 6);
-        let g = GridParams::for_dataset(&ps).unwrap();
-        assert!(g.levels.len() > 3);
-        let summed: f64 = (0..g.levels.len()).map(|j| g.edge_weight(j)).sum();
-        assert!((summed - g.tail_weight(0)).abs() < 1e-9 * summed);
     }
 
     #[test]
@@ -413,7 +441,7 @@ mod tests {
         );
         let inf = PointSet::from_rows(&[vec![f64::INFINITY]]);
         assert!(matches!(
-            GridParams::for_dataset(&inf).unwrap_err(),
+            GridEmbedder::for_dataset(&inf).unwrap_err(),
             EmbedError::NonFiniteInput { point: 0 }
         ));
     }

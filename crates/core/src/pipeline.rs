@@ -256,9 +256,6 @@ pub fn run_faulted(
     ps: &PointSet,
     cfg: &PipelineConfig,
 ) -> (Result<PipelineReport, EmbedError>, Vec<FaultEvent>) {
-    if ps.is_empty() {
-        return (Err(EmbedError::EmptyInput), Vec::new());
-    }
     // The FJLT runs when `d` is above the JL target dimension and the
     // run does not skip it.
     let sized = validate(cfg).and_then(|()| {
@@ -293,9 +290,9 @@ pub fn run_faulted(
     unreachable!("the last attempt always returns");
 }
 
-/// Rejects the scalar knobs `MpcConfig`'s constructors assert on, and
-/// the schedule inputs (`ξ`, `fail_prob`, `min_sep`) that
-/// `size_mpc_config`'s estimates need in range.
+/// Rejects the scalar knobs `MpcConfig`'s constructors assert on and
+/// `ξ`, then the schedule's budget inputs (`r`, `fail_prob`) through the
+/// check [`HybridParams::for_dataset_with_sep`] runs.
 fn validate(cfg: &PipelineConfig) -> Result<(), EmbedError> {
     let invalid = |field, value: &dyn std::fmt::Display, expected: &str| {
         Err(EmbedError::InvalidConfig {
@@ -313,19 +310,10 @@ fn validate(cfg: &PipelineConfig) -> Result<(), EmbedError> {
     if cfg.machines == Some(0) {
         return invalid("machines", &0, "at least 1");
     }
-    if cfg.r == Some(0) {
-        return invalid("r", &0, "at least 1");
-    }
     if !(cfg.xi > 0.0 && cfg.xi < 1.0) {
         return invalid("xi", &cfg.xi, "a value in (0, 1)");
     }
-    if !(cfg.fail_prob > 0.0 && cfg.fail_prob < 1.0) {
-        return invalid("fail_prob", &cfg.fail_prob, "a value in (0, 1)");
-    }
-    if !cfg.min_sep.is_finite() || cfg.min_sep <= 0.0 {
-        return Err(EmbedError::BadSeparation(cfg.min_sep));
-    }
-    Ok(())
+    crate::params::check_budget(cfg.r, cfg.fail_prob)
 }
 
 /// Scalability exponent `ε` of the fully scalable sizing
@@ -337,8 +325,10 @@ const EPSILON: f64 = 0.6;
 /// dominates the grid payload; at bench scales the payload's log
 /// factors win, so we take the max of the two (with 4x slack for the
 /// estimate). `jl_target` is the FJLT's target dimension when it runs.
-/// Fails when a machine-capacity override does not fit the sized
-/// cluster.
+/// Fails on the point-set checks [`HybridParams::for_dataset_with_sep`]
+/// runs (empty input, `min_sep`, non-finite coordinates, an overflowing
+/// diagonal), and when a machine-capacity override does not fit the
+/// sized cluster.
 fn size_mpc_config(
     ps: &PointSet,
     cfg: &PipelineConfig,
@@ -351,10 +341,7 @@ fn size_mpc_config(
     let r_est = cfg
         .r
         .unwrap_or_else(|| crate::params::pipeline_r(n, working_dim_est));
-    if let Some(point) = crate::params::first_non_finite(ps) {
-        return Err(EmbedError::NonFiniteInput { point });
-    }
-    let diag_est = crate::params::finite_diagonal(ps)? * (1.0 + cfg.xi);
+    let diag_est = crate::params::check_points(ps, cfg.min_sep)? * (1.0 + cfg.xi);
     let grid_words_est = crate::params::estimate_grid_words(
         n,
         working_dim_est,
@@ -495,8 +482,7 @@ fn run_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::GridParams;
-    use crate::seq::SeqEmbedder;
+    use crate::seq::{GridEmbedder, SeqEmbedder};
     use treeemb_geom::{generators, metrics};
 
     fn quick_cfg() -> PipelineConfig {
@@ -751,7 +737,7 @@ mod tests {
         let seq = HybridParams::for_dataset(&ps, 2)
             .and_then(|params| SeqEmbedder::new(params).embed(&ps, 1));
         assert!(is_diagonal_error(seq.as_ref().unwrap_err()), "{seq:?}");
-        let grid = GridParams::for_dataset(&ps).unwrap_err();
+        let grid = GridEmbedder::for_dataset(&ps).unwrap_err();
         assert!(is_diagonal_error(&grid), "{grid:?}");
         let mpc = run(&ps, &quick_cfg()).unwrap_err();
         assert!(is_diagonal_error(&mpc), "{mpc:?}");

@@ -8,10 +8,10 @@
 //! duplicate groups as zero-weight sibling leaves after the last level.
 
 use crate::error::EmbedError;
-use crate::params::{GridParams, HybridParams};
+use crate::params::{self, HybridParams, Schedule};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use treeemb_geom::{metrics, PointSet};
+use treeemb_geom::PointSet;
 use treeemb_hst::{Hst, HstBuilder};
 use treeemb_linalg::random::mix3;
 use treeemb_partition::{for_each_node_id, grid::ShiftedGrid, HybridLevel};
@@ -46,18 +46,14 @@ impl Embedding {
     }
 }
 
-/// Builds a hierarchy from per-level assignment closures.
-///
-/// `assign(level, point)` returns the point's partition key at that
-/// level (points with equal keys stay together), or `Err` on coverage
-/// failure. `edge_weight(level)` / `tail_weight(level)` follow the
-/// schedule semantics of [`HybridParams`].
+/// Builds the hierarchy of `schedule` from a per-level assignment
+/// closure: `assign(level, point)` returns the point's partition key at
+/// that level (points with equal keys stay together), or `Err` on
+/// coverage failure.
 pub(crate) fn build_hierarchy<K, F>(
     n: usize,
-    num_levels: usize,
+    schedule: Schedule<'_>,
     assign: F,
-    edge_weight: impl Fn(usize) -> f64,
-    tail_weight: impl Fn(usize) -> f64,
 ) -> Result<Hst, EmbedError>
 where
     K: Eq + std::hash::Hash,
@@ -66,6 +62,7 @@ where
     if n == 0 {
         return Err(EmbedError::EmptyInput);
     }
+    let num_levels = schedule.levels.len();
     let mut b = HstBuilder::new();
     let root = b.add_root();
     let mut queue: VecDeque<(usize, Vec<usize>, usize)> = VecDeque::new();
@@ -97,9 +94,9 @@ where
             if group.len() == 1 {
                 // Singleton: truncate the chain, attach the leaf with the
                 // geometric tail weight.
-                b.add_child(parent, tail_weight(level), Some(group[0]));
+                b.add_child(parent, schedule.tail_weight(level), Some(group[0]));
             } else {
-                let node = b.add_child(parent, edge_weight(level), None);
+                let node = b.add_child(parent, schedule.edge_weight(level), None);
                 queue.push_back((node, group, level + 1));
             }
         }
@@ -118,6 +115,10 @@ where
 /// group is reported with that id, so every embedder names the same
 /// pair. `min_sep` is the schedule's resolved separation, reported with
 /// the pair. `O(n·d)`, no pair scan.
+///
+/// The reported distance is scaled by the largest coordinate gap, so a
+/// pair whose squared gaps underflow (`1e-320` apart) still reads as
+/// the positive distance it is.
 pub(crate) fn check_separation(tree: &Hst, ps: &PointSet, min_sep: f64) -> Result<(), EmbedError> {
     // `first[v]`: the smallest point id among node `v`'s zero-weight
     // leaves seen so far.
@@ -134,12 +135,30 @@ pub(crate) fn check_separation(tree: &Hst, ps: &PointSet, min_sep: f64) -> Resul
             return Err(EmbedError::SeparationViolated {
                 p,
                 q,
-                dist: metrics::dist(ps.point(p), ps.point(q)),
+                dist: scaled_dist(ps.point(p), ps.point(q)),
                 min_sep,
             });
         }
     }
     Ok(())
+}
+
+/// Euclidean distance computed as `s·‖(p − q)/s‖` with `s = max |pⱼ − qⱼ|`,
+/// which neither underflows nor overflows in the squares.
+fn scaled_dist(p: &[f64], q: &[f64]) -> f64 {
+    let s = p
+        .iter()
+        .zip(q)
+        .fold(0.0f64, |s, (a, b)| s.max((a - b).abs()));
+    if s == 0.0 {
+        return 0.0;
+    }
+    s * p
+        .iter()
+        .zip(q)
+        .map(|(a, b)| ((a - b) / s).powi(2))
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// Algorithm 1: the sequential hybrid-partitioning embedder.
@@ -208,7 +227,7 @@ impl SeqEmbedder {
         let padded = ps.zero_pad(self.params.dim);
         let levels = self.build_levels(seed);
         let tree = self.hierarchy(&padded, &levels, threads)?;
-        check_separation(&tree, ps, self.params.resolved_separation())?;
+        check_separation(&tree, ps, self.params.schedule().resolved_separation())?;
         Ok(Embedding {
             tree,
             method: "hybrid",
@@ -240,32 +259,45 @@ impl SeqEmbedder {
         })
         .into_iter()
         .collect::<Result<(), EmbedError>>()?;
-        build_hierarchy(
-            padded.len(),
-            num_levels,
-            |level, p| Ok(ids[p * num_levels + level]),
-            |level| self.params.edge_weight(level),
-            |level| self.params.tail_weight(level),
-        )
+        build_hierarchy(padded.len(), self.params.schedule(), |level, p| {
+            Ok(ids[p * num_levels + level])
+        })
     }
 }
 
 /// The Arora random-shifted-grid embedder (the `O(log² n)`-distortion
-/// baseline; E1/E8/E10 compare against it).
+/// baseline; E1/E8/E10 compare against it): the `r = d` member of the
+/// family, whose level-`i` cells of side `w_i` have diameter `√d·w_i`.
 #[derive(Debug, Clone)]
 pub struct GridEmbedder {
-    params: GridParams,
+    /// Cell side per level, halving.
+    levels: Vec<f64>,
+    /// The cell diameter over its side, `√d`.
+    c: f64,
 }
 
 impl GridEmbedder {
-    /// Creates an embedder for a fixed grid schedule.
-    pub fn new(params: GridParams) -> Self {
-        Self { params }
+    /// The grid schedule for `ps`: the scale ladder of
+    /// [`HybridParams::for_dataset_with_sep`] with cell diameter `√d·w`
+    /// in place of `2√r·w`, so distinct points at least `min_sep` apart
+    /// end in different cells.
+    pub fn for_dataset_with_sep(ps: &PointSet, min_sep: f64) -> Result<Self, EmbedError> {
+        let (levels, c) = params::grid_ladder(ps, min_sep)?;
+        Ok(Self { levels, c })
     }
 
-    /// The schedule in force.
-    pub fn params(&self) -> &GridParams {
-        &self.params
+    /// [`Self::for_dataset_with_sep`] with the `[Δ]^d` convention
+    /// (`min_sep = 1`).
+    pub fn for_dataset(ps: &PointSet) -> Result<Self, EmbedError> {
+        Self::for_dataset_with_sep(ps, 1.0)
+    }
+
+    /// The ladder with the cell diameter `√d·w`.
+    pub(crate) fn schedule(&self) -> Schedule<'_> {
+        Schedule {
+            levels: &self.levels,
+            c: self.c,
+        }
     }
 
     /// Embeds `ps` into a tree via hierarchical random shifted grids.
@@ -275,7 +307,6 @@ impl GridEmbedder {
     /// `min_sep`).
     pub fn embed(&self, ps: &PointSet, seed: u64) -> Result<Embedding, EmbedError> {
         let grids: Vec<ShiftedGrid> = self
-            .params
             .levels
             .iter()
             .enumerate()
@@ -283,14 +314,10 @@ impl GridEmbedder {
                 ShiftedGrid::from_seed(ps.dim(), w, mix3(seed, GRID_LEVEL_TAG, i as u64))
             })
             .collect();
-        let tree = build_hierarchy(
-            ps.len(),
-            grids.len(),
-            |level, p| Ok(grids[level].cell_of(ps.point(p))),
-            |level| self.params.edge_weight(level),
-            |level| self.params.tail_weight(level),
-        )?;
-        check_separation(&tree, ps, self.params.resolved_separation())?;
+        let tree = build_hierarchy(ps.len(), self.schedule(), |level, p| {
+            Ok(grids[level].cell_of(ps.point(p)))
+        })?;
+        check_separation(&tree, ps, self.schedule().resolved_separation())?;
         Ok(Embedding {
             tree,
             method: "grid",
@@ -329,8 +356,10 @@ mod tests {
     #[test]
     fn grid_embedding_builds_and_dominates() {
         let ps = small_set();
-        let params = GridParams::for_dataset(&ps).unwrap();
-        let emb = GridEmbedder::new(params).embed(&ps, 5).unwrap();
+        let emb = GridEmbedder::for_dataset(&ps)
+            .unwrap()
+            .embed(&ps, 5)
+            .unwrap();
         for i in 0..ps.len() {
             for j in (i + 1)..ps.len() {
                 let e = metrics::dist(ps.point(i), ps.point(j));
@@ -349,8 +378,7 @@ mod tests {
         // cells are 0.5 wide, so neighbours share every level.
         let line: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i) * 0.01, 0.0]).collect();
         let ps = PointSet::from_rows(&line);
-        let params = GridParams::for_dataset(&ps).unwrap();
-        match GridEmbedder::new(params).embed(&ps, 7) {
+        match GridEmbedder::for_dataset(&ps).unwrap().embed(&ps, 7) {
             Err(EmbedError::SeparationViolated {
                 p: 0,
                 q: 1,
@@ -362,6 +390,33 @@ mod tests {
                 assert!((min_sep - diagonal).abs() < 1e-12, "min_sep {min_sep}");
             }
             other => panic!("expected points 0 and 1 to violate separation, got {other:?}"),
+        }
+    }
+
+    /// Distinct points whose squared gap underflows are reported at
+    /// their true, positive distance by all three embedders, so the
+    /// error's advice names a `min_sep` the schedule accepts.
+    #[test]
+    fn separation_violation_reports_tiny_gaps_as_positive() {
+        let ps = PointSet::from_rows(&[vec![0.0, 0.0], vec![1e-320, 0.0]]);
+        let hybrid = SeqEmbedder::new(HybridParams::for_dataset(&ps, 2).unwrap());
+        let mut rt = treeemb_mpc::Runtime::builder()
+            .config(treeemb_mpc::MpcConfig::explicit(1 << 16, 1 << 15, 8).with_threads(2))
+            .build();
+        let results = [
+            hybrid.embed(&ps, 1),
+            GridEmbedder::for_dataset(&ps).unwrap().embed(&ps, 1),
+            crate::mpc_embed::embed_mpc(&mut rt, &ps, hybrid.params(), 1),
+        ];
+        for result in results {
+            match result {
+                Err(EmbedError::SeparationViolated {
+                    p: 0, q: 1, dist, ..
+                }) => {
+                    assert_eq!(dist, 1e-320);
+                }
+                other => panic!("expected points 0 and 1 to violate separation, got {other:?}"),
+            }
         }
     }
 
@@ -421,13 +476,9 @@ mod tests {
     fn materialized_tree(e: &SeqEmbedder, ps: &PointSet, seed: u64) -> Hst {
         let padded = ps.zero_pad(e.params.dim);
         let levels = e.build_levels(seed);
-        build_hierarchy(
-            padded.len(),
-            levels.len(),
-            |level, p| Ok(levels[level].assign(padded.point(p)).expect("covered")),
-            |level| e.params.edge_weight(level),
-            |level| e.params.tail_weight(level),
-        )
+        build_hierarchy(padded.len(), e.params.schedule(), |level, p| {
+            Ok(levels[level].assign(padded.point(p)).expect("covered"))
+        })
         .unwrap()
     }
 
@@ -525,7 +576,7 @@ mod tests {
         // dist_T <= 2 * tail(0) = 4 sqrt(r) w_0 for every pair.
         let ps = small_set();
         let params = HybridParams::for_dataset(&ps, 4).unwrap();
-        let cap = 2.0 * params.tail_weight(0);
+        let cap = 2.0 * params.schedule().tail_weight(0);
         let emb = SeqEmbedder::new(params).embed(&ps, 13).unwrap();
         for i in 0..ps.len() {
             for j in (i + 1)..ps.len() {

@@ -159,6 +159,15 @@ pub const RETIRED: &[(&[&str], &str)] = &[
          GridSequence::assign",
     ),
     (
+        &["GridParams", "GridLikeLevel"],
+        "hybrid partitioning and the grid baseline share one level schedule; build the \
+         grid baseline with GridEmbedder::for_dataset or GridEmbedder::for_dataset_with_sep",
+    ),
+    (
+        &["mix_seed"],
+        "one SplitMix64 mixer serves every crate: treeemb_linalg::random::mix2",
+    ),
+    (
         &["dense::target_dimension"],
         "the JL target dimension sits next to its caller FjltParams::for_dataset: \
          treeemb_fjlt::fjlt::target_dimension",

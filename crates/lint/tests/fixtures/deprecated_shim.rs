@@ -10,9 +10,11 @@
 // and the library items only their own unit tests called (the dense JL
 // baseline, paper-name aliases, one-thread parallel variants, uncalled
 // generators and helpers), the second fault vocabulary and the duplicate
-// fault that acted exactly like a drop, the misnamed `dense` module, and
-// the second path to a covering ball's lattice coordinates were deleted;
-// the lint keeps them from coming back — even in test code.
+// fault that acted exactly like a drop, the misnamed `dense` module, the
+// second path to a covering ball's lattice coordinates, the grid
+// baseline's second schedule and level type, and the copy of the
+// SplitMix64 mixer were deleted; the lint keeps them from coming back —
+// even in test code.
 
 fn resurrect() {
     let mut rt = Runtime::new(cfg()); //~ DENY deprecated-shim
@@ -104,6 +106,12 @@ fn resurrect_second_cell_path(grids: &GridSequence, p: &[f64]) {
     grids.covering_cell(0, p, |_| {}); //~ DENY deprecated-shim
 }
 
+fn resurrect_second_schedule(ps: &PointSet) {
+    let _ = GridParams::for_dataset(ps); //~ DENY deprecated-shim
+    let _ = treeemb_partition::hybrid::GridLikeLevel::new(2, 1.0, 3); //~ DENY deprecated-shim
+    let _ = treeemb_mpc::cluster::mix_seed(1, 2); //~ DENY deprecated-shim
+}
+
 fn sanctioned_fault_vocabulary(plan: &FaultPlan, e: &FaultEvent) {
     let _ = plan.dropped(0, 0, 1, 2);
     let _ = matches!(e, FaultEvent::Injected(FaultSpec::Drop { .. }));
@@ -112,6 +120,8 @@ fn sanctioned_fault_vocabulary(plan: &FaultPlan, e: &FaultEvent) {
 }
 
 fn sanctioned_library(ps: &PointSet, f: &Fjlt, grids: &GridSequence, emb: &Embedding) {
+    let _ = GridEmbedder::for_dataset(ps);
+    let _ = treeemb_linalg::random::mix2(1, 2);
     let _ = treeemb_fjlt::fjlt::target_dimension(ps.len(), 0.5);
     let _ = f.apply(ps);
     let _ = estimate_expected_distortion(ps, 4, build);

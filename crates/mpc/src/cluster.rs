@@ -960,23 +960,11 @@ fn water_level_quotas(caps: &[usize], total: usize) -> Vec<usize> {
     caps.iter().map(|&c| c.min(lo)).collect()
 }
 
-/// SplitMix64 — the stateless mixer used to derive per-machine and
-/// per-index random streams from a shared broadcast seed.
-#[inline]
-pub fn mix_seed(a: u64, b: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0xFF51_AFD7_ED55_8CCD)
-        .wrapping_add(b)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use treeemb_linalg::random::mix2;
 
     fn small_rt(cap: usize, machines: usize) -> Runtime {
         Runtime::builder()
@@ -1552,9 +1540,9 @@ mod tests {
     fn random_outputs(seed: u64, m: usize) -> Vec<FlatOut<Vec<u64>>> {
         (0..m)
             .map(|src| {
-                let mut rng = mix_seed(seed, src as u64);
+                let mut rng = mix2(seed, src as u64);
                 let mut next = |bound: u64| {
-                    rng = mix_seed(rng, 0x5EED);
+                    rng = mix2(rng, 0x5EED);
                     rng % bound
                 };
                 let mut serial = 0u64;
@@ -1633,7 +1621,7 @@ mod tests {
                 if seed % 3 == 2 {
                     // Two out-of-range destinations from a random
                     // source; the first one sent is the one reported.
-                    let src = (mix_seed(seed, 1) % m as u64) as usize;
+                    let src = (mix2(seed, 1) % m as u64) as usize;
                     let msgs = &mut outputs[src].msgs;
                     msgs.insert(msgs.len() / 2, (m + seed as usize, vec![7]));
                     msgs.push((m + 99, vec![8]));
@@ -1689,7 +1677,7 @@ mod tests {
     /// Where the fault-test round sends `v`: a hashed machine (itself
     /// included), or `None` to keep it.
     fn hashed_dest(v: u64, m: usize) -> Option<MachineId> {
-        let d = (mix_seed(v, 11) % (m as u64 + 1)) as usize;
+        let d = (mix2(v, 11) % (m as u64 + 1)) as usize;
         (d < m).then_some(d)
     }
 
@@ -1697,7 +1685,7 @@ mod tests {
     fn round_exchange_matches_serial_router_under_faults() {
         for m in [3usize, 64] {
             let shards: Vec<Vec<u64>> = (0..m as u64)
-                .map(|i| (0..1 + i % 5).map(|j| mix_seed(i, j)).collect())
+                .map(|i| (0..1 + i % 5).map(|j| mix2(i, j)).collect())
                 .collect();
             // Reference: the round's routing run serially, routed serially.
             let outputs = shards
@@ -1795,12 +1783,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mix_seed_is_deterministic_and_spreads() {
-        assert_eq!(mix_seed(1, 2), mix_seed(1, 2));
-        assert_ne!(mix_seed(1, 2), mix_seed(2, 1));
-        assert_ne!(mix_seed(0, 0), 0);
     }
 }

@@ -30,7 +30,7 @@
 //! plan.json` replays them, and the shrinker ([`shrink_plan`]) prints a
 //! minimal reproducing schedule.
 
-use crate::cluster::mix_seed;
+use treeemb_linalg::random::mix2;
 use treeemb_obs::json::{self, Float, Value};
 
 /// Domain-separation tags for the per-fault-kind hash streams.
@@ -315,7 +315,7 @@ impl FaultPlan {
     pub fn for_attempt(&self, attempt: u32) -> FaultPlan {
         let mut plan = self.clone();
         if attempt > 0 {
-            plan.seed = mix_seed(self.seed, 0xA77E_0000 | attempt as u64);
+            plan.seed = mix2(self.seed, 0xA77E_0000 | attempt as u64);
         }
         plan
     }
@@ -354,10 +354,7 @@ impl FaultPlan {
             return false;
         }
         let (_, [round, attempt, a, b]) = spec.encode();
-        let h = mix_seed(
-            mix_seed(mix_seed(self.seed, tag), mix_seed(round, attempt)),
-            mix_seed(a, b),
-        );
+        let h = mix2(mix2(mix2(self.seed, tag), mix2(round, attempt)), mix2(a, b));
         // 53 high bits -> uniform double in [0, 1).
         p >= 1.0 || ((h >> 11) as f64 / (1u64 << 53) as f64) < p
     }

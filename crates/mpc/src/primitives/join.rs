@@ -5,10 +5,11 @@
 //! communication round: both sides route to `hash(key) % M`, then each
 //! machine joins locally.
 
-use crate::cluster::{mix_seed, Dist, Runtime};
+use crate::cluster::{Dist, Runtime};
 use crate::error::MpcResult;
 use crate::words::Words;
 use std::collections::HashMap;
+use treeemb_linalg::random::mix2;
 
 /// Tagged union shipping both sides of a join through one round.
 #[derive(Debug, Clone)]
@@ -66,7 +67,7 @@ where
                     Side::Left(l) => lkey(l),
                     Side::Right(r) => rkey(r),
                 };
-                let dest = (mix_seed(key, 0x101_1E4) % m as u64) as usize;
+                let dest = (mix2(key, 0x101_1E4) % m as u64) as usize;
                 em.send(dest, rec);
             }
             Vec::new()

@@ -1,8 +1,9 @@
 //! Hash shuffles: co-locate records by key in one round.
 
-use crate::cluster::{mix_seed, Dist, Runtime};
+use crate::cluster::{Dist, Runtime};
 use crate::error::MpcResult;
 use crate::words::Words;
+use treeemb_linalg::random::mix2;
 
 /// Routes every record to machine `hash(key) % M`, co-locating equal
 /// keys. One round. Under a well-spread key distribution the load per
@@ -17,7 +18,7 @@ where
     let m = rt.num_machines();
     rt.round("shuffle", input, move |_, shard, em| {
         for rec in shard {
-            let dest = (mix_seed(key(&rec), 0x5AFE_C0DE) % m as u64) as usize;
+            let dest = (mix2(key(&rec), 0x5AFE_C0DE) % m as u64) as usize;
             em.send(dest, rec);
         }
         Vec::new()

@@ -624,7 +624,7 @@ mod tests {
         let _ = BallGrid::new(1e-13, 5e-13, vec![0.0]);
     }
 
-    /// `radius = cell/2`, the full-cover geometry `GridLikeLevel` builds,
+    /// `radius = cell/2`, the full-cover geometry of the `r = d` hybrid,
     /// stays legal at every scale.
     #[test]
     fn half_cell_radius_builds_at_every_scale() {

@@ -7,7 +7,7 @@
 //! partitioning (`r = 1`) and random shifted grids (`r = d` with radius
 //! `ℓ/2`).
 
-use crate::ball::{BallAssignment, BallGrid, GridSequence};
+use crate::ball::{BallAssignment, GridSequence};
 use crate::ids::StructuralHash;
 use treeemb_linalg::random::mix2;
 
@@ -217,52 +217,6 @@ pub fn for_each_node_id(
     Ok(())
 }
 
-/// The grid-equivalent degenerate hybrid: `r = d`, one grid per bucket,
-/// balls of radius `cell/2` (which tile each 1-D bucket completely).
-/// Included to demonstrate the `r = d` ⇔ random-shifted-grid claim of
-/// §3 and as the Arora baseline inside the same code path.
-#[derive(Debug, Clone)]
-pub struct GridLikeLevel {
-    grids: Vec<BallGrid>,
-    width: f64,
-}
-
-impl GridLikeLevel {
-    /// One 1-D full-cover ball grid per dimension, cell width `width`.
-    pub fn new(dim: usize, width: f64, seed: u64) -> Self {
-        assert!(width > 0.0);
-        let grids = (0..dim)
-            .map(|j| BallGrid::from_seed(1, width, width / 2.0, mix2(seed, j as u64)))
-            .collect();
-        Self { grids, width }
-    }
-
-    /// Cell width.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Assigns a point; total coverage means this never returns `None`
-    /// for finite coordinates.
-    pub fn assign(&self, p: &[f64]) -> LevelAssignment {
-        assert_eq!(p.len(), self.grids.len());
-        let buckets = p
-            .iter()
-            .zip(&self.grids)
-            .map(|(x, g)| {
-                let cell = g
-                    .ball_of(std::slice::from_ref(x))
-                    .expect("radius w/2 tiles the line");
-                BallAssignment {
-                    grid_index: 0,
-                    cell,
-                }
-            })
-            .collect();
-        LevelAssignment { buckets }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,38 +296,35 @@ mod tests {
     }
 
     #[test]
-    fn grid_like_level_always_covers() {
-        let lvl = GridLikeLevel::new(5, 2.0, 3);
-        let a = lvl.assign(&[0.1, -7.3, 100.0, 2.5, 0.0]);
-        assert_eq!(a.buckets.len(), 5);
-    }
-
-    #[test]
-    fn grid_like_matches_shifted_grid_grouping() {
-        // The r = d, radius w/2 hybrid induces the same partition as some
-        // shifted grid: verify grouping consistency on many random pairs.
+    fn r_equals_d_with_half_cell_balls_is_a_shifted_grid() {
+        // §3: with r = d one-dimensional buckets and balls of radius ℓ/2,
+        // each axis's balls tile the line, and the ball around s + kℓ is
+        // the cell of the grid shifted by s + ℓ/2: the same partition.
+        use crate::ball::BallGrid;
+        use crate::grid::ShiftedGrid;
         use treeemb_linalg::random::unit_f64;
         let w = 1.0;
-        let lvl = GridLikeLevel::new(2, w, 77);
+        let axes: Vec<BallGrid> = (0..2)
+            .map(|j| BallGrid::from_seed(1, w, w / 2.0, mix2(77, j)))
+            .collect();
+        let grid = ShiftedGrid::new(
+            w,
+            axes.iter().map(|g| (g.shift()[0] + w / 2.0) % w).collect(),
+        );
+        let balls = |p: &[f64; 2]| -> Vec<Vec<i64>> {
+            p.iter()
+                .zip(&axes)
+                .map(|(x, g)| g.ball_of(&[*x]).expect("radius ℓ/2 tiles the line"))
+                .collect()
+        };
         for t in 0..500u64 {
             let p = [unit_f64(1, t) * 10.0, unit_f64(2, t) * 10.0];
             let q = [
                 p[0] + unit_f64(3, t) * 0.4 - 0.2,
                 p[1] + unit_f64(4, t) * 0.4 - 0.2,
             ];
-            let same = lvl.assign(&p) == lvl.assign(&q);
-            // Same iff per-axis nearest-vertex matches; cross-check with
-            // an explicit interval computation per axis.
-            let mut expect = true;
-            for axis in 0..2 {
-                let g = &lvl.grids[axis];
-                let cp = g.ball_of(&[p[axis]]).unwrap();
-                let cq = g.ball_of(&[q[axis]]).unwrap();
-                if cp != cq {
-                    expect = false;
-                }
-            }
-            assert_eq!(same, expect, "trial {t}");
+            let same_cell = grid.cell_of(&p) == grid.cell_of(&q);
+            assert_eq!(balls(&p) == balls(&q), same_cell, "trial {t}");
         }
     }
 

@@ -7,7 +7,6 @@
 
 use treeemb::apps::exact::prim;
 use treeemb::apps::mst::tree_mst;
-use treeemb::core::params::GridParams;
 use treeemb::core::seq::GridEmbedder;
 use treeemb::prelude::*;
 
@@ -20,7 +19,7 @@ fn main() {
     println!("exact MST (Prim O(n^2 d)): cost {:.1}", exact.cost);
 
     let hybrid = SeqEmbedder::new(HybridParams::for_dataset(&points, 4).expect("schedule"));
-    let grid = GridEmbedder::new(GridParams::for_dataset(&points).expect("schedule"));
+    let grid = GridEmbedder::for_dataset(&points).expect("schedule");
 
     let seeds = 5;
     let mut h_best = f64::INFINITY;

@@ -148,17 +148,18 @@ fn load_points(flags: &Flags) -> Result<PointSet, String> {
     points_from_csv(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn embed_points(
-    ps: &PointSet,
-    flags: &Flags,
-) -> Result<(SeqEmbedder, treeemb::core::seq::Embedding, u64), String> {
+/// The embedder of the `--r` flag (default: the pipeline's `r`) for `ps`,
+/// with the `--seed` flag's seed.
+fn embedder(ps: &PointSet, flags: &Flags) -> Result<(SeqEmbedder, u64), String> {
     let r: usize =
         get(flags, "r")?.unwrap_or_else(|| treeemb::core::params::pipeline_r(ps.len(), ps.dim()));
     let seed: u64 = get(flags, "seed")?.unwrap_or(42);
     let params = HybridParams::for_dataset(ps, r).map_err(|e| e.to_string())?;
-    let embedder = SeqEmbedder::new(params);
-    let emb = embedder.embed(ps, seed).map_err(|e| e.to_string())?;
-    Ok((embedder, emb, seed))
+    Ok((SeqEmbedder::new(params), seed))
+}
+
+fn embed(embedder: &SeqEmbedder, ps: &PointSet, seed: u64) -> Result<Embedding, String> {
+    embedder.embed(ps, seed).map_err(|e| e.to_string())
 }
 
 fn cmd_gen(flags: &Flags) -> Result<(), String> {
@@ -186,7 +187,8 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
 
 fn cmd_embed(flags: &Flags) -> Result<(), String> {
     let ps = load_points(flags)?;
-    let (_, emb, seed) = embed_points(&ps, flags)?;
+    let (embedder, seed) = embedder(&ps, flags)?;
+    let emb = embed(&embedder, &ps, seed)?;
     println!(
         "embedded n={} d={} (seed {seed}): {} nodes, height {}",
         ps.len(),
@@ -207,20 +209,24 @@ fn cmd_embed(flags: &Flags) -> Result<(), String> {
 
 fn cmd_mst(flags: &Flags) -> Result<(), String> {
     let ps = load_points(flags)?;
-    let (_, emb, _) = embed_points(&ps, flags)?;
-    let st = tree_mst(&emb, &ps);
+    let (embedder, seed) = embedder(&ps, flags)?;
+    let st = tree_mst(&embed(&embedder, &ps, seed)?, &ps);
     println!(
         "tree-guided MST: {} edges, cost {:.3}",
         st.edges.len(),
         st.cost
     );
     if flags.contains_key("exact") {
-        let exact = prim::mst(&ps);
-        println!(
-            "exact MST (Prim): cost {:.3}; approximation ratio {:.4}",
-            exact.cost,
-            st.cost / exact.cost
-        );
+        let exact = prim::mst(&ps).cost;
+        // A zero-cost MST (one point, or only duplicates) has no ratio.
+        if exact > 0.0 {
+            println!(
+                "exact MST (Prim): cost {exact:.3}; approximation ratio {:.4}",
+                st.cost / exact
+            );
+        } else {
+            println!("exact MST (Prim): cost {exact:.3}");
+        }
     }
     Ok(())
 }
@@ -240,16 +246,10 @@ fn cmd_emd(flags: &Flags) -> Result<(), String> {
     if trees == 0 {
         return Err("--trees must be at least 1".into());
     }
-    let seed: u64 = get(flags, "seed")?.unwrap_or(42);
-    let r: usize =
-        get(flags, "r")?.unwrap_or_else(|| treeemb::core::params::pipeline_r(ps.len(), ps.dim()));
-    let params = HybridParams::for_dataset(&ps, r).map_err(|e| e.to_string())?;
-    let embedder = SeqEmbedder::new(params);
+    let (embedder, seed) = embedder(&ps, flags)?;
     let mut sum = 0.0;
     for t in 0..trees {
-        let emb = embedder
-            .embed(&ps, seed.wrapping_add(t))
-            .map_err(|e| e.to_string())?;
+        let emb = embed(&embedder, &ps, seed.wrapping_add(t))?;
         sum += tree_emd(&emb, &a, &b);
     }
     let mean = sum / trees as f64;
@@ -277,16 +277,10 @@ fn cmd_kmedian(flags: &Flags) -> Result<(), String> {
     if trees == 0 {
         return Err("--trees must be at least 1".into());
     }
-    let seed: u64 = get(flags, "seed")?.unwrap_or(42);
-    let r: usize =
-        get(flags, "r")?.unwrap_or_else(|| treeemb::core::params::pipeline_r(ps.len(), ps.dim()));
-    let params = HybridParams::for_dataset(&ps, r).map_err(|e| e.to_string())?;
-    let embedder = SeqEmbedder::new(params);
+    let (embedder, seed) = embedder(&ps, flags)?;
     let mut best = (f64::INFINITY, Vec::new());
     for t in 0..trees {
-        let emb = embedder
-            .embed(&ps, seed.wrapping_add(t))
-            .map_err(|e| e.to_string())?;
+        let emb = embed(&embedder, &ps, seed.wrapping_add(t))?;
         let result = tree_kmedian(&emb, k);
         let euclid = kmedian_cost_euclid(&ps, &result.medians);
         if euclid < best.0 {

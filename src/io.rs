@@ -54,7 +54,6 @@ impl std::error::Error for CsvError {}
 pub fn points_from_csv(text: &str) -> Result<PointSet, CsvError> {
     let mut dim: Option<usize> = None;
     let mut data: Vec<f64> = Vec::new();
-    let mut rows = 0usize;
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -81,10 +80,8 @@ pub fn points_from_csv(text: &str) -> Result<PointSet, CsvError> {
             }
             _ => {}
         }
-        rows += 1;
     }
     let dim = dim.ok_or(CsvError::Empty)?;
-    let _ = rows;
     Ok(PointSet::from_flat(dim, data))
 }
 

@@ -51,6 +51,26 @@ fn gen_embed_mst_pipeline() {
     assert!((1.0..20.0).contains(&ratio), "ratio {ratio}");
 }
 
+/// A zero-cost exact MST (one point, or only duplicates) prints no
+/// approximation ratio, where dividing by it printed `NaN`.
+#[test]
+fn mst_exact_prints_no_ratio_for_a_zero_cost_tree() {
+    for (name, csv) in [("mst-one.csv", "3,4\n"), ("mst-dups.csv", "1,2\n1,2\n")] {
+        let pts = tmp(name);
+        std::fs::write(&pts, csv).unwrap();
+        let (ok, out, err) = treeemb(&["mst", "--input", &pts, "--exact"]);
+        assert!(ok, "{name}: {err}");
+        assert!(
+            out.contains("exact MST (Prim): cost 0.000"),
+            "{name}: {out}"
+        );
+        assert!(
+            !out.contains("ratio") && !out.contains("NaN"),
+            "{name}: {out}"
+        );
+    }
+}
+
 #[test]
 fn emd_and_kmedian_subcommands() {
     let pts = tmp("apps.csv");
