@@ -37,8 +37,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 .iter()
                 .map(|x| x + ((i % 9) as f64) - 4.0)
                 .collect();
-            let a = AnnIndex::query_best_of(&ensemble[..k], &ps, &q);
-            let e = exact_nearest(&ps, &q);
+            let a = AnnIndex::query_best_of(&ensemble[..k], &ps, &q).unwrap();
+            let e = exact_nearest(&ps, &q).unwrap();
             let ra = metrics::dist(ps.point(a), &q);
             let re = metrics::dist(ps.point(e), &q);
             // 0/0 (query coincides with an indexed point and we return

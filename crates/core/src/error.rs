@@ -28,6 +28,16 @@ pub enum EmbedError {
         /// Offending point.
         point: usize,
     },
+    /// A query has a non-finite coordinate.
+    NonFiniteQuery,
+    /// A point set or query has a different number of coordinates than
+    /// the structure it is used with.
+    DimensionMismatch {
+        /// The dimension the structure was built for.
+        expected: usize,
+        /// The dimension it was given.
+        found: usize,
+    },
     /// Two points with different coordinates share every level of the
     /// hierarchy, so the tree puts them at distance 0 and breaks
     /// domination. The input is finer than the level schedule resolves.
@@ -48,8 +58,9 @@ pub enum EmbedError {
     /// unreachable; indicates a structural-hash collision).
     TreeAssembly(String),
     /// A [`PipelineConfig`](crate::pipeline::PipelineConfig) value the
-    /// MPC runtime cannot be sized with, or a
-    /// [`HybridParams`](crate::params::HybridParams) argument out of range.
+    /// MPC runtime cannot be sized with, a
+    /// [`HybridParams`](crate::params::HybridParams) argument out of
+    /// range, or another argument a function cannot use.
     InvalidConfig {
         /// The offending field or argument.
         field: &'static str,
@@ -71,6 +82,10 @@ impl fmt::Display for EmbedError {
             EmbedError::BadSeparation(s) => write!(f, "minimum separation {s} must be positive"),
             EmbedError::NonFiniteInput { point } => {
                 write!(f, "point {point} has a non-finite coordinate")
+            }
+            EmbedError::NonFiniteQuery => write!(f, "the query has a non-finite coordinate"),
+            EmbedError::DimensionMismatch { expected, found } => {
+                write!(f, "expected {expected} coordinates, found {found}")
             }
             EmbedError::SeparationViolated { p, q, dist, min_sep } => write!(
                 f,

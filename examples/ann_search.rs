@@ -39,12 +39,15 @@ fn main() {
     let t_ann = Instant::now();
     let approx: Vec<usize> = queries
         .iter()
-        .map(|q| AnnIndex::query_best_of(&ensemble, &points, q))
+        .map(|q| AnnIndex::query_best_of(&ensemble, &points, q).expect("query"))
         .collect();
     let ann_time = t_ann.elapsed();
 
     let t_exact = Instant::now();
-    let exact: Vec<usize> = queries.iter().map(|q| exact_nearest(&points, q)).collect();
+    let exact: Vec<usize> = queries
+        .iter()
+        .map(|q| exact_nearest(&points, q).expect("query"))
+        .collect();
     let exact_time = t_exact.elapsed();
 
     let mut ratio_sum = 0.0;

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `treeemb` CLI binary.
 
 use std::process::Command;
+use treeemb::prelude::{HybridParams, SeqEmbedder};
 
 fn treeemb(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_treeemb"))
@@ -38,6 +39,12 @@ fn gen_embed_mst_pipeline() {
     let json = std::fs::read_to_string(&tree).unwrap();
     let t = treeemb::hst::Hst::from_json(&json).unwrap();
     assert_eq!(t.num_points(), 40);
+    // It is the library's tree for the same points, schedule and seed,
+    // byte for byte.
+    let ps = treeemb::io::points_from_csv(&std::fs::read_to_string(&pts).unwrap()).unwrap();
+    let params = HybridParams::for_dataset(&ps, 3).unwrap();
+    let emb = SeqEmbedder::new(params).embed(&ps, 5).unwrap();
+    assert_eq!(json, emb.tree.to_json());
 
     let (ok, out, err) = treeemb(&["mst", "--input", &pts, "--r", "3", "--exact"]);
     assert!(ok, "mst failed: {err}");
